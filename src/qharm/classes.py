@@ -255,20 +255,23 @@ def growth_bounds(b1_mag: float, r: float, p: ClassParams) -> GrowthBounds:
         upper = (1 + b1) r + (1 - alpha - b1) / [2]_q**m * r**2
         lower = (1 - b1) r - (1 - alpha - b1) / [2]_q**m * r**2
 
-    Valid for b1_mag <= 1 - alpha (automatic for members); outside that
-    regime the bounds may invert and construction is refused.
+    Valid for b1_mag <= 1 - alpha (automatic for members).  The domain
+    matches member_t_iff: b1_mag may exceed 1 - alpha by the relative
+    MEMBERSHIP_TOL, and the excess then counts as zero in the r**2 term.
+    Beyond that the bounds may invert and construction is refused.
     """
     b1 = float(b1_mag)
     r = float(r)
-    if not 0.0 <= b1 < 1.0:
-        raise DomainError(f"b1 magnitude must lie in [0, 1), got {b1_mag!r}")
+    if not 0.0 <= b1 <= 1.0:
+        raise DomainError(f"b1 magnitude must lie in [0, 1], got {b1_mag!r}")
     if not 0.0 <= r < 1.0:
         raise DomainError(f"radius must lie in [0, 1), got {r!r}")
-    if b1 > 1.0 - p.alpha:
+    one_minus = 1.0 - p.alpha
+    if b1 > one_minus * (1.0 + MEMBERSHIP_TOL):
         raise DomainError(
-            f"bounds require |b_1| <= 1 - alpha = {1.0 - p.alpha!r}, got {b1!r}"
+            f"bounds require |b_1| <= 1 - alpha = {one_minus!r}, got {b1!r}"
         )
-    c = (1.0 - p.alpha - b1) / q_integer_pow(2, p.q, p.m)
+    c = max(one_minus - b1, 0.0) / q_integer_pow(2, p.q, p.m)
     return GrowthBounds(
         lower=(1.0 - b1) * r - c * r * r,
         upper=(1.0 + b1) * r + c * r * r,

@@ -60,10 +60,14 @@ def q_integer(u: int, q: QParam) -> float:
 
 
 def q_integer_pow(u: int, q: QParam, m: int) -> float:
-    """[u]_q raised to the m-th power.  m = 0 returns exactly 1.0."""
+    """[u]_q raised to the m-th power.  m = 0 returns exactly 1.0; a power
+    too large for a float raises DomainError."""
     m = operator.index(m)
     if m < 0:
         raise DomainError(f"m must be non-negative, got {m!r}")
     if m == 0:
         return 1.0
-    return q_integer(u, q) ** m
+    try:
+        return q_integer(u, q) ** m
+    except OverflowError:
+        raise DomainError(f"[{u}]_q**{m} overflows a float at q = {q.q!r}") from None

@@ -15,9 +15,10 @@ and need none.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -74,12 +75,18 @@ class DiskGrid:
         return len(self.radii) * self.angular_count
 
     def points(self) -> np.ndarray:
-        """Grid points in lexicographic (radius index, angle index) order."""
+        """Grid points in lexicographic (radius index, angle index) order, read-only."""
+        return self._points
+
+    @functools.cached_property
+    def _points(self) -> np.ndarray:
         k = self.angular_count
         offset = 0.0 if self.include_positive_axis else 0.5
         theta = 2.0 * np.pi * (np.arange(k) + offset) / k
         ring = np.exp(1j * theta)
-        return np.concatenate([r * ring for r in self.radii])
+        z = np.concatenate([r * ring for r in self.radii])
+        z.flags.writeable = False
+        return z
 
 
 @dataclass(frozen=True)
@@ -112,18 +119,48 @@ class VerificationReport:
 
 def _eval_poly(coeffs: Sequence[complex], z: np.ndarray) -> np.ndarray:
     # Horner with a zero seed, matching the scalar evaluators bit for bit.
+    # The run of highest-power +0+0j coefficients is skipped: from the zero
+    # seed each such step gives exactly +0+0j again for finite z.  A zero
+    # with a -0.0 part is kept, since adding it can flip the sign of a zero.
+    n = len(coeffs)
+    while n:
+        c = coeffs[n - 1]
+        if c != 0 or math.copysign(1.0, c.real) + math.copysign(1.0, c.imag) != 2.0:
+            break
+        n -= 1
     acc = np.zeros(z.shape, dtype=np.complex128)
-    for c in reversed(coeffs):
+    for c in reversed(coeffs[:n]):
         acc = acc * z + c
     return acc
 
 
-def _eval_analytic_grid(s: AnalyticSeries, z: np.ndarray) -> np.ndarray:
-    return _eval_poly(s.coeffs, z) * z
+def _eval_harmonic(f: HarmonicFunction, z: np.ndarray) -> np.ndarray:
+    return _eval_poly(f.h.coeffs, z) * z + np.conjugate(_eval_poly(f.g.coeffs, z) * z)
 
 
-def _eval_harmonic_grid(f: HarmonicFunction, z: np.ndarray) -> np.ndarray:
-    return _eval_analytic_grid(f.h, z) + np.conjugate(_eval_analytic_grid(f.g, z))
+# --- pointwise margins: each check is one of these plus _min_report -----------
+
+
+def _re_condition_margins(f: HarmonicFunction, p: ClassParams, z: np.ndarray) -> np.ndarray:
+    t = class_transform(f, p.operator_params())
+    return np.real(_eval_poly(t.coeffs, z)) - p.alpha
+
+
+def _sense_preserving_margins(f: HarmonicFunction, z: np.ndarray) -> np.ndarray:
+    hp = classical_derivative(f.h).coeffs
+    gp = classical_derivative(f.g).coeffs
+    return np.abs(_eval_poly(hp, z)) - np.abs(_eval_poly(gp, z))
+
+
+def _growth_margins(f: HarmonicFunction, p: ClassParams, grid: DiskGrid) -> tuple[np.ndarray, np.ndarray]:
+    """|f| - lower(r) and upper(r) - |f| on the grid, bounds once per radius."""
+    b1 = f.g.coeffs[0].real
+    bounds = [growth_bounds(b1, r, p) for r in grid.radii]
+    k = grid.angular_count
+    lowers = np.repeat([b.lower for b in bounds], k)
+    uppers = np.repeat([b.upper for b in bounds], k)
+    mod = np.abs(_eval_harmonic(f, grid.points()))
+    return mod - lowers, uppers - mod
 
 
 def _min_report(
@@ -149,10 +186,8 @@ def re_condition_margin(
 ) -> VerificationReport:
     """Margin of the defining condition: Re{transform(z)} - alpha at each
     grid point."""
-    t = class_transform(f, p.operator_params())
     z = grid.points()
-    margins = np.real(_eval_poly(t.coeffs, z)) - p.alpha
-    return _min_report("re_condition", margins, z, tolerance)
+    return _min_report("re_condition", _re_condition_margins(f, p, z), z, tolerance)
 
 
 def sense_preserving_margin(
@@ -162,11 +197,8 @@ def sense_preserving_margin(
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> VerificationReport:
     """|h'(z)| - |g'(z)| at each grid point (ordinary derivatives)."""
-    hp = classical_derivative(f.h).coeffs
-    gp = classical_derivative(f.g).coeffs
     z = grid.points()
-    margins = np.abs(_eval_poly(hp, z)) - np.abs(_eval_poly(gp, z))
-    return _min_report("sense_preserving", margins, z, tolerance)
+    return _min_report("sense_preserving", _sense_preserving_margins(f, z), z, tolerance)
 
 
 def injectivity_sample_check(
@@ -192,9 +224,9 @@ def injectivity_sample_check(
     i = rng.integers(0, n, size=pair_budget)
     j = rng.integers(0, n, size=pair_budget)
     j = np.where(i == j, (j + 1) % n, j)
-    fz = _eval_harmonic_grid(f, z)
-    ratios = np.abs(fz[i] - fz[j]) / np.abs(z[i] - z[j])
-    return _min_report("injectivity", ratios, z[i], tolerance, strict=True)
+    zi, zj = z[i], z[j]
+    ratios = np.abs(_eval_harmonic(f, zi) - _eval_harmonic(f, zj)) / np.abs(zi - zj)
+    return _min_report("injectivity", ratios, zi, tolerance, strict=True)
 
 
 def growth_bound_check(
@@ -212,14 +244,9 @@ def growth_bound_check(
     """
     if not member_t_iff(f, p):
         raise DomainError("growth bounds hold for t_form members; the functional exceeds 1")
-    b1 = f.g.coeffs[0].real
-    z = grid.points()
-    k = grid.angular_count
-    lowers = np.repeat([growth_bounds(b1, r, p).lower for r in grid.radii], k)
-    uppers = np.repeat([growth_bounds(b1, r, p).upper for r in grid.radii], k)
-    mod = np.abs(_eval_harmonic_grid(f, z))
-    margins = np.minimum(uppers - mod, mod - lowers)
-    return _min_report("growth_bounds", margins, z, tolerance + tail_allowance)
+    lower_m, upper_m = _growth_margins(f, p, grid)
+    margins = np.minimum(upper_m, lower_m)
+    return _min_report("growth_bounds", margins, grid.points(), tolerance + tail_allowance)
 
 
 @dataclass(frozen=True)
@@ -282,11 +309,10 @@ def necessity_probe(
 
     entries = tuple((r, margin_at(r)) for r in rs)
     first_failure = next((r for r, m in entries if m < -tolerance), None)
-    limit_margin = 1.0 + math.fsum(-w * mag for _, w, mag in triples) - p.alpha
     return ProbeReport(
         entries=entries,
         first_failure=first_failure,
-        limit_margin=limit_margin,
+        limit_margin=margin_at(1.0),
         passed=first_failure is None,
         tolerance=float(tolerance),
     )
@@ -324,7 +350,8 @@ def random_t_form(
     Coefficient magnitudes follow as share * (1 - alpha) / w_u, so summing
     the functional telescopes back to the share total.  The first
     co-analytic magnitude is capped at max_b1 (excess share moves to the
-    power-2 co-analytic slot), keeping construction inside |b_1| <= 1.
+    power-2 co-analytic slot), keeping construction inside |b_1| <= 1; at
+    trunc 1 there is no such slot, and a target needing one is refused.
     """
     target = float(target_functional)
     if not (target >= 0.0 and math.isfinite(target)):
@@ -342,6 +369,8 @@ def random_t_form(
     b1_index = len(slots) - trunc  # first "b" slot, power 1
     b1_limit = max_b1 / one_minus
     if shares[b1_index] > b1_limit:
+        if trunc == 1:
+            raise DomainError(f"target functional {target!r} needs |b_1| > max_b1 = {max_b1!r} at trunc 1")
         excess = shares[b1_index] - b1_limit
         shares[b1_index] = b1_limit
         shares[b1_index + 1] += excess  # power-2 co-analytic slot
@@ -417,13 +446,7 @@ class GapExample:
     injectivity_margin: float
 
     def to_dict(self) -> dict:
-        return {
-            "trial": self.trial,
-            "functional": self.functional,
-            "re_condition_margin": self.re_condition_margin,
-            "sense_preserving_margin": self.sense_preserving_margin,
-            "injectivity_margin": self.injectivity_margin,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -478,21 +501,8 @@ def counterexample_scan(
         sp_rep = sense_preserving_margin(f, grid, tolerance=tolerance)
         inj_rep = injectivity_sample_check(f, grid, pair_budget, seed=trial, tolerance=tolerance)
         if re_rep.passed and sp_rep.passed and inj_rep.passed:
-            flagged.append(
-                GapExample(
-                    trial=trial,
-                    functional=functional,
-                    re_condition_margin=re_rep.min_margin,
-                    sense_preserving_margin=sp_rep.min_margin,
-                    injectivity_margin=inj_rep.min_margin,
-                )
-            )
-    return ScanReport(
-        trials=trials,
-        seed=seed,
-        step_violations=proof_step_violations(p),
-        gap_examples=tuple(flagged),
-    )
+            flagged.append(GapExample(trial, functional, re_rep.min_margin, sp_rep.min_margin, inj_rep.min_margin))
+    return ScanReport(trials, seed, proof_step_violations(p), tuple(flagged))
 
 
 # --- margin tables and CSV dumps ---------------------------------------------
@@ -507,23 +517,12 @@ def margin_rows(
     margins of the active checks.  Growth margins are included when f is a
     t_form member (both one-sided margins, lower then upper)."""
     z = grid.points()
-    t = class_transform(f, p.operator_params())
-    re_m = np.real(_eval_poly(t.coeffs, z)) - p.alpha
-    hp = classical_derivative(f.h).coeffs
-    gp = classical_derivative(f.g).coeffs
-    sp_m = np.abs(_eval_poly(hp, z)) - np.abs(_eval_poly(gp, z))
     header = ["re", "im", "re_condition_margin", "sense_preserving_margin"]
-    columns = [np.real(z), np.imag(z), re_m, sp_m]
+    columns = [np.real(z), np.imag(z), _re_condition_margins(f, p, z), _sense_preserving_margins(f, z)]
     if f.t_form and member_t_iff(f, p):
-        b1 = f.g.coeffs[0].real
-        k = grid.angular_count
-        lowers = np.repeat([growth_bounds(b1, r, p).lower for r in grid.radii], k)
-        uppers = np.repeat([growth_bounds(b1, r, p).upper for r in grid.radii], k)
-        mod = np.abs(_eval_harmonic_grid(f, z))
         header += ["growth_lower_margin", "growth_upper_margin"]
-        columns += [mod - lowers, uppers - mod]
-    rows = [[float(col[i]) for col in columns] for i in range(z.size)]
-    return header, rows
+        columns += _growth_margins(f, p, grid)
+    return header, np.column_stack(columns).tolist()
 
 
 def write_margin_csv(stream, f: HarmonicFunction, p: ClassParams, grid: DiskGrid) -> None:

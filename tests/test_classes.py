@@ -259,6 +259,25 @@ def test_growth_bounds_regime_guard():
         growth_bounds(0.0, 1.0, params())
 
 
+def test_growth_bounds_accept_b1_one():
+    # b1 = 1 is the u = 1 co-analytic extreme point at alpha = 0, a member
+    b = growth_bounds(1.0, 0.5, params(0, 0.0, 0.5))
+    assert (b.lower, b.upper) == (0.0, 1.0)
+    with pytest.raises(DomainError):
+        growth_bounds(1.0 + 1e-15, 0.5, params(0, 0.0, 0.5))
+
+
+def test_growth_bounds_b1_within_membership_tolerance():
+    p = params(1, 0.5, 0.5)
+    b1 = 0.5 * (1.0 + 5e-13)
+    f = HarmonicFunction.from_t_magnitudes({}, {1: b1}, trunc=4)
+    assert member_t_iff(f, p)
+    b = growth_bounds(b1, 0.5, p)  # the excess over 1 - alpha counts as zero
+    assert (b.lower, b.upper) == ((1.0 - b1) * 0.5, (1.0 + b1) * 0.5)
+    with pytest.raises(DomainError):
+        growth_bounds(0.5 * (1.0 + 1e-11), 0.5, p)
+
+
 def test_growth_gap_identity():
     # upper - lower = 2 b1 r + (2/[2]_q**m)(1 - alpha - b1) r**2
     p = params(2, 0.25, 0.7)

@@ -36,6 +36,22 @@ def test_qint_bad_q_is_usage_error(capsys):
     assert run(["qint", "--u", "3", "--q", "1.5"]) == 2
 
 
+def test_qint_overflow_is_usage_error(capsys):
+    assert run(["qint", "--u", "32", "--q", "0.99", "--m", "2000"]) == 2
+    assert "overflows" in capsys.readouterr().err
+
+
+def test_verify_accepts_b1_one_extreme_point(tmp_path, capsys):
+    out = str(tmp_path / "f.json")
+    cls = ["--m", "0", "--alpha", "0", "--q", "0.5"]
+    assert run(["extremal", "--u", "1", "--kind", "coanalytic", "--positive-coanalytic", *cls, "--out", out]) == 0
+    assert run(["check", "--in", out, *cls]) == 0
+    capsys.readouterr()
+    assert run(["verify", "--in", out, *cls]) != 2
+    reports = {r["check"]: r for r in json.loads(capsys.readouterr().out)}
+    assert reports["growth_bounds"]["passed"]
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     assert run(["florp"]) == 2
 

@@ -1,0 +1,241 @@
+"""Oracle test for the grid engine behind the disc checks.
+
+The reference below is the plain engine: a fresh point array per call, a
+zero-seeded Horner loop over every stored coefficient, the whole grid
+evaluated for the injectivity pairs, and margin_rows with its own margin
+formulas.  The library skips high-order +0+0j coefficients, caches the grid
+points and evaluates only the pair ends; its reports and margin tables must
+equal the reference bit for bit, zero signs included.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from qharm import (
+    AnalyticSeries,
+    ClassParams,
+    DiskGrid,
+    HarmonicFunction,
+    OperatorParams,
+    QParam,
+    class_transform,
+    classical_derivative,
+    growth_bound_check,
+    growth_bounds,
+    injectivity_sample_check,
+    is_t_form,
+    margin_rows,
+    member_t_iff,
+    re_condition_margin,
+    salagean_harmonic,
+    sense_preserving_margin,
+)
+from qharm.verify import _eval_poly
+
+# --- reference engine ---------------------------------------------------------------
+
+
+def ref_points(grid):
+    k = grid.angular_count
+    offset = 0.0 if grid.include_positive_axis else 0.5
+    theta = 2.0 * np.pi * (np.arange(k) + offset) / k
+    ring = np.exp(1j * theta)
+    return np.concatenate([r * ring for r in grid.radii])
+
+
+def ref_poly(coeffs, z):
+    acc = np.zeros(z.shape, dtype=np.complex128)
+    for c in reversed(coeffs):
+        acc = acc * z + c
+    return acc
+
+
+def ref_harmonic(f, z):
+    return ref_poly(f.h.coeffs, z) * z + np.conjugate(ref_poly(f.g.coeffs, z) * z)
+
+
+def ref_report(name, margins, where, tolerance, strict=False):
+    i = int(np.argmin(margins))
+    worst = float(margins[i])
+    passed = worst > tolerance if strict else worst >= -tolerance
+    return {
+        "check": name,
+        "min_margin": worst,
+        "argmin": [complex(where[i]).real, complex(where[i]).imag],
+        "passed": passed,
+        "samples": int(margins.size),
+        "tolerance": float(tolerance),
+    }
+
+
+def ref_re_condition(f, p, grid, tol):
+    z = ref_points(grid)
+    t = class_transform(f, p.operator_params())
+    return ref_report("re_condition", np.real(ref_poly(t.coeffs, z)) - p.alpha, z, tol)
+
+
+def ref_sense_preserving(f, grid, tol):
+    z = ref_points(grid)
+    hp = classical_derivative(f.h).coeffs
+    gp = classical_derivative(f.g).coeffs
+    margins = np.abs(ref_poly(hp, z)) - np.abs(ref_poly(gp, z))
+    return ref_report("sense_preserving", margins, z, tol)
+
+
+def ref_injectivity(f, grid, pair_budget, seed, tol):
+    z = ref_points(grid)
+    n = z.size
+    rng = np.random.default_rng(seed)
+    i = rng.integers(0, n, size=pair_budget)
+    j = rng.integers(0, n, size=pair_budget)
+    j = np.where(i == j, (j + 1) % n, j)
+    fz = ref_harmonic(f, z)
+    ratios = np.abs(fz[i] - fz[j]) / np.abs(z[i] - z[j])
+    return ref_report("injectivity", ratios, z[i], tol, strict=True)
+
+
+def ref_growth_arrays(f, p, grid):
+    b1 = f.g.coeffs[0].real
+    k = grid.angular_count
+    lowers = np.repeat([growth_bounds(b1, r, p).lower for r in grid.radii], k)
+    uppers = np.repeat([growth_bounds(b1, r, p).upper for r in grid.radii], k)
+    return lowers, uppers, np.abs(ref_harmonic(f, ref_points(grid)))
+
+
+def ref_growth(f, p, grid, tol):
+    lowers, uppers, mod = ref_growth_arrays(f, p, grid)
+    margins = np.minimum(uppers - mod, mod - lowers)
+    return ref_report("growth_bounds", margins, ref_points(grid), tol)
+
+
+def ref_margin_rows(f, p, grid):
+    z = ref_points(grid)
+    t = class_transform(f, p.operator_params())
+    re_m = np.real(ref_poly(t.coeffs, z)) - p.alpha
+    hp = classical_derivative(f.h).coeffs
+    gp = classical_derivative(f.g).coeffs
+    sp_m = np.abs(ref_poly(hp, z)) - np.abs(ref_poly(gp, z))
+    header = ["re", "im", "re_condition_margin", "sense_preserving_margin"]
+    columns = [np.real(z), np.imag(z), re_m, sp_m]
+    if f.t_form and member_t_iff(f, p):
+        lowers, uppers, mod = ref_growth_arrays(f, p, grid)
+        header += ["growth_lower_margin", "growth_upper_margin"]
+        columns += [mod - lowers, uppers - mod]
+    return header, [[float(col[i]) for col in columns] for i in range(z.size)]
+
+
+def assert_same(a, b):
+    """Equality that also tells the two signed zeros apart."""
+    if isinstance(a, float):
+        assert isinstance(b, float)
+        assert (a == b and np.signbit(a) == np.signbit(b)) or (math.isnan(a) and math.isnan(b)), (a, b)
+    elif isinstance(a, (list, tuple)):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            assert_same(x, y)
+    elif isinstance(a, dict):
+        assert a.keys() == b.keys()
+        for key in a:
+            assert_same(a[key], b[key])
+    else:
+        assert a == b and type(a) is type(b), (a, b)
+
+
+# --- generated inputs ----------------------------------------------------------------
+
+SIGNED_ZEROS = [complex(0.0, 0.0), complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
+parts = st.floats(min_value=-0.3, max_value=0.3, allow_nan=False, allow_subnormal=False)
+coefficient = st.one_of(
+    st.builds(complex, parts, parts),
+    st.builds(complex, parts, st.just(0.0)),
+    st.sampled_from(SIGNED_ZEROS),
+)
+
+
+@st.composite
+def functions(draw):
+    """A harmonic pair stored at trunc 1..64 whose nonzero coefficients stop
+    at a drawn degree, so a run of trailing zeros follows; zeros of either
+    sign appear anywhere.  Optionally a t_form member, or the image under
+    an odd-order Salagean operator, which negates every co-analytic zero."""
+    trunc = draw(st.integers(min_value=1, max_value=64))
+    degree = draw(st.integers(min_value=1, max_value=trunc))
+    tail = draw(st.sampled_from(SIGNED_ZEROS))
+    h = [1.0] + draw(st.lists(coefficient, min_size=degree - 1, max_size=degree - 1))
+    g = draw(st.lists(coefficient, min_size=degree, max_size=degree))
+    h += [tail] * (trunc - degree)
+    g += [tail] * (trunc - degree)
+    if draw(st.booleans()):
+        # t_form signs; functional stays small enough for membership often
+        h = [h[0]] + [complex(-abs(c.real) / 8.0, 0.0) for c in h[1:]]
+        g = [complex(abs(c.real) / 8.0, 0.0) for c in g]
+    f = HarmonicFunction(AnalyticSeries(h, trunc=trunc), AnalyticSeries(g, trunc=trunc))
+    f = HarmonicFunction(f.h, f.g, t_form=is_t_form(f))
+    if draw(st.booleans()):
+        m = draw(st.sampled_from([1, 3]))
+        f = salagean_harmonic(f, OperatorParams(m, QParam(draw(st.sampled_from([0.5, 0.9])))))
+    return f
+
+
+grids = st.builds(
+    DiskGrid,
+    radii=st.lists(st.sampled_from([0.1, 0.3, 0.5, 0.7, 0.9, 0.99]), min_size=1, max_size=4, unique=True).map(
+        lambda rs: tuple(sorted(rs))
+    ),
+    angular_count=st.integers(min_value=4, max_value=48),
+    include_positive_axis=st.booleans(),
+)
+class_params = st.builds(
+    ClassParams,
+    m=st.integers(min_value=0, max_value=4),
+    alpha=st.sampled_from([0.0, 0.25, 0.5]),
+    q=st.sampled_from([QParam(0.5), QParam(0.9), QParam(0.99)]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    f=functions(),
+    p=class_params,
+    grid=st.one_of(grids, st.just(DiskGrid())),
+    pair_budget=st.integers(min_value=1, max_value=120),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_engine_matches_reference_bitwise(f, p, grid, pair_budget, seed):
+    z = ref_points(grid)
+    for coeffs in (f.h.coeffs, f.g.coeffs):
+        assert np.array_equal(_eval_poly(coeffs, z).view(np.uint64), ref_poly(coeffs, z).view(np.uint64))
+    tol = 1e-9
+    assert_same(re_condition_margin(f, p, grid, tolerance=tol).to_dict(), ref_re_condition(f, p, grid, tol))
+    assert_same(sense_preserving_margin(f, grid, tolerance=tol).to_dict(), ref_sense_preserving(f, grid, tol))
+    assert_same(
+        injectivity_sample_check(f, grid, pair_budget, seed=seed, tolerance=tol).to_dict(),
+        ref_injectivity(f, grid, pair_budget, seed, tol),
+    )
+    if f.t_form and member_t_iff(f, p):
+        assert_same(growth_bound_check(f, p, grid, tolerance=tol).to_dict(), ref_growth(f, p, grid, tol))
+    assert_same(margin_rows(f, p, grid), ref_margin_rows(f, p, grid))
+
+
+@given(grid=grids)
+def test_grid_points_cached_and_read_only(grid):
+    z = grid.points()
+    assert z is grid.points()
+    assert not z.flags.writeable
+    fresh = ref_points(grid)
+    assert np.array_equal(z.view(np.uint64), fresh.view(np.uint64))
+
+
+def test_negative_zero_coefficients_are_evaluated():
+    # An odd-order image negates the co-analytic zeros.  Horner over a
+    # -0.0 part gives zeros whose sign depends on z, so such a coefficient
+    # must not be skipped like +0+0j.
+    f = HarmonicFunction(AnalyticSeries([1.0], trunc=1), AnalyticSeries([], trunc=1))
+    g = salagean_harmonic(f, OperatorParams(1, QParam(0.5))).g.coeffs
+    assert np.signbit(g[0].real) and np.signbit(g[0].imag)
+    z = ref_points(DiskGrid(radii=(0.5,), angular_count=8))
+    expected = ref_poly(g, z)
+    assert np.signbit(expected.real).any() and not np.signbit(expected.real).all()
+    assert np.array_equal(_eval_poly(g, z).view(np.uint64), expected.view(np.uint64))

@@ -60,6 +60,11 @@ def test_q_integer_pow_rejects_negative_m():
         q_integer_pow(2, QParam(0.5), -1)
 
 
+def test_q_integer_pow_overflow_is_domain_error():
+    with pytest.raises(DomainError):
+        q_integer_pow(32, QParam(0.99), 2000)
+
+
 @given(u=st.integers(min_value=1, max_value=64), q=q_values)
 def test_recurrence_is_bitwise(u, q):
     qp = QParam(q)

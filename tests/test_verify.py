@@ -188,6 +188,12 @@ def test_growth_check_requires_t_member():
         growth_bound_check(non_t, p, DiskGrid())
 
 
+def test_growth_check_b1_within_membership_tolerance():
+    p = params(1, 0.5, 0.5)
+    f = HarmonicFunction.from_t_magnitudes({}, {1: 0.5 * (1.0 + 5e-13)}, trunc=4)
+    assert growth_bound_check(f, p, DiskGrid()).passed
+
+
 # --- necessity probe -------------------------------------------------------------------
 
 
@@ -283,6 +289,16 @@ def test_random_t_form_rejects_bad_target():
         random_t_form(p, -0.5, rng)
     with pytest.raises(DomainError):
         random_t_form(p, float("nan"), rng)
+
+
+def test_random_t_form_trunc_one():
+    p = params(0, 0.0, 0.5)
+    rng = np.random.default_rng(3)
+    # the only slot is b_1, capped at max_b1 = 0.95: target 1 cannot be met
+    with pytest.raises(DomainError):
+        random_t_form(p, 1.0, rng, trunc=1)
+    f = random_t_form(p, 0.5, rng, trunc=1)
+    assert f.g.coeffs == (0.5 + 0j,)
 
 
 # --- proof-step map and scan ------------------------------------------------------------
