@@ -23,7 +23,7 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .qcore import DomainError, QParam, q_integer_pow
+from .qcore import DEFAULT_TOLERANCE, MEMBERSHIP_TOL, DomainError, QParam, weights  # noqa: F401 (re-exported)
 from .salagean import OperatorParams
 from .series import (
     DEFAULT_TRUNC,
@@ -31,12 +31,6 @@ from .series import (
     HarmonicFunction,
     _t_structure,
 )
-
-# Boundary functions sit exactly on the threshold; the comparison needs a
-# hair of room for rounding in the functional sum.
-MEMBERSHIP_TOL = 1e-12
-
-WEIGHT_SUM_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -76,17 +70,19 @@ class GrowthBounds:
             raise ValueError(f"lower bound {self.lower!r} exceeds upper bound {self.upper!r}")
 
 
+def _functional_terms(f: HarmonicFunction, p: ClassParams) -> list[tuple[int, float, float]]:
+    """(u, [u]_q**m, |c_u|) for each nonzero coefficient in the functional:
+    h from power 2, then g.  The weight table stops at the last such power."""
+    nonzero = [(u, c) for u, c in enumerate(f.h.coeffs, start=1) if u >= 2 and c != 0]
+    nonzero += [(u, c) for u, c in enumerate(f.g.coeffs, start=1) if c != 0]
+    w = weights(max((u for u, _ in nonzero), default=1), p.q, p.m)
+    return [(u, w[u - 1], abs(c)) for u, c in nonzero]
+
+
 def coeff_functional(f: HarmonicFunction, p: ClassParams) -> float:
     """The normalized coefficient sum; membership threshold is 1."""
     one_minus = 1.0 - p.alpha
-    terms = []
-    for u, c in enumerate(f.h.coeffs, start=1):
-        if u >= 2 and c != 0:
-            terms.append(q_integer_pow(u, p.q, p.m) / one_minus * abs(c))
-    for u, c in enumerate(f.g.coeffs, start=1):
-        if c != 0:
-            terms.append(q_integer_pow(u, p.q, p.m) / one_minus * abs(c))
-    return math.fsum(terms)
+    return math.fsum([w / one_minus * mag for _, w, mag in _functional_terms(f, p)])
 
 
 def satisfies_sufficient(f: HarmonicFunction, p: ClassParams, tol: float = MEMBERSHIP_TOL) -> bool:
@@ -107,7 +103,7 @@ def member_t_iff(f: HarmonicFunction, p: ClassParams, tol: float = MEMBERSHIP_TO
     """
     if not f.t_form:
         raise DomainError("the iff criterion applies only to t_form functions")
-    return coeff_functional(f, p) <= 1.0 + tol
+    return satisfies_sufficient(f, p, tol)
 
 
 def extreme_point(
@@ -139,7 +135,7 @@ def extreme_point(
     if coanalytic_sign not in (-1, 1):
         raise DomainError(f"coanalytic_sign must be -1 or +1, got {coanalytic_sign!r}")
     n = max(trunc, u)
-    mag = (1.0 - p.alpha) / q_integer_pow(u, p.q, p.m)
+    mag = (1.0 - p.alpha) / weights(u, p.q, p.m)[-1]
     if kind == "analytic":
         h = [0j] * n
         h[0] = 1.0
@@ -172,7 +168,7 @@ def convex_combination(
     terms = list(terms)
     if not terms:
         raise DomainError("at least one extreme point is required")
-    weights = []
+    masses = []
     for u, kind, w in terms:
         w = float(w)
         if w < 0.0 or not math.isfinite(w):
@@ -181,17 +177,18 @@ def convex_combination(
             raise DomainError(f"kind must be 'analytic' or 'coanalytic', got {kind!r}")
         if operator.index(u) < 1:
             raise DomainError(f"u must be a positive integer, got {u!r}")
-        weights.append(w)
-    total = math.fsum(weights)
-    if abs(total - 1.0) > WEIGHT_SUM_TOL:
-        raise DomainError(f"weights must sum to 1 within {WEIGHT_SUM_TOL}, got {total!r}")
+        masses.append(w)
+    total = math.fsum(masses)
+    if abs(total - 1.0) > MEMBERSHIP_TOL:
+        raise DomainError(f"weights must sum to 1 within {MEMBERSHIP_TOL}, got {total!r}")
     n = max([trunc, *(u for u, _, _ in terms)])
+    wq = weights(max(u for (u, _, _), wf in zip(terms, masses) if wf != 0.0), p.q, p.m)
     a_acc = [0.0] * (n + 1)
     b_acc = [0.0] * (n + 1)
-    for (u, kind, w), wf in zip(terms, weights):
+    for (u, kind, _), wf in zip(terms, masses):
         if wf == 0.0:
             continue
-        mag = wf * (1.0 - p.alpha) / q_integer_pow(u, p.q, p.m)
+        mag = wf * (1.0 - p.alpha) / wq[u - 1]
         if kind == "analytic":
             if u >= 2:
                 a_acc[u] += mag
@@ -230,22 +227,27 @@ def sharpness_witness(
     xs = [complex(v) for v in x]
     ys = [complex(v) for v in y]
     total = math.fsum([abs(v) for v in xs] + [abs(v) for v in ys])
-    if abs(total - 1.0) > WEIGHT_SUM_TOL:
-        raise DomainError(f"weight moduli must sum to 1 within {WEIGHT_SUM_TOL}, got {total!r}")
+    if abs(total - 1.0) > MEMBERSHIP_TOL:
+        raise DomainError(f"weight moduli must sum to 1 within {MEMBERSHIP_TOL}, got {total!r}")
     n = max(trunc, len(xs) + 1, len(ys))
+    w = weights(max(len(xs) + 1, len(ys)), p.q, p.m)
     h = [0j] * n
     g = [0j] * n
     h[0] = 1.0
     one_minus = 1.0 - p.alpha
-    for i, v in enumerate(xs):
-        u = i + 2
-        h[u - 1] = one_minus / q_integer_pow(u, p.q, p.m) * v
-    for i, v in enumerate(ys):
-        u = i + 1
-        g[u - 1] = one_minus / q_integer_pow(u, p.q, p.m) * v
+    for u, v in enumerate(xs, start=2):
+        h[u - 1] = one_minus / w[u - 1] * v
+    for u, v in enumerate(ys, start=1):
+        g[u - 1] = one_minus / w[u - 1] * v
     hs = AnalyticSeries(h, trunc=n)
     gs = AnalyticSeries(g, trunc=n)
     return HarmonicFunction(hs, gs, t_form=_t_structure(hs, gs))
+
+
+def _r2_coefficient(b1: float, p: ClassParams) -> float:
+    """(1 - alpha - b1)/[2]_q**m, the r**2 coefficient of the growth bounds
+    and witnesses; an excess of b1 over 1 - alpha counts as zero."""
+    return max(1.0 - p.alpha - b1, 0.0) / weights(2, p.q, p.m)[1]
 
 
 def growth_bounds(b1_mag: float, r: float, p: ClassParams) -> GrowthBounds:
@@ -271,7 +273,7 @@ def growth_bounds(b1_mag: float, r: float, p: ClassParams) -> GrowthBounds:
         raise DomainError(
             f"bounds require |b_1| <= 1 - alpha = {one_minus!r}, got {b1!r}"
         )
-    c = max(one_minus - b1, 0.0) / q_integer_pow(2, p.q, p.m)
+    c = _r2_coefficient(b1, p)
     return GrowthBounds(
         lower=(1.0 - b1) * r - c * r * r,
         upper=(1.0 + b1) * r + c * r * r,
@@ -285,7 +287,7 @@ def growth_witness_upper(b1_mag: float, p: ClassParams, *, trunc: int = DEFAULT_
     b1 = float(b1_mag)
     if not 0.0 <= b1 <= 1.0 - p.alpha:
         raise DomainError(f"witness requires 0 <= |b_1| <= 1 - alpha, got {b1_mag!r}")
-    c = (1.0 - p.alpha - b1) / q_integer_pow(2, p.q, p.m)
+    c = _r2_coefficient(b1, p)
     g = [0j] * trunc
     g[0] = b1
     g[1] = c
@@ -303,5 +305,5 @@ def growth_witness_lower(b1_mag: float, p: ClassParams, *, trunc: int = DEFAULT_
     b1 = float(b1_mag)
     if not 0.0 <= b1 <= 1.0 - p.alpha:
         raise DomainError(f"witness requires 0 <= |b_1| <= 1 - alpha, got {b1_mag!r}")
-    c = (1.0 - p.alpha - b1) / q_integer_pow(2, p.q, p.m)
+    c = _r2_coefficient(b1, p)
     return AnalyticSeries((1.0 - b1, -c), trunc=trunc)

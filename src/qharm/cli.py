@@ -20,7 +20,7 @@ import math
 import os
 import sys
 
-from .qcore import QParam
+from .qcore import QParam, q_integer, q_integer_pow
 from .classes import (
     ClassParams,
     coeff_functional,
@@ -31,7 +31,6 @@ from .classes import (
     satisfies_sufficient,
     sharpness_witness,
 )
-from .qcore import q_integer, q_integer_pow
 from .salagean import OperatorParams, class_transform, q_derivative, salagean_harmonic
 from .series import SchemaError, harmonic_from_json, harmonic_to_json
 from .verify import (
@@ -92,13 +91,19 @@ def _power_series_json(series) -> dict:
     return {"start_power": 0, "coeffs": [[c.real, c.imag] for c in series.coeffs]}
 
 
+def _parse_radii(text: str | None) -> tuple[float, ...] | None:
+    if text is None:
+        return None
+    try:
+        return tuple(float(r) for r in text.split(","))
+    except ValueError:
+        raise UsageError(f"--radii: expected comma-separated reals, got {text!r}") from None
+
+
 def _grid_from_args(args) -> DiskGrid:
     kwargs = {}
     if args.radii is not None:
-        try:
-            kwargs["radii"] = tuple(float(r) for r in args.radii.split(","))
-        except ValueError:
-            raise UsageError(f"--radii: expected comma-separated reals, got {args.radii!r}") from None
+        kwargs["radii"] = _parse_radii(args.radii)
     if args.angles is not None:
         kwargs["angular_count"] = args.angles
     if args.no_axis:
@@ -236,13 +241,7 @@ def _cmd_verify(args, tol: float) -> int:
 def _cmd_probe(args, tol: float) -> int:
     f = _load_harmonic(getattr(args, "in"))
     p = _class_params(args)
-    rs = None
-    if args.radii is not None:
-        try:
-            rs = tuple(float(r) for r in args.radii.split(","))
-        except ValueError:
-            raise UsageError(f"--radii: expected comma-separated reals, got {args.radii!r}") from None
-    report = necessity_probe(f, p, rs)
+    report = necessity_probe(f, p, _parse_radii(args.radii))
     _emit(report.to_dict(), args.out)
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 

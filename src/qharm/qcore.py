@@ -16,6 +16,15 @@ import operator
 from dataclasses import dataclass
 
 
+# Tolerance policy.  MEMBERSHIP_TOL is the rounding allowance wherever an
+# fsum is compared with 1: the functional threshold, the growth domain
+# |b_1| <= (1 - alpha)(1 + tol), weight sums and the necessity probe.
+# DEFAULT_TOLERANCE is the absolute allowance on margins sampled on a disc
+# grid; the CLI's QHARM_TOL overrides it.
+MEMBERSHIP_TOL = 1e-12
+DEFAULT_TOLERANCE = 1e-9
+
+
 class DomainError(ValueError):
     """An argument lies outside an operation's mathematical domain."""
 
@@ -41,33 +50,41 @@ class QParam:
         return self.q
 
 
-def q_integer(u: int, q: QParam) -> float:
-    """[u]_q = 1 + q + ... + q**(u-1), evaluated as the nested sum
-    1 + q*(1 + q*(1 + ...)).
+def weights(n: int, q: QParam, m: int, classical: bool = False) -> tuple[float, ...]:
+    """The weight table (w_1, ..., w_n), w_u = [u]_q**m, or u**m when classical.
 
-    The sum form keeps full precision as q -> 1-, where the quotient
-    (1 - q**u)/(1 - q) cancels catastrophically.  Nesting makes the
-    recurrence [u+1]_q = 1 + q*[u]_q hold bitwise, not just to rounding.
+    [u]_q = 1 + q + ... + q**(u-1) comes from the nested recurrence
+    [u]_q = 1 + q*[u-1]_q, [0]_q = 0, which then holds bitwise and keeps
+    full precision as q -> 1- (where (1 - q**u)/(1 - q) cancels).  m = 0
+    gives exactly 1.0; a weight too large for a float raises DomainError.
+    Weights grow with u, so callers build the table only up to the highest
+    power they use.
     """
-    u = operator.index(u)
-    if u < 1:
-        raise DomainError(f"u must be a positive integer, got {u!r}")
-    qq = q.q
-    acc = 1.0
-    for _ in range(u - 1):
-        acc = 1.0 + qq * acc
-    return acc
+    n = operator.index(n)
+    m = operator.index(m)
+    if n < 1:
+        raise DomainError(f"the highest power must be a positive integer, got {n!r}")
+    if m < 0:
+        raise DomainError(f"m must be non-negative, got {m!r}")
+    try:
+        if classical:
+            return tuple(float(u**m) for u in range(1, n + 1))
+        qq = q.q
+        acc = 0.0
+        out = []
+        for _ in range(n):
+            acc = 1.0 + qq * acc
+            out.append(acc**m)
+        return tuple(out)
+    except OverflowError:
+        raise DomainError(f"the weight of u = {n} overflows a float at m = {m}, q = {q.q!r}, classical = {classical}") from None
+
+
+def q_integer(u: int, q: QParam) -> float:
+    """[u]_q = 1 + q + ... + q**(u-1); see weights."""
+    return weights(u, q, 1)[-1]
 
 
 def q_integer_pow(u: int, q: QParam, m: int) -> float:
-    """[u]_q raised to the m-th power.  m = 0 returns exactly 1.0; a power
-    too large for a float raises DomainError."""
-    m = operator.index(m)
-    if m < 0:
-        raise DomainError(f"m must be non-negative, got {m!r}")
-    if m == 0:
-        return 1.0
-    try:
-        return q_integer(u, q) ** m
-    except OverflowError:
-        raise DomainError(f"[{u}]_q**{m} overflows a float at q = {q.q!r}") from None
+    """[u]_q raised to the m-th power; see weights."""
+    return weights(u, q, m)[-1]

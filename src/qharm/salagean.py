@@ -16,7 +16,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
-from .qcore import DomainError, QParam, q_integer, q_integer_pow
+from .qcore import DomainError, QParam, weights
 from .series import (
     AnalyticSeries,
     HarmonicFunction,
@@ -42,25 +42,19 @@ class OperatorParams:
         object.__setattr__(self, "m", m)
 
 
-def _weight(u: int, p: OperatorParams) -> float:
-    if p.classical_mode:
-        return float(u**p.m)
-    return q_integer_pow(u, p.q, p.m)
-
-
 def q_derivative(s: AnalyticSeries, q: QParam) -> PowerSeries:
     """Jackson q-derivative: [u]_q c_u becomes the coefficient of z**(u-1).
 
     Equals (s(z) - s(qz)) / ((1 - q) z) pointwise; the quotient form is
     reserved for test oracles.
     """
-    return PowerSeries(tuple(q_integer(u, q) * c for u, c in enumerate(s.coeffs, start=1)))
+    return PowerSeries(tuple(w * c for w, c in zip(weights(len(s.coeffs), q, 1), s.coeffs)))
 
 
 def salagean_kernel(trunc: int, p: OperatorParams) -> AnalyticSeries:
     """The convolution kernel z + sum_u w_u z**u with w_u = [u]_q**m
     (or u**m in classical mode)."""
-    return AnalyticSeries(tuple(_weight(u, p) for u in range(1, trunc + 1)), trunc=trunc)
+    return AnalyticSeries(weights(trunc, p.q, p.m, p.classical_mode), trunc=trunc)
 
 
 def salagean(s: AnalyticSeries, p: OperatorParams) -> AnalyticSeries:
@@ -71,10 +65,8 @@ def salagean(s: AnalyticSeries, p: OperatorParams) -> AnalyticSeries:
     """
     if p.m == 0:
         return s
-    return AnalyticSeries(
-        tuple(_weight(u, p) * c for u, c in enumerate(s.coeffs, start=1)),
-        trunc=s.trunc_degree,
-    )
+    w = weights(s.trunc_degree, p.q, p.m, p.classical_mode)
+    return AnalyticSeries(tuple(wu * c for wu, c in zip(w, s.coeffs)), trunc=s.trunc_degree)
 
 
 def salagean_harmonic(f: HarmonicFunction, p: OperatorParams) -> HarmonicFunction:
@@ -102,10 +94,8 @@ def class_transform(f: HarmonicFunction, p: OperatorParams) -> PowerSeries:
     the family.  For the variant that instead conjugates and signs the g
     part, see class_transform_value with signed_conjugate=True.
     """
-    h, g = f.h.coeffs, f.g.coeffs
-    return PowerSeries(
-        tuple(_weight(u, p) * (a + b) for u, (a, b) in enumerate(zip(h, g), start=1))
-    )
+    w = weights(f.trunc_degree, p.q, p.m, p.classical_mode)
+    return PowerSeries(tuple(wu * (a + b) for wu, a, b in zip(w, f.h.coeffs, f.g.coeffs)))
 
 
 def class_transform_value(

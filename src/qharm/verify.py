@@ -23,9 +23,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .qcore import DomainError, q_integer_pow
+from .qcore import DEFAULT_TOLERANCE, MEMBERSHIP_TOL, DomainError, weights
 from .classes import (
     ClassParams,
+    _functional_terms,
     coeff_functional,
     growth_bounds,
     member_t_iff,
@@ -38,7 +39,6 @@ from .series import (
     classical_derivative,
 )
 
-DEFAULT_TOLERANCE = 1e-9
 DEFAULT_RADII = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99, 0.999)
 DEFAULT_ANGULAR_COUNT = 256
 DEFAULT_PROBE_RADII = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99, 0.999, 0.9999)
@@ -118,7 +118,10 @@ class VerificationReport:
 
 
 def _eval_poly(coeffs: Sequence[complex], z: np.ndarray) -> np.ndarray:
-    # Horner with a zero seed, matching the scalar evaluators bit for bit.
+    # Horner with a zero seed.  numpy's complex multiply may round
+    # differently from Python's scalar one, so grid values need not match
+    # the scalar evaluators bit for bit; every grid report goes through this
+    # one function, so grid reports are consistent with each other.
     # The run of highest-power +0+0j coefficients is skipped: from the zero
     # seed each such step gives exactly +0+0j again for finite z.  A zero
     # with a -0.0 part is kept, since adding it can flip the sign of a zero.
@@ -283,7 +286,7 @@ def necessity_probe(
     p: ClassParams,
     r_sequence: Sequence[float] | None = None,
     *,
-    tolerance: float = 1e-12,
+    tolerance: float = MEMBERSHIP_TOL,
 ) -> ProbeReport:
     """Evaluate the axis expression toward r -> 1 for a t_form function.
 
@@ -302,7 +305,7 @@ def necessity_probe(
     if any(b <= a for a, b in zip(rs, rs[1:])):
         raise DomainError("probe radii must be strictly increasing")
 
-    triples = _axis_triples(f, p)
+    triples = _functional_terms(f, p)
 
     def margin_at(r: float) -> float:
         return 1.0 + math.fsum(-w * mag * r ** (u - 1) for u, w, mag in triples) - p.alpha
@@ -316,17 +319,6 @@ def necessity_probe(
         passed=first_failure is None,
         tolerance=float(tolerance),
     )
-
-
-def _axis_triples(f: HarmonicFunction, p: ClassParams) -> list[tuple[int, float, float]]:
-    out = []
-    for u, c in enumerate(f.h.coeffs, start=1):
-        if u >= 2 and c != 0:
-            out.append((u, q_integer_pow(u, p.q, p.m), abs(c)))
-    for u, c in enumerate(f.g.coeffs, start=1):
-        if c != 0:
-            out.append((u, q_integer_pow(u, p.q, p.m), abs(c)))
-    return out
 
 
 # --- randomized generators and the counterexample scan ----------------------
@@ -375,10 +367,11 @@ def random_t_form(
         shares[b1_index] = b1_limit
         shares[b1_index + 1] += excess  # power-2 co-analytic slot
 
+    w = weights(trunc, p.q, p.m)
     a_mags: dict[int, float] = {}
     b_mags: dict[int, float] = {}
     for (kind, u), share in zip(slots, shares):
-        mag = share * one_minus / q_integer_pow(u, p.q, p.m)
+        mag = share * one_minus / w[u - 1]
         if kind == "a":
             a_mags[u] = mag
         else:
@@ -405,11 +398,12 @@ def _random_gap_candidate(
     raws = np.array([0.2 + rng.random() for _ in slots])
     shares = raws / raws.sum() * target
     one_minus = 1.0 - p.alpha
+    w = weights(max(u for _, u in slots), p.q, p.m)
     h = [0j] * trunc
     g = [0j] * trunc
     h[0] = 1.0
     for (kind, u), share in zip(slots, shares):
-        mag = share * one_minus / q_integer_pow(u, p.q, p.m)
+        mag = share * one_minus / w[u - 1]
         phase = complex(math.cos(2.0 * math.pi * rng.random()), math.sin(2.0 * math.pi * rng.random()))
         if kind == "a":
             h[u - 1] += mag * phase
@@ -427,11 +421,8 @@ def proof_step_violations(p: ClassParams, *, max_u: int = DEFAULT_TRUNC) -> tupl
     not go through pointwise; the sufficient condition itself is then an
     empirical matter, which the scan below probes.
     """
-    return tuple(
-        u
-        for u in range(2, max_u + 1)
-        if u * (1.0 - p.alpha) > q_integer_pow(u, p.q, p.m)
-    )
+    w = weights(max(max_u, 1), p.q, p.m)
+    return tuple(u for u in range(2, max_u + 1) if u * (1.0 - p.alpha) > w[u - 1])
 
 
 @dataclass(frozen=True)

@@ -307,3 +307,21 @@ def test_extreme_point_attains_lower_bound_with_zero_b1():
     r = 0.5
     bounds = growth_bounds(0.0, r, p)
     assert abs(eval_harmonic(f, r)) == pytest.approx(bounds.lower, abs=1e-12)
+
+
+def test_large_order_builds_weights_only_to_the_power_used():
+    # At m=300, q=0.99, [2]_q**m fits in a float but [32]_q**m does not, so
+    # a weight table built out to trunc=32 would refuse these functions.
+    p = params(300, 0.0, 0.99)
+    with pytest.raises(DomainError):
+        q_integer_pow(32, p.q, p.m)
+    for kind, sign in (("analytic", -1), ("coanalytic", 1)):
+        f = extreme_point(2, kind, p, coanalytic_sign=sign, trunc=32)
+        assert f.trunc_degree == 32
+        assert coeff_functional(f, p) == pytest.approx(1.0, rel=1e-12)
+        assert member_t_iff(f, p)
+    f = convex_combination([(1, "analytic", 0.5), (2, "coanalytic", 0.5)], p, trunc=32)
+    assert coeff_functional(f, p) == pytest.approx(0.5, rel=1e-12)
+    f = sharpness_witness([0.5], [0.5], p, trunc=32)
+    assert coeff_functional(f, p) == pytest.approx(1.0, rel=1e-12)
+    assert growth_bounds(0.5, 0.5, p).upper > growth_bounds(0.5, 0.5, p).lower

@@ -41,6 +41,16 @@ def test_qint_overflow_is_usage_error(capsys):
     assert "overflows" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["salagean", "transform"])
+def test_classical_weight_overflow_is_domain_error(tmp_path, capsys, command):
+    # the stored trunc is 32, and 32**400 does not fit in a float
+    out = str(tmp_path / "f.json")
+    cls = ["--m", "0", "--alpha", "0", "--q", "0.5"]
+    assert run(["extremal", "--u", "3", "--kind", "analytic", *cls, "--out", out]) == 0
+    assert run([command, "--in", out, "--m", "400", "--q", "0.5", "--classical"]) == 2
+    assert "overflows" in capsys.readouterr().err
+
+
 def test_verify_accepts_b1_one_extreme_point(tmp_path, capsys):
     out = str(tmp_path / "f.json")
     cls = ["--m", "0", "--alpha", "0", "--q", "0.5"]

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qharm import DomainError, QParam, q_integer, q_integer_pow
+from qharm.qcore import weights
 
 # q values away from the endpoints; the endpoints themselves are covered by
 # dedicated limit tests.
@@ -99,3 +100,77 @@ def test_limit_rate(u):
     eps = 1e-8
     val = q_integer(u, QParam(1.0 - eps))
     assert abs(val - u) <= u * (u - 1) * eps / 2.0 + 1e-12
+
+
+# --- the weight table ----------------------------------------------------------
+
+
+def nested_sum(u, q):
+    # oracle: [u]_q written out as 1 + q*(1 + q*(1 + ...)), u - 1 nestings
+    acc = 1.0
+    for _ in range(u - 1):
+        acc = 1.0 + q * acc
+    return acc
+
+
+@given(n=st.integers(min_value=1, max_value=64), q=q_values, m=st.integers(min_value=0, max_value=8), data=st.data())
+def test_weights_entry_is_q_integer_power_bitwise(n, q, m, data):
+    u = data.draw(st.integers(min_value=1, max_value=n))
+    qp = QParam(q)
+    w = weights(n, qp, m)
+    assert len(w) == n
+    assert w[u - 1] == q_integer(u, qp) ** m == nested_sum(u, q) ** m
+    assert q_integer_pow(u, qp, m) == w[u - 1]
+
+
+@given(n=st.integers(min_value=1, max_value=64), q=q_values, m=st.integers(min_value=0, max_value=8), data=st.data())
+def test_weights_prefix_is_shorter_table(n, q, m, data):
+    k = data.draw(st.integers(min_value=1, max_value=n))
+    qp = QParam(q)
+    assert weights(n, qp, m)[:k] == weights(k, qp, m)
+
+
+@given(n=st.integers(min_value=1, max_value=64), m=st.integers(min_value=0, max_value=40))
+def test_weights_classical_is_integer_power(n, m):
+    w = weights(n, QParam(0.5), m, classical=True)
+    assert w == tuple(float(u**m) for u in range(1, n + 1))
+
+
+def test_weights_order_zero_is_exactly_one():
+    assert weights(5, QParam(0.9), 0) == (1.0,) * 5
+    assert weights(5, QParam(0.9), 0, classical=True) == (1.0,) * 5
+
+
+def test_weights_rejects_bad_sizes():
+    for n, m in ((0, 1), (-2, 1), (3, -1)):
+        with pytest.raises(DomainError):
+            weights(n, QParam(0.5), m)
+        with pytest.raises(DomainError):
+            weights(n, QParam(0.5), m, classical=True)
+
+
+def test_weights_overflow_is_domain_error():
+    with pytest.raises(DomainError, match="overflows"):
+        weights(32, QParam(0.99), 2000)
+    # 32**400 is an int too large for a float
+    with pytest.raises(DomainError, match="overflows"):
+        weights(32, QParam(0.5), 400, classical=True)
+    assert weights(3, QParam(0.5), 400, classical=True)[-1] == float(3**400)
+
+
+@pytest.mark.parametrize("k", [1, 2, 4, 6, 8, 10, 12])
+@pytest.mark.parametrize("m", [0, 1, 3, 10])
+def test_weights_against_mpmath_near_one(k, m):
+    # q = 1 - 10**-k approaches 1 from below; the oracle sums the geometric
+    # series in 50-digit arithmetic from the same binary q.  Every step of
+    # the recurrence adds positive terms, so the relative error grows at
+    # most linearly in u, and the power multiplies it by m.
+    mpmath = pytest.importorskip("mpmath")
+    q = 1.0 - 10.0**-k
+    w = weights(64, QParam(q), m)
+    with mpmath.workdps(50):
+        mq = mpmath.mpf(q)
+        for u in (1, 2, 3, 7, 16, 32, 64):
+            exact = mpmath.fsum(mq**j for j in range(u)) ** m
+            rel = abs((mpmath.mpf(w[u - 1]) - exact) / exact)
+            assert rel <= (2 * u * m + 1) * 2.0**-52

@@ -1,0 +1,46 @@
+"""Smoke runs of the experiment scripts at tiny sizes."""
+
+import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+
+
+def csv_header(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return next(csv.reader(fh))
+
+
+def test_boundary_sweep_runs(tmp_path):
+    out = tmp_path / "sweep.csv"
+    proc = run_script("boundary_sweep.py", "--per-target", "1", "--seed", "7", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert csv_header(out) == [
+        "target",
+        "worst_re_margin",
+        "worst_sense_margin",
+        "worst_injectivity_margin",
+        "probe_failures",
+        "earliest_failure_radius",
+    ]
+
+
+def test_proof_step_map_runs(tmp_path):
+    out = tmp_path / "map.csv"
+    proc = run_script("proof_step_map.py", "--u-max", "8", "--m-max", "1", "--q-steps", "2", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert csv_header(out) == ["m", "q=0.333333", "q=0.666667"]

@@ -323,6 +323,13 @@ def test_step_violation_boundary_case():
     assert 2 not in proof_step_violations(params(1, 0.5, 0.5))
 
 
+def test_step_violations_without_powers_to_check():
+    # the comparison starts at u = 2, so there is nothing to report below it
+    assert proof_step_violations(params(1, 0.0, 0.5), max_u=1) == ()
+    assert proof_step_violations(params(1, 0.0, 0.5), max_u=0) == ()
+
+
+
 def test_scan_reproducible():
     p = params(0, 0.0, 0.5)
     a = counterexample_scan(p, 12, 99)
