@@ -8,13 +8,20 @@ given.
 Exit codes: 0 all checks passed / operation succeeded; 1 a verification
 check failed (valid run, negative result); 2 usage or parse error,
 including malformed series JSON (the diagnostic names the offending
-field).  The environment variable QHARM_TOL overrides the default check
-tolerance of 1e-9; an unparseable value is a usage error.
+field), and any failure to write a result (--out, --csv, or a closed
+stdout such as ``qharm probe ... | head -1``).  The environment variable
+QHARM_TOL overrides the default check tolerance of 1e-9; it is read on
+every run, and an unparseable value is a usage error.
+
+The argument parser is built once per process and reused by every run(),
+so in-process callers pay for argparse set-up only on the first call.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import math
 import os
@@ -78,13 +85,34 @@ def _load_harmonic(path: str):
     return harmonic_from_json(obj)
 
 
+@contextlib.contextmanager
+def _writing(path: str):
+    """Open ``path`` for writing; any OSError while opening, writing or
+    closing it becomes a usage error (exit 2), not a traceback."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from None
+
+
+def _print(text: str) -> None:
+    """Write a line to stdout and flush it, so that a closed pipe is
+    reported here, as a usage error, rather than at interpreter exit."""
+    try:
+        sys.stdout.write(text + "\n")
+        sys.stdout.flush()
+    except OSError as exc:
+        raise UsageError(f"cannot write <stdout>: {exc}") from None
+
+
 def _emit(payload, out: str | None) -> None:
     text = json.dumps(payload, indent=2)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
+        with _writing(out) as fh:
             fh.write(text + "\n")
     else:
-        print(text)
+        _print(text)
 
 
 def _power_series_json(series) -> dict:
@@ -136,7 +164,7 @@ def _parse_indexed(values: list[str] | None, lowest: int, flag: str) -> dict[int
 def _cmd_qint(args, tol: float) -> int:
     q = QParam(args.q)
     value = q_integer(args.u, q) if args.m is None else q_integer_pow(args.u, q, args.m)
-    print(repr(value))
+    _print(repr(value))
     return EXIT_OK
 
 
@@ -232,7 +260,7 @@ def _cmd_verify(args, tol: float) -> int:
     if f.t_form and member_t_iff(f, p):
         reports.append(growth_bound_check(f, p, grid, tolerance=tol))
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
+        with _writing(args.csv) as fh:
             write_margin_csv(fh, f, p, grid)
     _emit([r.to_dict() for r in reports], args.out)
     return EXIT_OK if all(r.passed for r in reports) else EXIT_CHECK_FAILED
@@ -273,7 +301,12 @@ def _add_grid_flags(sub) -> None:
     sub.add_argument("--no-axis", action="store_true", help="offset angles off the positive real axis")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The qharm argument parser, built on the first call and shared by
+    every later one.  Parsing leaves it unchanged (argparse copies
+    ``append`` defaults), so nothing carries over between runs; callers
+    must not add to it or change its defaults."""
     parser = argparse.ArgumentParser(
         prog="qharm",
         description="Salagean q-operator toolkit for harmonic mappings on the unit disc.",
@@ -394,4 +427,15 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        # Output left unflushed by run(), such as argparse's --help.
+        if code != EXIT_USAGE:
+            print(f"error: cannot write <stdout>: {exc}", file=sys.stderr)
+        # The recipe of Python's signal docs: point stdout at devnull, so
+        # that the flush at interpreter shutdown does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_USAGE
+    sys.exit(code)

@@ -57,6 +57,18 @@ def salagean_kernel(trunc: int, p: OperatorParams) -> AnalyticSeries:
     return AnalyticSeries(weights(trunc, p.q, p.m, p.classical_mode), trunc=trunc)
 
 
+def _weighted(coeffs: tuple[complex, ...], p: OperatorParams) -> tuple[complex, ...]:
+    """(w_1 c_1, w_2 c_2, ...) with the weight table built only up to the
+    last nonzero c_u.  The zeros past it are multiplied by 1.0: any finite
+    positive weight gives the same bits on a zero, signed zeros included,
+    so only the weights of nonzero coefficients decide the domain."""
+    n = len(coeffs)
+    while n and not coeffs[n - 1]:
+        n -= 1
+    w = (weights(n, p.q, p.m, p.classical_mode) if n else ()) + (1.0,) * (len(coeffs) - n)
+    return tuple(wu * c for wu, c in zip(w, coeffs))
+
+
 def salagean(s: AnalyticSeries, p: OperatorParams) -> AnalyticSeries:
     """Order-m Salagean q-operator: c_u -> [u]_q**m c_u.
 
@@ -65,8 +77,7 @@ def salagean(s: AnalyticSeries, p: OperatorParams) -> AnalyticSeries:
     """
     if p.m == 0:
         return s
-    w = weights(s.trunc_degree, p.q, p.m, p.classical_mode)
-    return AnalyticSeries(tuple(wu * c for wu, c in zip(w, s.coeffs)), trunc=s.trunc_degree)
+    return AnalyticSeries(_weighted(s.coeffs, p), trunc=s.trunc_degree)
 
 
 def salagean_harmonic(f: HarmonicFunction, p: OperatorParams) -> HarmonicFunction:
@@ -94,8 +105,7 @@ def class_transform(f: HarmonicFunction, p: OperatorParams) -> PowerSeries:
     the family.  For the variant that instead conjugates and signs the g
     part, see class_transform_value with signed_conjugate=True.
     """
-    w = weights(f.trunc_degree, p.q, p.m, p.classical_mode)
-    return PowerSeries(tuple(wu * (a + b) for wu, a, b in zip(w, f.h.coeffs, f.g.coeffs)))
+    return PowerSeries(_weighted(tuple(a + b for a, b in zip(f.h.coeffs, f.g.coeffs)), p))
 
 
 def class_transform_value(

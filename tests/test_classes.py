@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qharm import (
     AnalyticSeries,
@@ -325,3 +326,43 @@ def test_large_order_builds_weights_only_to_the_power_used():
     f = sharpness_witness([0.5], [0.5], p, trunc=32)
     assert coeff_functional(f, p) == pytest.approx(1.0, rel=1e-12)
     assert growth_bounds(0.5, 0.5, p).upper > growth_bounds(0.5, 0.5, p).lower
+
+
+# --- mpmath oracle for the functional --------------------------------------------
+
+
+@st.composite
+def t_form_inputs(draw):
+    trunc = draw(st.integers(1, 64))
+    mags = st.just(0.0) | st.floats(1e-300, 1.0)  # no subnormals: the bound is relative
+    a = {u: draw(mags) for u in range(2, trunc + 1)}
+    b = {u: draw(mags) for u in range(1, trunc + 1)}
+    return trunc, a, b
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    inputs=t_form_inputs(),
+    q=st.floats(0.01, 1.0 - 1e-9),
+    m=st.integers(0, 10),
+    alpha=st.floats(0.0, 0.99),
+)
+def test_functional_against_mpmath(inputs, q, m, alpha):
+    # The oracle sums ([u]_q**m / (1 - alpha)) |c_u| in 50-digit arithmetic
+    # from the same binary q and alpha.  Every term is non-negative, so the
+    # relative error of the sum is at most that of its worst term: the
+    # weight's (2 u m + 1) ulps (see test_qcore), plus one rounding each for
+    # 1 - alpha, the division, the product and the final fsum.
+    mpmath = pytest.importorskip("mpmath")
+    trunc, a, b = inputs
+    f = HarmonicFunction.from_t_magnitudes(a, b, trunc=trunc)
+    got = coeff_functional(f, params(m, alpha, q))
+    with mpmath.workdps(50):
+        mq = mpmath.mpf(q)
+        scale = 1 / (1 - mpmath.mpf(alpha))
+        terms = [(u, c) for u, c in a.items()] + [(u, c) for u, c in b.items()]
+        exact = mpmath.fsum(mpmath.fsum(mq**j for j in range(u)) ** m * scale * mpmath.mpf(c) for u, c in terms)
+        if exact == 0:
+            assert got == 0.0
+        else:
+            assert abs((mpmath.mpf(got) - exact) / exact) <= (2 * trunc * m + 5) * 2.0**-52

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -12,7 +13,8 @@ from qharm import (
     harmonic_from_json,
     sharpness_witness,
 )
-from qharm.cli import run
+from qharm.qcore import DEFAULT_TOLERANCE
+from qharm.cli import build_parser, run
 
 IDENTITY_DOC = {"trunc": 4, "h": [[1, 0]], "g": []}
 
@@ -43,12 +45,25 @@ def test_qint_overflow_is_usage_error(capsys):
 
 @pytest.mark.parametrize("command", ["salagean", "transform"])
 def test_classical_weight_overflow_is_domain_error(tmp_path, capsys, command):
-    # the stored trunc is 32, and 32**400 does not fit in a float
+    # a nonzero coefficient at u = 32, and 32**400 does not fit in a float
+    doc = {"trunc": 32, "h": [[1, 0]] + [[0, 0]] * 30 + [[-1e-3, 0]], "g": []}
+    path = write_json(tmp_path / "f.json", doc)
+    assert run([command, "--in", path, "--m", "400", "--q", "0.5", "--classical"]) == 2
+    assert "overflows" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["salagean", "transform"])
+def test_trailing_zeros_do_not_decide_the_domain(tmp_path, capsys, command):
+    # the u = 3 extreme point is stored at trunc 32; only 3**400 is needed
     out = str(tmp_path / "f.json")
     cls = ["--m", "0", "--alpha", "0", "--q", "0.5"]
     assert run(["extremal", "--u", "3", "--kind", "analytic", *cls, "--out", out]) == 0
-    assert run([command, "--in", out, "--m", "400", "--q", "0.5", "--classical"]) == 2
-    assert "overflows" in capsys.readouterr().err
+    assert run([command, "--in", out, "--m", "400", "--q", "0.5", "--classical"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    coeffs = doc["h"] if command == "salagean" else doc["coeffs"]
+    assert len(coeffs) == 32
+    assert coeffs[2] == [-float(3**400), 0.0]
+    assert all(c == [0.0, 0.0] for c in coeffs[3:])
 
 
 def test_verify_accepts_b1_one_extreme_point(tmp_path, capsys):
@@ -275,3 +290,100 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "1.75"
+
+
+# --- output errors --------------------------------------------------------------
+
+
+class ClosedPipe:
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+def test_broken_stdout_is_usage_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert run(["qint", "--u", "3", "--q", "0.5"]) == 2
+    path = write_json(tmp_path / "id.json", IDENTITY_DOC)
+    assert run(["probe", "--in", path, "--m", "0", "--alpha", "0.5", "--q", "0.5"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: cannot write <stdout>: [Errno 32] Broken pipe"] * 2
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_stdout_pipe_exits_two_without_traceback(unbuffered):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "qharm", "qint", "--u", "3", "--q", "0.5"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == ["error: cannot write <stdout>: [Errno 32] Broken pipe"]
+
+
+@pytest.mark.parametrize("flag", ["--out", "--csv"])
+def test_unwritable_output_path_is_usage_error(tmp_path, capsys, flag):
+    path = write_json(tmp_path / "id.json", IDENTITY_DOC)
+    target = tmp_path / "missing" / "result"
+    assert run(["verify", "--in", path, "--m", "0", "--alpha", "0.5", "--q", "0.5", flag, str(target)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: cannot write {target}: ")
+
+
+# --- one parser per process -----------------------------------------------------
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_append_flags_do_not_accumulate_across_runs(capsys):
+    argv = ["combine", "--point", "2:analytic:0.5", "--point", "1:analytic:0.5", "--m", "0", "--alpha", "0", "--q", "0.5"]
+    assert run(argv) == 0
+    first = capsys.readouterr().out
+    # with the first run's points still attached the weights would sum to 2
+    assert run(argv) == 0
+    assert capsys.readouterr().out == first
+
+
+def test_csv_flag_does_not_carry_over(tmp_path, capsys):
+    path = write_json(tmp_path / "id.json", IDENTITY_DOC)
+    csv_path = tmp_path / "grid.csv"
+    argv = ["verify", "--in", path, "--m", "0", "--alpha", "0.5", "--q", "0.5", "--radii", "0.5", "--angles", "4"]
+    assert run([*argv, "--csv", str(csv_path)]) == 0
+    assert csv_path.exists()
+    csv_path.unlink()
+    assert run(argv) == 0
+    assert not csv_path.exists()
+    capsys.readouterr()
+
+
+def test_tolerance_is_read_on_every_run(tmp_path, capsys, monkeypatch):
+    path = write_json(tmp_path / "id.json", IDENTITY_DOC)
+    argv = ["verify", "--in", path, "--m", "0", "--alpha", "0.5", "--q", "0.5"]
+    monkeypatch.setenv("QHARM_TOL", "1e-6")
+    assert run(argv) == 0
+    assert {r["tolerance"] for r in json.loads(capsys.readouterr().out)} == {1e-6}
+    monkeypatch.delenv("QHARM_TOL")
+    assert run(argv) == 0
+    assert {r["tolerance"] for r in json.loads(capsys.readouterr().out)} == {DEFAULT_TOLERANCE}
+
+
+def test_help_twice(capsys):
+    assert run(["--help"]) == 0
+    first = capsys.readouterr().out
+    assert run(["--help"]) == 0
+    assert capsys.readouterr().out == first
+    assert first.startswith("usage: qharm")

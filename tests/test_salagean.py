@@ -19,6 +19,7 @@ from qharm import (
     salagean_harmonic,
     salagean_kernel,
 )
+from qharm.qcore import weights
 
 
 def difference_quotient(s, q, z):
@@ -235,3 +236,61 @@ def test_transform_matches_pointwise_operator_sum(tail, q, m):
     dh = eval_analytic(salagean(f.h, p), z)
     dg = eval_analytic(salagean(f.g, p), z)
     assert eval_power(t, z) == pytest.approx((dh + dg) / z, rel=1e-12, abs=1e-12)
+
+
+# --- only nonzero coefficients need their weights -------------------------------
+
+parts = st.sampled_from([0.0, -0.0]) | st.floats(-1.0, 1.0)
+zero_parts = st.sampled_from([0.0, -0.0])
+
+
+def bits(coeffs):
+    return [(c.real.hex(), c.imag.hex()) for c in coeffs]
+
+
+@st.composite
+def coeffs_with_zero_tail(draw, head_min=0):
+    head = draw(st.lists(st.builds(complex, parts, parts), min_size=head_min, max_size=12))
+    tail = draw(st.lists(st.builds(complex, zero_parts, zero_parts), max_size=20))
+    return head + tail
+
+
+@given(
+    coeffs=coeffs_with_zero_tail(head_min=1),
+    q=st.floats(0.01, 0.999),
+    m=st.integers(1, 8),
+    classical=st.booleans(),
+)
+def test_salagean_zero_tail_is_bitwise_full_table(coeffs, q, m, classical):
+    p = OperatorParams(m, QParam(q), classical_mode=classical)
+    full = [w * c for w, c in zip(weights(len(coeffs), p.q, m, classical), coeffs)]
+    got = salagean(AnalyticSeries(coeffs, trunc=len(coeffs)), p).coeffs
+    assert bits(got) == bits(full)
+
+
+@given(
+    h_tail=coeffs_with_zero_tail(),
+    g=coeffs_with_zero_tail(),
+    q=st.floats(0.01, 0.999),
+    m=st.integers(0, 8),
+    classical=st.booleans(),
+)
+def test_transform_zero_tail_is_bitwise_full_table(h_tail, g, q, m, classical):
+    trunc = max(1 + len(h_tail), len(g), 1)
+    if g and abs(g[0]) > 1.0:
+        g = [g[0] / 2, *g[1:]]
+    f = HarmonicFunction(AnalyticSeries([1.0, *h_tail], trunc=trunc), AnalyticSeries(g, trunc=trunc))
+    p = OperatorParams(m, QParam(q), classical_mode=classical)
+    w = weights(trunc, p.q, m, classical)
+    full = [wu * (a + b) for wu, a, b in zip(w, f.h.coeffs, f.g.coeffs)]
+    assert bits(class_transform(f, p).coeffs) == bits(full)
+
+
+def test_zero_tail_needs_no_weight():
+    # 40**400 overflows a float, but the coefficient at u = 40 is zero
+    s = AnalyticSeries([1.0, 0.5, -0.0], trunc=40)
+    out = salagean(s, OperatorParams(400, QParam(0.5), classical_mode=True))
+    assert out.coeffs[1] == 0.5 * float(2**400)
+    assert bits(out.coeffs[2:]) == bits([1.0 * complex(-0.0)] + [1.0 * 0j] * 37)
+    with pytest.raises(DomainError, match="overflows"):
+        salagean(AnalyticSeries([1.0] * 40, trunc=40), OperatorParams(400, QParam(0.5), classical_mode=True))
