@@ -85,25 +85,25 @@ def coeff_functional(f: HarmonicFunction, p: ClassParams) -> float:
     return math.fsum([w / one_minus * mag for _, w, mag in _functional_terms(f, p)])
 
 
-def satisfies_sufficient(f: HarmonicFunction, p: ClassParams, tol: float = MEMBERSHIP_TOL) -> bool:
-    """Sufficient membership certificate: functional <= 1 (+ tol).
+def satisfies_sufficient(f: HarmonicFunction, p: ClassParams) -> bool:
+    """Sufficient membership certificate: functional <= 1 + MEMBERSHIP_TOL.
 
     A True result certifies that f is univalent, sense-preserving and in
     the family; False is inconclusive for general f (the condition is not
     necessary outside the t_form normalization).
     """
-    return coeff_functional(f, p) <= 1.0 + tol
+    return coeff_functional(f, p) <= 1.0 + MEMBERSHIP_TOL
 
 
-def member_t_iff(f: HarmonicFunction, p: ClassParams, tol: float = MEMBERSHIP_TOL) -> bool:
-    """Exact membership test for t_form functions: functional <= 1 (+ tol).
+def member_t_iff(f: HarmonicFunction, p: ClassParams) -> bool:
+    """Exact membership test for t_form functions: functional <= 1 + MEMBERSHIP_TOL.
 
     Raises DomainError for non-t_form input, where only the sufficient
     direction is available (use satisfies_sufficient).
     """
     if not f.t_form:
         raise DomainError("the iff criterion applies only to t_form functions")
-    return satisfies_sufficient(f, p, tol)
+    return satisfies_sufficient(f, p)
 
 
 def extreme_point(
@@ -183,28 +183,20 @@ def convex_combination(
         raise DomainError(f"weights must sum to 1 within {MEMBERSHIP_TOL}, got {total!r}")
     n = max([trunc, *(u for u, _, _ in terms)])
     wq = weights(max(u for (u, _, _), wf in zip(terms, masses) if wf != 0.0), p.q, p.m)
-    a_acc = [0.0] * (n + 1)
-    b_acc = [0.0] * (n + 1)
+    # The identity coefficient is the weight total, which is 1 by contract;
+    # store it as exactly 1 rather than the rounded float sum.
+    h = [0j] * n
+    h[0] = 1.0
+    g = [0j] * n
     for (u, kind, _), wf in zip(terms, masses):
         if wf == 0.0:
             continue
         mag = wf * (1.0 - p.alpha) / wq[u - 1]
         if kind == "analytic":
             if u >= 2:
-                a_acc[u] += mag
+                h[u - 1] -= mag
         else:
-            b_acc[u] += mag
-    # The identity coefficient is the weight total, which is 1 by contract;
-    # store it as exactly 1 rather than the rounded float sum.
-    h = [0j] * n
-    h[0] = 1.0
-    g = [0j] * n
-    for u in range(2, n + 1):
-        if a_acc[u] != 0.0:
-            h[u - 1] = -a_acc[u]
-    for u in range(1, n + 1):
-        if b_acc[u] != 0.0:
-            g[u - 1] = b_acc[u]
+            g[u - 1] += mag
     return HarmonicFunction(AnalyticSeries(h, trunc=n), AnalyticSeries(g, trunc=n), t_form=True)
 
 

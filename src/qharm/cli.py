@@ -2,8 +2,9 @@
 
 Subcommands map one-to-one onto library operations: qint, dq, salagean,
 transform, check, extremal, combine, witness, growth, verify, probe, scan.
-Results go to stdout as JSON unless --out (file) or --csv (grid dump) is
-given.
+Each handler returns ``(payload, passed)``; run() writes the payload as
+JSON to stdout, or to the --out file, and maps the verdict to the exit
+code.  verify writes its --csv grid dump itself, before the report.
 
 Exit codes: 0 all checks passed / operation succeeded; 1 a verification
 check failed (valid run, negative result); 2 usage or parse error,
@@ -74,7 +75,8 @@ def _tolerance() -> float:
     return val
 
 
-def _load_harmonic(path: str):
+def _input(args):
+    path = getattr(args, "in")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
@@ -96,23 +98,23 @@ def _writing(path: str):
         raise UsageError(f"cannot write {path}: {exc}") from None
 
 
-def _print(text: str) -> None:
-    """Write a line to stdout and flush it, so that a closed pipe is
-    reported here, as a usage error, rather than at interpreter exit."""
+def _write_stdout(text: str) -> None:
+    """Write to stdout and flush, so that a closed pipe is reported here,
+    as a usage error, rather than at interpreter exit."""
     try:
-        sys.stdout.write(text + "\n")
+        sys.stdout.write(text)
         sys.stdout.flush()
     except OSError as exc:
         raise UsageError(f"cannot write <stdout>: {exc}") from None
 
 
 def _emit(payload, out: str | None) -> None:
-    text = json.dumps(payload, indent=2)
+    text = json.dumps(payload, indent=2) + "\n"
     if out:
         with _writing(out) as fh:
-            fh.write(text + "\n")
+            fh.write(text)
     else:
-        _print(text)
+        _write_stdout(text)
 
 
 def _power_series_json(series) -> dict:
@@ -143,6 +145,10 @@ def _class_params(args) -> ClassParams:
     return ClassParams(m=args.m, alpha=args.alpha, q=QParam(args.q))
 
 
+def _operator_params(args) -> OperatorParams:
+    return OperatorParams(args.m, QParam(args.q), classical_mode=args.classical)
+
+
 def _parse_indexed(values: list[str] | None, lowest: int, flag: str) -> dict[int, complex]:
     out: dict[int, complex] = {}
     for item in values or []:
@@ -158,63 +164,51 @@ def _parse_indexed(values: list[str] | None, lowest: int, flag: str) -> dict[int
     return out
 
 
-# --- subcommand handlers ------------------------------------------------------
+# --- subcommand handlers: each returns (payload, passed) -------------------
 
 
-def _cmd_qint(args, tol: float) -> int:
+def _cmd_qint(args, tol: float):
     q = QParam(args.q)
     value = q_integer(args.u, q) if args.m is None else q_integer_pow(args.u, q, args.m)
-    _print(repr(value))
-    return EXIT_OK
+    return value, True
 
 
-def _cmd_dq(args, tol: float) -> int:
-    f = _load_harmonic(getattr(args, "in"))
+def _cmd_dq(args, tol: float):
+    f = _input(args)
     q = QParam(args.q)
-    _emit(
-        {"h": _power_series_json(q_derivative(f.h, q)), "g": _power_series_json(q_derivative(f.g, q))},
-        args.out,
-    )
-    return EXIT_OK
+    return {"h": _power_series_json(q_derivative(f.h, q)), "g": _power_series_json(q_derivative(f.g, q))}, True
 
 
-def _cmd_salagean(args, tol: float) -> int:
-    f = _load_harmonic(getattr(args, "in"))
-    p = OperatorParams(args.m, QParam(args.q), classical_mode=args.classical)
-    _emit(harmonic_to_json(salagean_harmonic(f, p)), args.out)
-    return EXIT_OK
+def _cmd_salagean(args, tol: float):
+    f = _input(args)
+    p = _operator_params(args)
+    return harmonic_to_json(salagean_harmonic(f, p)), True
 
 
-def _cmd_transform(args, tol: float) -> int:
-    f = _load_harmonic(getattr(args, "in"))
-    p = OperatorParams(args.m, QParam(args.q), classical_mode=args.classical)
-    _emit(_power_series_json(class_transform(f, p)), args.out)
-    return EXIT_OK
+def _cmd_transform(args, tol: float):
+    f = _input(args)
+    p = _operator_params(args)
+    return _power_series_json(class_transform(f, p)), True
 
 
-def _cmd_check(args, tol: float) -> int:
-    f = _load_harmonic(getattr(args, "in"))
+def _cmd_check(args, tol: float):
+    f = _input(args)
     p = _class_params(args)
     functional = coeff_functional(f, p)
     sufficient = satisfies_sufficient(f, p)
     t_member = member_t_iff(f, p) if f.t_form else None
-    _emit(
-        {"functional": functional, "sufficient": sufficient, "t_form": f.t_form, "t_member": t_member},
-        args.out,
-    )
     verdict = t_member if f.t_form else sufficient
-    return EXIT_OK if verdict else EXIT_CHECK_FAILED
+    return {"functional": functional, "sufficient": sufficient, "t_form": f.t_form, "t_member": t_member}, verdict
 
 
-def _cmd_extremal(args, tol: float) -> int:
+def _cmd_extremal(args, tol: float):
     p = _class_params(args)
     sign = 1 if args.positive_coanalytic else -1
     f = extreme_point(args.u, args.kind, p, coanalytic_sign=sign)
-    _emit(harmonic_to_json(f), args.out)
-    return EXIT_OK
+    return harmonic_to_json(f), True
 
 
-def _cmd_combine(args, tol: float) -> int:
+def _cmd_combine(args, tol: float):
     p = _class_params(args)
     terms = []
     for item in args.point:
@@ -225,11 +219,10 @@ def _cmd_combine(args, tol: float) -> int:
             terms.append((int(parts[0]), parts[1], float(parts[2])))
         except ValueError:
             raise UsageError(f"--point: expected U:KIND:WEIGHT, got {item!r}") from None
-    _emit(harmonic_to_json(convex_combination(terms, p)), args.out)
-    return EXIT_OK
+    return harmonic_to_json(convex_combination(terms, p)), True
 
 
-def _cmd_witness(args, tol: float) -> int:
+def _cmd_witness(args, tol: float):
     p = _class_params(args)
     x_map = _parse_indexed(args.x, 2, "--x")
     y_map = _parse_indexed(args.y, 1, "--y")
@@ -237,19 +230,17 @@ def _cmd_witness(args, tol: float) -> int:
     max_y = max(y_map, default=0)
     xs = [x_map.get(u, 0j) for u in range(2, max_x + 1)]
     ys = [y_map.get(u, 0j) for u in range(1, max_y + 1)]
-    _emit(harmonic_to_json(sharpness_witness(xs, ys, p)), args.out)
-    return EXIT_OK
+    return harmonic_to_json(sharpness_witness(xs, ys, p)), True
 
 
-def _cmd_growth(args, tol: float) -> int:
+def _cmd_growth(args, tol: float):
     p = _class_params(args)
     b = growth_bounds(args.b1, args.r, p)
-    _emit({"lower": b.lower, "upper": b.upper, "radius": b.radius}, args.out)
-    return EXIT_OK
+    return {"lower": b.lower, "upper": b.upper, "radius": b.radius}, True
 
 
-def _cmd_verify(args, tol: float) -> int:
-    f = _load_harmonic(getattr(args, "in"))
+def _cmd_verify(args, tol: float):
+    f = _input(args)
     p = _class_params(args)
     grid = _grid_from_args(args)
     reports = [
@@ -262,23 +253,20 @@ def _cmd_verify(args, tol: float) -> int:
     if args.csv:
         with _writing(args.csv) as fh:
             write_margin_csv(fh, f, p, grid)
-    _emit([r.to_dict() for r in reports], args.out)
-    return EXIT_OK if all(r.passed for r in reports) else EXIT_CHECK_FAILED
+    return [r.to_dict() for r in reports], all(r.passed for r in reports)
 
 
-def _cmd_probe(args, tol: float) -> int:
-    f = _load_harmonic(getattr(args, "in"))
+def _cmd_probe(args, tol: float):
+    f = _input(args)
     p = _class_params(args)
     report = necessity_probe(f, p, _parse_radii(args.radii))
-    _emit(report.to_dict(), args.out)
-    return EXIT_OK if report.passed else EXIT_CHECK_FAILED
+    return report.to_dict(), report.passed
 
 
-def _cmd_scan(args, tol: float) -> int:
+def _cmd_scan(args, tol: float):
     p = _class_params(args)
     report = counterexample_scan(p, args.trials, args.seed, pair_budget=args.pair_budget, tolerance=tol)
-    _emit(report.to_dict(), args.out)
-    return EXIT_OK
+    return report.to_dict(), True
 
 
 # --- parser -------------------------------------------------------------------
@@ -301,13 +289,19 @@ def _add_grid_flags(sub) -> None:
     sub.add_argument("--no-axis", action="store_true", help="offset angles off the positive real axis")
 
 
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None):
+        # argparse's own print_help swallows a write error; --help must exit 2 too
+        _write_stdout(self.format_help())
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The qharm argument parser, built on the first call and shared by
     every later one.  Parsing leaves it unchanged (argparse copies
     ``append`` defaults), so nothing carries over between runs; callers
     must not add to it or change its defaults."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qharm",
         description="Salagean q-operator toolkit for harmonic mappings on the unit disc.",
     )
@@ -410,32 +404,28 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv: list[str]) -> int:
     """Parse and execute; returns the process exit status instead of
     raising SystemExit, so it can be driven in-process."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        payload, passed = args.handler(args, _tolerance())
+        _emit(payload, getattr(args, "out", None))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
-    try:
-        tol = _tolerance()
-        return args.handler(args, tol)
     except SchemaError as exc:
         print(f"error: invalid series JSON: field {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
 def main() -> None:
     code = run(sys.argv[1:])
     try:
         sys.stdout.flush()
-    except BrokenPipeError as exc:
-        # Output left unflushed by run(), such as argparse's --help.
-        if code != EXIT_USAGE:
-            print(f"error: cannot write <stdout>: {exc}", file=sys.stderr)
+    except BrokenPipeError:
+        # run() has reported the failed write, whose text stays buffered.
         # The recipe of Python's signal docs: point stdout at devnull, so
         # that the flush at interpreter shutdown does not fail again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        code = EXIT_USAGE
     sys.exit(code)

@@ -22,6 +22,10 @@ from .qcore import DomainError
 
 DEFAULT_TRUNC = 32
 
+# Largest trunc a series JSON document may declare: the parser pads both
+# parts to trunc, so this bounds the memory one input can claim.
+MAX_JSON_TRUNC = 4096
+
 
 class SchemaError(ValueError):
     """A series JSON document violates the schema; ``field`` names the
@@ -32,17 +36,38 @@ class SchemaError(ValueError):
         self.field = field
 
 
-def _coeff_tuple(coeffs: Iterable[complex], trunc: int, what: str) -> tuple[complex, ...]:
-    vals = [complex(c) for c in coeffs]
-    for i, c in enumerate(vals):
-        if not (cmath.isfinite(c)):
-            raise ValueError(f"{what} at power {i + 1} is not finite: {c!r}")
-    if len(vals) < trunc:
-        vals.extend([0j] * (trunc - len(vals)))
-    return tuple(vals[:trunc])
+class _Series:
+    """Accessors shared by the two series types; coeffs[0] is the coefficient of z**_start."""
+
+    __slots__ = ("_coeffs",)
+    _start = 1
+
+    @property
+    def coeffs(self) -> tuple[complex, ...]:
+        return self._coeffs
+
+    def coeff(self, u: int) -> complex:
+        """Coefficient of z**u for u >= _start; zero beyond the stored range."""
+        u = operator.index(u)
+        if u < self._start:
+            raise DomainError(f"power index must be >= {self._start}, got {u!r}")
+        if u - self._start >= len(self._coeffs):
+            return 0j
+        return self._coeffs[u - self._start]
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._coeffs == other._coeffs
+
+    def __hash__(self) -> int:
+        return hash(self._coeffs)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({list(self._coeffs)!r})"
 
 
-class AnalyticSeries:
+class AnalyticSeries(_Series):
     """Coefficients c_1..c_N of a series with no constant term.
 
     ``coeffs`` are stored as a tuple of complex values, index 0 holding the
@@ -50,30 +75,23 @@ class AnalyticSeries:
     degree; longer input is silently truncated.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ()
 
     def __init__(self, coeffs: Iterable[complex] = (), trunc: int = DEFAULT_TRUNC):
         trunc = operator.index(trunc)
         if trunc < 1:
             raise ValueError(f"truncation degree must be positive, got {trunc!r}")
-        self._coeffs = _coeff_tuple(coeffs, trunc, "coefficient")
-
-    @property
-    def coeffs(self) -> tuple[complex, ...]:
-        return self._coeffs
+        vals = [complex(c) for c in coeffs]
+        for i, c in enumerate(vals):
+            if not cmath.isfinite(c):
+                raise ValueError(f"coefficient at power {i + 1} is not finite: {c!r}")
+        if len(vals) < trunc:
+            vals.extend([0j] * (trunc - len(vals)))
+        self._coeffs = tuple(vals[:trunc])
 
     @property
     def trunc_degree(self) -> int:
         return len(self._coeffs)
-
-    def coeff(self, u: int) -> complex:
-        """Coefficient of z**u for u >= 1; zero beyond the truncation degree."""
-        u = operator.index(u)
-        if u < 1:
-            raise DomainError(f"power index must be >= 1, got {u!r}")
-        if u > len(self._coeffs):
-            return 0j
-        return self._coeffs[u - 1]
 
     @classmethod
     def identity(cls, trunc: int = DEFAULT_TRUNC) -> "AnalyticSeries":
@@ -84,23 +102,13 @@ class AnalyticSeries:
     def zero(cls, trunc: int = DEFAULT_TRUNC) -> "AnalyticSeries":
         return cls((), trunc=trunc)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, AnalyticSeries):
-            return NotImplemented
-        return self._coeffs == other._coeffs
 
-    def __hash__(self) -> int:
-        return hash(self._coeffs)
-
-    def __repr__(self) -> str:
-        return f"AnalyticSeries({list(self._coeffs)!r})"
-
-
-class PowerSeries:
+class PowerSeries(_Series):
     """Coefficients from z**0 upward; the result type of derivative-like
     maps, which drop the degree by one and so acquire a constant term."""
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ()
+    _start = 0
 
     def __init__(self, coeffs: Iterable[complex] = (0j,)):
         vals = [complex(c) for c in coeffs]
@@ -108,29 +116,6 @@ class PowerSeries:
             if not cmath.isfinite(c):
                 raise ValueError(f"coefficient at power {k} is not finite: {c!r}")
         self._coeffs = tuple(vals) or (0j,)
-
-    @property
-    def coeffs(self) -> tuple[complex, ...]:
-        return self._coeffs
-
-    def coeff(self, u: int) -> complex:
-        u = operator.index(u)
-        if u < 0:
-            raise DomainError(f"power index must be >= 0, got {u!r}")
-        if u >= len(self._coeffs):
-            return 0j
-        return self._coeffs[u]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PowerSeries):
-            return NotImplemented
-        return self._coeffs == other._coeffs
-
-    def __hash__(self) -> int:
-        return hash(self._coeffs)
-
-    def __repr__(self) -> str:
-        return f"PowerSeries({list(self._coeffs)!r})"
 
 
 def _t_structure(h: AnalyticSeries, g: AnalyticSeries) -> bool:
@@ -232,19 +217,16 @@ class HarmonicFunction:
 
 
 def eval_analytic(s: AnalyticSeries, z: complex) -> complex:
-    """Evaluate sum c_u z**u by Horner's scheme.
+    """Evaluate sum c_u z**u as z times the Horner value of its coefficients.
 
     Values with |z| > 1 are allowed; the series is simply evaluated as the
     polynomial it stores.
     """
-    acc = 0j
-    for c in reversed(s.coeffs):
-        acc = acc * z + c
-    return acc * z
+    return eval_power(s, z) * z
 
 
-def eval_power(s: PowerSeries, z: complex) -> complex:
-    """Evaluate sum c_u z**u (from u = 0) by Horner's scheme."""
+def eval_power(s: PowerSeries | AnalyticSeries, z: complex) -> complex:
+    """Evaluate sum c_u z**u (from u = 0) by Horner's scheme; s(z)/z for an AnalyticSeries."""
     acc = 0j
     for c in reversed(s.coeffs):
         acc = acc * z + c
@@ -320,8 +302,8 @@ def harmonic_from_json(obj: object) -> HarmonicFunction:
         if key not in obj:
             raise SchemaError(key, "missing required field")
     trunc = obj["trunc"]
-    if isinstance(trunc, bool) or not isinstance(trunc, int) or trunc < 1:
-        raise SchemaError("trunc", f"expected a positive integer, got {trunc!r}")
+    if isinstance(trunc, bool) or not isinstance(trunc, int) or not 1 <= trunc <= MAX_JSON_TRUNC:
+        raise SchemaError("trunc", f"expected an integer in [1, {MAX_JSON_TRUNC}], got {trunc!r}")
     h_coeffs = _parse_pairs(obj["h"], "h", trunc)
     g_coeffs = _parse_pairs(obj["g"], "g", trunc)
     if not h_coeffs or h_coeffs[0] != 1:

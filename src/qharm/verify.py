@@ -7,10 +7,10 @@ Checks evaluate the stored polynomials exactly (to rounding) on a finite
 grid, so they are desk-scale probes, not certificates.  Reports are
 deterministic: grid points are enumerated in (radius, angle) order and
 minima are reduced with first-occurrence tie-breaking, so identical
-inputs (including seeds) give bitwise-identical reports.  Tolerances
-accept an explicit tail allowance for inputs meant as truncations of
-infinite series; functions generated in this module are exact polynomials
-and need none.
+inputs (including seeds) give bitwise-identical reports.  The grid
+checks take one absolute tolerance on their sampled margins
+(DEFAULT_TOLERANCE unless the caller passes another); the necessity probe
+uses the fixed rounding allowance MEMBERSHIP_TOL.
 """
 
 from __future__ import annotations
@@ -238,18 +238,17 @@ def growth_bound_check(
     grid: DiskGrid,
     *,
     tolerance: float = DEFAULT_TOLERANCE,
-    tail_allowance: float = 0.0,
 ) -> VerificationReport:
-    """Checks lower(r) - eps <= |f(z)| <= upper(r) + eps on the grid,
-    eps = tolerance + tail_allowance.  The pointwise margin is the smaller
-    of the two one-sided margins.  Requires a t_form member (the bounds
-    are proved for that subclass); raises DomainError otherwise.
+    """Checks lower(r) - tolerance <= |f(z)| <= upper(r) + tolerance on
+    the grid.  The pointwise margin is the smaller of the two one-sided
+    margins.  Requires a t_form member (the bounds are proved for that
+    subclass); raises DomainError otherwise.
     """
     if not member_t_iff(f, p):
         raise DomainError("growth bounds hold for t_form members; the functional exceeds 1")
     lower_m, upper_m = _growth_margins(f, p, grid)
     margins = np.minimum(upper_m, lower_m)
-    return _min_report("growth_bounds", margins, grid.points(), tolerance + tail_allowance)
+    return _min_report("growth_bounds", margins, grid.points(), tolerance)
 
 
 @dataclass(frozen=True)
@@ -259,9 +258,9 @@ class ProbeReport:
         1 - sum_{u>=2} w_u |a_u| r**(u-1) - sum_{u>=1} w_u |b_u| r**(u-1) - alpha
 
     along an increasing radius sequence.  first_failure is the first
-    sampled radius where the margin drops below -tolerance (None if it
-    never does); limit_margin is the value at r = 1, which has the sign of
-    1 - functional.
+    sampled radius where the margin drops below -MEMBERSHIP_TOL (None if
+    it never does); limit_margin is the value at r = 1, which has the sign
+    of 1 - functional.
     """
 
     entries: tuple[tuple[float, float], ...]
@@ -285,8 +284,6 @@ def necessity_probe(
     f: HarmonicFunction,
     p: ClassParams,
     r_sequence: Sequence[float] | None = None,
-    *,
-    tolerance: float = MEMBERSHIP_TOL,
 ) -> ProbeReport:
     """Evaluate the axis expression toward r -> 1 for a t_form function.
 
@@ -311,13 +308,13 @@ def necessity_probe(
         return 1.0 + math.fsum(-w * mag * r ** (u - 1) for u, w, mag in triples) - p.alpha
 
     entries = tuple((r, margin_at(r)) for r in rs)
-    first_failure = next((r for r, m in entries if m < -tolerance), None)
+    first_failure = next((r for r, m in entries if m < -MEMBERSHIP_TOL), None)
     return ProbeReport(
         entries=entries,
         first_failure=first_failure,
         limit_margin=margin_at(1.0),
         passed=first_failure is None,
-        tolerance=float(tolerance),
+        tolerance=MEMBERSHIP_TOL,
     )
 
 
@@ -330,39 +327,35 @@ def random_t_form(
     rng: np.random.Generator,
     *,
     trunc: int = DEFAULT_TRUNC,
-    decay: float = 0.25,
-    max_b1: float = 0.95,
 ) -> HarmonicFunction:
     """Random t_form function whose coefficient functional equals
     target_functional exactly (to rounding).
 
     Functional shares are drawn Dirichlet-style: jittered raw weights with
-    a decay**u envelope over every slot (analytic powers 2..trunc,
+    a 0.25**u envelope over every slot (analytic powers 2..trunc,
     co-analytic 1..trunc), normalized so the shares sum to the target.
     Coefficient magnitudes follow as share * (1 - alpha) / w_u, so summing
     the functional telescopes back to the share total.  The first
-    co-analytic magnitude is capped at max_b1 (excess share moves to the
+    co-analytic magnitude is capped at 0.95 (excess share moves to the
     power-2 co-analytic slot), keeping construction inside |b_1| <= 1; at
     trunc 1 there is no such slot, and a target needing one is refused.
     """
     target = float(target_functional)
     if not (target >= 0.0 and math.isfinite(target)):
         raise DomainError(f"target functional must be finite and >= 0, got {target_functional!r}")
-    if not 0.0 < decay < 1.0:
-        raise DomainError(f"decay must lie in (0, 1), got {decay!r}")
     trunc = operator.index(trunc)
     if trunc < 1:
         raise DomainError(f"trunc must be >= 1, got {trunc!r}")
     slots = [("a", u) for u in range(2, trunc + 1)] + [("b", u) for u in range(1, trunc + 1)]
-    raws = np.array([(0.5 + rng.random()) * decay**u for _, u in slots])
+    raws = np.array([(0.5 + rng.random()) * 0.25**u for _, u in slots])
     shares = raws / raws.sum() * target
 
     one_minus = 1.0 - p.alpha
     b1_index = len(slots) - trunc  # first "b" slot, power 1
-    b1_limit = max_b1 / one_minus
+    b1_limit = 0.95 / one_minus
     if shares[b1_index] > b1_limit:
         if trunc == 1:
-            raise DomainError(f"target functional {target!r} needs |b_1| > max_b1 = {max_b1!r} at trunc 1")
+            raise DomainError(f"target functional {target!r} needs |b_1| > 0.95 at trunc 1")
         excess = shares[b1_index] - b1_limit
         shares[b1_index] = b1_limit
         shares[b1_index + 1] += excess  # power-2 co-analytic slot
@@ -379,12 +372,7 @@ def random_t_form(
     return HarmonicFunction.from_t_magnitudes(a_mags, b_mags, trunc=trunc)
 
 
-def _random_gap_candidate(
-    p: ClassParams,
-    rng: np.random.Generator,
-    *,
-    trunc: int = DEFAULT_TRUNC,
-) -> HarmonicFunction:
+def _random_gap_candidate(p: ClassParams, rng: np.random.Generator) -> HarmonicFunction:
     """Random function with complex-phased coefficients whose functional
     slightly exceeds 1, i.e. a violator of the sufficient condition.  The
     first co-analytic slot is excluded so |b_1| stays 0."""
@@ -399,8 +387,8 @@ def _random_gap_candidate(
     shares = raws / raws.sum() * target
     one_minus = 1.0 - p.alpha
     w = weights(max(u for _, u in slots), p.q, p.m)
-    h = [0j] * trunc
-    g = [0j] * trunc
+    h = [0j] * DEFAULT_TRUNC
+    g = [0j] * DEFAULT_TRUNC
     h[0] = 1.0
     for (kind, u), share in zip(slots, shares):
         mag = share * one_minus / w[u - 1]
@@ -409,7 +397,7 @@ def _random_gap_candidate(
             h[u - 1] += mag * phase
         else:
             g[u - 1] += mag * phase
-    return HarmonicFunction(AnalyticSeries(h, trunc=trunc), AnalyticSeries(g, trunc=trunc))
+    return HarmonicFunction(AnalyticSeries(h), AnalyticSeries(g))
 
 
 def proof_step_violations(p: ClassParams, *, max_u: int = DEFAULT_TRUNC) -> tuple[int, ...]:
@@ -461,7 +449,6 @@ def counterexample_scan(
     trials: int,
     seed: int,
     *,
-    grid: DiskGrid | None = None,
     pair_budget: int = 64,
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> ScanReport:
@@ -472,15 +459,14 @@ def counterexample_scan(
     Each trial draws a violator of the coefficient condition and runs the
     three empirical checks; trials passing all of them are flagged as gap
     evidence (the sufficient condition is not necessary there, at least at
-    grid resolution).  Deterministic for a given seed: trial t uses the
-    generator seeded with (seed, t).
+    the resolution of the default DiskGrid).  Deterministic for a given
+    seed: trial t uses the generator seeded with (seed, t).
     """
     trials = operator.index(trials)
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials!r}")
     seed = operator.index(seed)
-    if grid is None:
-        grid = DiskGrid()
+    grid = DiskGrid()
     flagged = []
     for trial in range(trials):
         rng = np.random.default_rng([seed, trial])

@@ -8,12 +8,16 @@ import pytest
 from qharm import (
     ClassParams,
     QParam,
+    coeff_functional,
     convex_combination,
     extreme_point,
     harmonic_from_json,
+    member_t_iff,
+    satisfies_sufficient,
     sharpness_witness,
 )
-from qharm.qcore import DEFAULT_TOLERANCE
+from qharm.qcore import DEFAULT_TOLERANCE, MEMBERSHIP_TOL
+from qharm.series import MAX_JSON_TRUNC
 from qharm.cli import build_parser, run
 
 IDENTITY_DOC = {"trunc": 4, "h": [[1, 0]], "g": []}
@@ -317,20 +321,22 @@ def test_closed_stdout_pipe_exits_two_without_traceback(unbuffered):
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "qharm", "qint", "--u", "3", "--q", "0.5"],
-            stdout=write_end,
-            stderr=subprocess.PIPE,
-            text=True,
-            env=env,
-        )
-    finally:
-        os.close(write_end)
-    assert proc.returncode == 2
-    assert proc.stderr.splitlines() == ["error: cannot write <stdout>: [Errno 32] Broken pipe"]
+    # argparse prints --help itself and would swallow the write error
+    for argv in (["qint", "--u", "3", "--q", "0.5"], ["--help"]):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "qharm", *argv],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=env,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2, argv
+        assert proc.stderr.splitlines() == ["error: cannot write <stdout>: [Errno 32] Broken pipe"], argv
 
 
 @pytest.mark.parametrize("flag", ["--out", "--csv"])
@@ -387,3 +393,85 @@ def test_help_twice(capsys):
     assert run(["--help"]) == 0
     assert capsys.readouterr().out == first
     assert first.startswith("usage: qharm")
+
+
+def test_series_trunc_above_limit_is_usage_error(tmp_path, capsys):
+    # short lists: at the parent the parser padded to trunc before any check
+    path = write_json(tmp_path / "f.json", {"trunc": MAX_JSON_TRUNC + 1, "h": [[1, 0]], "g": []})
+    assert run(["check", "--in", path, "--m", "0", "--alpha", "0", "--q", "0.5"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: invalid series JSON: field trunc: expected an integer in [1, {MAX_JSON_TRUNC}], "
+        f"got {MAX_JSON_TRUNC + 1}\n"
+    )
+
+
+# --- the membership threshold ---------------------------------------------------
+
+
+@pytest.mark.parametrize("excess,accepted", [(0.5, True), (2.0, False)])
+def test_membership_threshold_is_membership_tol(tmp_path, capsys, excess, accepted):
+    # alpha = 0.5 and a single b_1: the functional is 2 b_1 = 1 + excess * MEMBERSHIP_TOL
+    doc = {"trunc": 2, "h": [[1, 0]], "g": [[(1.0 + excess * MEMBERSHIP_TOL) / 2, 0]]}
+    f = harmonic_from_json(doc)
+    p = ClassParams(m=3, alpha=0.5, q=QParam(0.5))
+    assert f.t_form
+    assert coeff_functional(f, p) == 1.0 + excess * MEMBERSHIP_TOL
+    assert satisfies_sufficient(f, p) is accepted
+    assert member_t_iff(f, p) is accepted
+    path = write_json(tmp_path / "f.json", doc)
+    assert run(["check", "--in", path, "--m", "3", "--alpha", "0.5", "--q", "0.5"]) == (0 if accepted else 1)
+    assert json.loads(capsys.readouterr().out)["t_member"] is accepted
+
+
+# --- one emit path ----------------------------------------------------------------
+
+CLS = ["--m", "0", "--alpha", "0.5", "--q", "0.5"]
+GRID = ["--radii", "0.5,0.9", "--angles", "8"]
+EMIT_CASES = {
+    "dq": ["dq", "--in", "{member}", "--q", "0.5"],
+    "salagean": ["salagean", "--in", "{member}", "--m", "2", "--q", "0.5"],
+    "transform": ["transform", "--in", "{member}", "--m", "2", "--q", "0.5"],
+    "check-member": ["check", "--in", "{member}", *CLS],
+    "check-violator": ["check", "--in", "{violator}", *CLS],
+    "extremal": ["extremal", "--u", "3", "--kind", "coanalytic", *CLS],
+    "combine": ["combine", "--point", "2:analytic:0.5", "--point", "1:coanalytic:0.5", *CLS],
+    "witness": ["witness", "--x", "2=0.5", "--y", "1=0.5j", *CLS],
+    "growth": ["growth", "--b1", "0.2", "--r", "0.5", *CLS],
+    "verify-member": ["verify", "--in", "{member}", *CLS, *GRID],
+    "verify-violator": ["verify", "--in", "{violator}", *CLS, *GRID],
+    "probe-member": ["probe", "--in", "{member}", *CLS],
+    "probe-violator": ["probe", "--in", "{violator}", *CLS],
+    "scan": ["scan", "--trials", "3", "--seed", "1", *CLS],
+}
+VERDICTS = {
+    "check": lambda doc: doc["t_member"] if doc["t_form"] else doc["sufficient"],
+    "verify": lambda doc: all(r["passed"] for r in doc),
+    "probe": lambda doc: doc["passed"],
+}
+
+
+def test_emit_cases_cover_every_out_command():
+    subparsers = build_parser()._subparsers._group_actions[0].choices
+    with_out = {name for name, sub in subparsers.items() if any("--out" in a.option_strings for a in sub._actions)}
+    assert with_out == {argv[0] for argv in EMIT_CASES.values()}
+
+
+@pytest.mark.parametrize("case", sorted(EMIT_CASES))
+def test_out_file_holds_stdout_bytes_and_exit_is_verdict(tmp_path, capsys, case):
+    inputs = {
+        "member": write_json(tmp_path / "m.json", {"trunc": 4, "h": [[1, 0], [-0.2, 0]], "g": [[0.1, 0]]}),
+        "violator": write_json(tmp_path / "v.json", {"trunc": 4, "h": [[1, 0], [-0.8, 0]], "g": []}),
+    }
+    argv = [a.format(**inputs) for a in EMIT_CASES[case]]
+    code = run(argv)
+    stdout = capsys.readouterr().out
+    out = tmp_path / "result.json"
+    assert run([*argv, "--out", str(out)]) == code
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == stdout.encode()
+    verdict = VERDICTS.get(argv[0], lambda doc: True)(json.loads(stdout))
+    assert code == (0 if verdict else 1)
+    if case.endswith("-member"):
+        assert code == 0
+    if case.endswith("-violator"):
+        assert code == 1

@@ -18,6 +18,7 @@ from qharm import (
     harmonic_to_json,
     is_t_form,
 )
+from qharm.series import MAX_JSON_TRUNC
 
 finite_coeffs = st.lists(
     st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
@@ -58,6 +59,19 @@ def test_coeff_accessor():
     assert s.coeff(17) == 0j
     with pytest.raises(DomainError):
         s.coeff(0)
+
+
+def test_power_series_accessors_start_at_zero():
+    s = PowerSeries([2.0, 0.5])
+    assert s.coeff(0) == 2.0 and s.coeff(1) == 0.5 and s.coeff(9) == 0j
+    with pytest.raises(DomainError):
+        s.coeff(-1)
+    assert repr(s) == "PowerSeries([(2+0j), (0.5+0j)])"
+    a = AnalyticSeries([2.0, 0.5], trunc=2)
+    assert repr(a) == "AnalyticSeries([(2+0j), (0.5+0j)])"
+    # equal coefficients do not make the two types equal
+    assert a.coeffs == s.coeffs and a != s and s != a
+    assert s == PowerSeries([2.0, 0.5]) and hash(s) == hash(PowerSeries([2.0, 0.5]))
 
 
 def test_harmonic_requires_normalization():
@@ -240,6 +254,11 @@ def test_json_round_trip_bitwise():
     assert f2.g.coeffs == f.g.coeffs
 
 
+def test_json_trunc_limit_is_inclusive():
+    f = harmonic_from_json({"trunc": MAX_JSON_TRUNC, "h": [[1, 0]], "g": []})
+    assert f.trunc_degree == MAX_JSON_TRUNC
+
+
 def test_json_recovers_t_form_structurally():
     f = HarmonicFunction.from_t_magnitudes({3: 0.25}, {1: 0.5}, trunc=4)
     f2 = harmonic_from_json(harmonic_to_json(f))
@@ -261,6 +280,7 @@ def test_json_recovers_t_form_structurally():
         ({"trunc": 4, "h": [[1, 0], [1]], "g": []}, "h[1]"),
         ({"trunc": 4, "h": [[1, 0], [1, "x"]], "g": []}, "h[1]"),
         ({"trunc": 4, "h": [[1, 0]], "g": [[1.5, 0]]}, "g[0]"),
+        ({"trunc": MAX_JSON_TRUNC + 1, "h": [[1, 0]], "g": []}, "trunc"),
     ],
 )
 def test_json_schema_errors_name_field(doc, field):

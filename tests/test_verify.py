@@ -19,10 +19,12 @@ from qharm import (
     growth_witness_upper,
     injectivity_sample_check,
     margin_rows,
+    member_t_iff,
     necessity_probe,
     proof_step_violations,
     random_t_form,
     re_condition_margin,
+    satisfies_sufficient,
     sense_preserving_margin,
     write_margin_csv,
 )
@@ -376,3 +378,22 @@ def test_margin_csv_skips_growth_for_non_member():
     header, rows = margin_rows(f, p, DiskGrid(radii=(0.5,), angular_count=4))
     assert "growth_lower_margin" not in header
     assert len(rows) == 4
+
+
+def test_removed_tolerance_and_generator_keywords_are_type_errors():
+    # MEMBERSHIP_TOL, the scan's DiskGrid and the generator's envelope are fixed
+    p = params(1, 0.0, 0.5)
+    f = HarmonicFunction.from_t_magnitudes({2: 0.1}, {1: 0.1}, trunc=4)
+    rng = np.random.default_rng(0)
+    calls = [
+        lambda: satisfies_sufficient(f, p, tol=0.1),
+        lambda: member_t_iff(f, p, tol=0.1),
+        lambda: necessity_probe(f, p, tolerance=0.1),
+        lambda: growth_bound_check(f, p, DiskGrid(), tail_allowance=0.1),
+        lambda: counterexample_scan(p, 1, 0, grid=DiskGrid()),
+        lambda: random_t_form(p, 0.5, rng, decay=0.5),
+        lambda: random_t_form(p, 0.5, rng, max_b1=0.5),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError):
+            call()
