@@ -4,10 +4,11 @@ growth bounds, and disc-sampled numerical verification.
 
 The public surface re-exports the domain types and operations of the
 submodules; see the README for a tour and the ``qharm`` CLI for the
-command-line interface.
+command-line interface.  The disc-sampling names of ``qharm.verify`` are
+resolved on first use, so ``import qharm`` does not load numpy.
 """
 
-from .qcore import DomainError, QParam, q_integer, q_integer_pow
+from .qcore import DEFAULT_TOLERANCE, DomainError, QParam, q_integer, q_integer_pow
 from .series import (
     DEFAULT_TRUNC,
     AnalyticSeries,
@@ -36,6 +37,7 @@ from .classes import (
     MEMBERSHIP_TOL,
     ClassParams,
     GrowthBounds,
+    ProbeReport,
     coeff_functional,
     convex_combination,
     extreme_point,
@@ -43,26 +45,10 @@ from .classes import (
     growth_witness_lower,
     growth_witness_upper,
     member_t_iff,
-    satisfies_sufficient,
-    sharpness_witness,
-)
-from .verify import (
-    DEFAULT_TOLERANCE,
-    DiskGrid,
-    GapExample,
-    ProbeReport,
-    ScanReport,
-    VerificationReport,
-    counterexample_scan,
-    growth_bound_check,
-    injectivity_sample_check,
-    margin_rows,
     necessity_probe,
     proof_step_violations,
-    random_t_form,
-    re_condition_margin,
-    sense_preserving_margin,
-    write_margin_csv,
+    satisfies_sufficient,
+    sharpness_witness,
 )
 
 __version__ = "0.1.0"
@@ -121,3 +107,16 @@ __all__ = [
     "sharpness_witness",
     "write_margin_csv",
 ]
+
+
+def __getattr__(name: str):
+    # The rest of __all__ is qharm.verify's (numpy), looked up there on each access.
+    if name in __all__:
+        from . import verify
+
+        return getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

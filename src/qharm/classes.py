@@ -13,7 +13,8 @@ negative-coefficient normalization (t_form) the same inequality is an
 exact characterization.  The one-term boundary functions with functional
 exactly 1 are the extreme points of the closed convex hull, and every
 member obeys two-sided growth bounds in |z| = r with the [2]_q**m
-denominator.
+denominator.  The positive-real-axis necessity probe sums the same terms,
+without numpy.  Constructions refuse series longer than MAX_JSON_TRUNC.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .qcore import DEFAULT_TOLERANCE, MEMBERSHIP_TOL, DomainError, QParam, weigh
 from .salagean import OperatorParams
 from .series import (
     DEFAULT_TRUNC,
+    MAX_JSON_TRUNC,
     AnalyticSeries,
     HarmonicFunction,
     _t_structure,
@@ -106,6 +108,95 @@ def member_t_iff(f: HarmonicFunction, p: ClassParams) -> bool:
     return satisfies_sufficient(f, p)
 
 
+DEFAULT_PROBE_RADII = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99, 0.999, 0.9999)
+
+
+@dataclass(frozen=True)
+class ProbeReport:
+    """Trace of the positive-real-axis expression
+
+        1 - sum_{u>=2} w_u |a_u| r**(u-1) - sum_{u>=1} w_u |b_u| r**(u-1) - alpha
+
+    along an increasing radius sequence.  first_failure is the first
+    sampled radius where the margin drops below -MEMBERSHIP_TOL (None if
+    it never does); limit_margin is the value at r = 1, which has the sign
+    of 1 - functional.
+    """
+
+    entries: tuple[tuple[float, float], ...]
+    first_failure: float | None
+    limit_margin: float
+    passed: bool
+    tolerance: float
+
+    def to_dict(self) -> dict:
+        return {
+            "check": "necessity_axis",
+            "entries": [[r, m] for r, m in self.entries],
+            "first_failure": self.first_failure,
+            "limit_margin": self.limit_margin,
+            "passed": self.passed,
+            "tolerance": self.tolerance,
+        }
+
+
+def necessity_probe(
+    f: HarmonicFunction,
+    p: ClassParams,
+    r_sequence: Sequence[float] | None = None,
+) -> ProbeReport:
+    """Evaluate the axis expression toward r -> 1 for a t_form function.
+
+    For members the margin stays >= 0 for every r < 1; once the functional
+    exceeds 1 the expression is eventually negative, so the probe exposes
+    non-membership given a radius sequence reaching close enough to 1.
+    """
+    if not f.t_form:
+        raise DomainError("the necessity probe applies only to t_form functions")
+    rs = tuple(float(r) for r in (DEFAULT_PROBE_RADII if r_sequence is None else r_sequence))
+    if not rs:
+        raise DomainError("the radius sequence must be non-empty")
+    for r in rs:
+        if not 0.0 < r < 1.0:
+            raise DomainError(f"probe radii must lie in (0, 1), got {r!r}")
+    if any(b <= a for a, b in zip(rs, rs[1:])):
+        raise DomainError("probe radii must be strictly increasing")
+
+    triples = _functional_terms(f, p)
+
+    def margin_at(r: float) -> float:
+        return 1.0 + math.fsum(-w * mag * r ** (u - 1) for u, w, mag in triples) - p.alpha
+
+    entries = tuple((r, margin_at(r)) for r in rs)
+    first_failure = next((r for r, m in entries if m < -MEMBERSHIP_TOL), None)
+    return ProbeReport(
+        entries=entries,
+        first_failure=first_failure,
+        limit_margin=margin_at(1.0),
+        passed=first_failure is None,
+        tolerance=MEMBERSHIP_TOL,
+    )
+
+
+def proof_step_violations(p: ClassParams, *, max_u: int = DEFAULT_TRUNC) -> tuple[int, ...]:
+    """Powers u in 2..max_u where u (1 - alpha) > [u]_q**m.
+
+    Wherever this comparison fails, bounding u |c_u| by
+    ([u]_q**m / (1 - alpha)) |c_u| is invalid, so the standard chain from
+    the coefficient condition to univalence and sense-preservation does
+    not go through pointwise; the sufficient condition itself is then an
+    empirical matter, which verify.counterexample_scan probes.
+    """
+    w = weights(max(max_u, 1), p.q, p.m)
+    return tuple(u for u in range(2, max_u + 1) if u * (1.0 - p.alpha) > w[u - 1])
+
+
+def _series_length(n: int) -> int:
+    if n > MAX_JSON_TRUNC:  # refused before anything is allocated
+        raise DomainError(f"series length {n} exceeds the limit {MAX_JSON_TRUNC}")
+    return n
+
+
 def extreme_point(
     u: int,
     kind: str,
@@ -134,7 +225,7 @@ def extreme_point(
         raise DomainError(f"kind must be 'analytic' or 'coanalytic', got {kind!r}")
     if coanalytic_sign not in (-1, 1):
         raise DomainError(f"coanalytic_sign must be -1 or +1, got {coanalytic_sign!r}")
-    n = max(trunc, u)
+    n = _series_length(max(trunc, u))
     mag = (1.0 - p.alpha) / weights(u, p.q, p.m)[-1]
     if kind == "analytic":
         h = [0j] * n
@@ -144,12 +235,11 @@ def extreme_point(
         return HarmonicFunction(AnalyticSeries(h, trunc=n), AnalyticSeries.zero(n), t_form=True)
     g = [0j] * n
     g[u - 1] = coanalytic_sign * mag
-    hf = HarmonicFunction(
+    return HarmonicFunction(
         AnalyticSeries.identity(n),
         AnalyticSeries(g, trunc=n),
         t_form=(coanalytic_sign > 0),
     )
-    return hf
 
 
 def convex_combination(
@@ -181,7 +271,7 @@ def convex_combination(
     total = math.fsum(masses)
     if abs(total - 1.0) > MEMBERSHIP_TOL:
         raise DomainError(f"weights must sum to 1 within {MEMBERSHIP_TOL}, got {total!r}")
-    n = max([trunc, *(u for u, _, _ in terms)])
+    n = _series_length(max([trunc, *(u for u, _, _ in terms)]))
     wq = weights(max(u for (u, _, _), wf in zip(terms, masses) if wf != 0.0), p.q, p.m)
     # The identity coefficient is the weight total, which is 1 by contract;
     # store it as exactly 1 rather than the rounded float sum.
@@ -221,7 +311,7 @@ def sharpness_witness(
     total = math.fsum([abs(v) for v in xs] + [abs(v) for v in ys])
     if abs(total - 1.0) > MEMBERSHIP_TOL:
         raise DomainError(f"weight moduli must sum to 1 within {MEMBERSHIP_TOL}, got {total!r}")
-    n = max(trunc, len(xs) + 1, len(ys))
+    n = _series_length(max(trunc, len(xs) + 1, len(ys)))
     w = weights(max(len(xs) + 1, len(ys)), p.q, p.m)
     h = [0j] * n
     g = [0j] * n

@@ -16,6 +16,8 @@ every run, and an unparseable value is a usage error.
 
 The argument parser is built once per process and reused by every run(),
 so in-process callers pay for argparse set-up only on the first call.
+Only verify and scan sample the disc, so only their handlers import
+qharm.verify, and with it numpy; every other subcommand runs without it.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import math
 import os
 import sys
 
-from .qcore import QParam, q_integer, q_integer_pow
+from .qcore import DEFAULT_TOLERANCE, QParam, q_integer, q_integer_pow
 from .classes import (
     ClassParams,
     coeff_functional,
@@ -36,22 +38,12 @@ from .classes import (
     extreme_point,
     growth_bounds,
     member_t_iff,
+    necessity_probe,
     satisfies_sufficient,
     sharpness_witness,
 )
 from .salagean import OperatorParams, class_transform, q_derivative, salagean_harmonic
-from .series import SchemaError, harmonic_from_json, harmonic_to_json
-from .verify import (
-    DEFAULT_TOLERANCE,
-    DiskGrid,
-    counterexample_scan,
-    growth_bound_check,
-    injectivity_sample_check,
-    necessity_probe,
-    re_condition_margin,
-    sense_preserving_margin,
-    write_margin_csv,
-)
+from .series import MAX_JSON_TRUNC, SchemaError, harmonic_from_json, harmonic_to_json
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -130,7 +122,7 @@ def _parse_radii(text: str | None) -> tuple[float, ...] | None:
         raise UsageError(f"--radii: expected comma-separated reals, got {text!r}") from None
 
 
-def _grid_from_args(args) -> DiskGrid:
+def _grid_kwargs(args) -> dict:
     kwargs = {}
     if args.radii is not None:
         kwargs["radii"] = _parse_radii(args.radii)
@@ -138,7 +130,7 @@ def _grid_from_args(args) -> DiskGrid:
         kwargs["angular_count"] = args.angles
     if args.no_axis:
         kwargs["include_positive_axis"] = False
-    return DiskGrid(**kwargs)
+    return kwargs
 
 
 def _class_params(args) -> ClassParams:
@@ -158,8 +150,8 @@ def _parse_indexed(values: list[str] | None, lowest: int, flag: str) -> dict[int
             c = complex(val)
         except ValueError:
             raise UsageError(f"{flag}: expected U=COMPLEX, got {item!r}") from None
-        if u < lowest:
-            raise UsageError(f"{flag}: power must be >= {lowest}, got {u}")
+        if not lowest <= u <= MAX_JSON_TRUNC:
+            raise UsageError(f"{flag}: power must lie in [{lowest}, {MAX_JSON_TRUNC}], got {u}")
         out[u] = out.get(u, 0j) + c
     return out
 
@@ -226,10 +218,8 @@ def _cmd_witness(args, tol: float):
     p = _class_params(args)
     x_map = _parse_indexed(args.x, 2, "--x")
     y_map = _parse_indexed(args.y, 1, "--y")
-    max_x = max(x_map, default=1)
-    max_y = max(y_map, default=0)
-    xs = [x_map.get(u, 0j) for u in range(2, max_x + 1)]
-    ys = [y_map.get(u, 0j) for u in range(1, max_y + 1)]
+    xs = [x_map.get(u, 0j) for u in range(2, max(x_map, default=1) + 1)]
+    ys = [y_map.get(u, 0j) for u in range(1, max(y_map, default=0) + 1)]
     return harmonic_to_json(sharpness_witness(xs, ys, p)), True
 
 
@@ -240,19 +230,21 @@ def _cmd_growth(args, tol: float):
 
 
 def _cmd_verify(args, tol: float):
+    from . import verify
+
     f = _input(args)
     p = _class_params(args)
-    grid = _grid_from_args(args)
+    grid = verify.DiskGrid(**_grid_kwargs(args))
     reports = [
-        re_condition_margin(f, p, grid, tolerance=tol),
-        sense_preserving_margin(f, grid, tolerance=tol),
-        injectivity_sample_check(f, grid, args.pair_budget, seed=args.seed, tolerance=tol),
+        verify.re_condition_margin(f, p, grid, tolerance=tol),
+        verify.sense_preserving_margin(f, grid, tolerance=tol),
+        verify.injectivity_sample_check(f, grid, args.pair_budget, seed=args.seed, tolerance=tol),
     ]
     if f.t_form and member_t_iff(f, p):
-        reports.append(growth_bound_check(f, p, grid, tolerance=tol))
+        reports.append(verify.growth_bound_check(f, p, grid, tolerance=tol))
     if args.csv:
         with _writing(args.csv) as fh:
-            write_margin_csv(fh, f, p, grid)
+            verify.write_margin_csv(fh, f, p, grid)
     return [r.to_dict() for r in reports], all(r.passed for r in reports)
 
 
@@ -264,8 +256,10 @@ def _cmd_probe(args, tol: float):
 
 
 def _cmd_scan(args, tol: float):
+    from . import verify
+
     p = _class_params(args)
-    report = counterexample_scan(p, args.trials, args.seed, pair_budget=args.pair_budget, tolerance=tol)
+    report = verify.counterexample_scan(p, args.trials, args.seed, pair_budget=args.pair_budget, tolerance=tol)
     return report.to_dict(), True
 
 

@@ -1,7 +1,8 @@
 """Disc-sampled empirical verification of the membership condition,
-sense-preservation, injectivity, growth conformance, and the
-positive-real-axis necessity argument, plus a randomized scan for gaps
-between the sufficient coefficient condition and the family itself.
+sense-preservation, injectivity and growth conformance, plus a randomized
+scan for gaps between the sufficient coefficient condition and the family
+itself; the only module of the package that imports numpy.  It re-exports
+the necessity probe and proof_step_violations, which classes defines.
 
 Checks evaluate the stored polynomials exactly (to rounding) on a finite
 grid, so they are desk-scale probes, not certificates.  Reports are
@@ -9,8 +10,7 @@ deterministic: grid points are enumerated in (radius, angle) order and
 minima are reduced with first-occurrence tie-breaking, so identical
 inputs (including seeds) give bitwise-identical reports.  The grid
 checks take one absolute tolerance on their sampled margins
-(DEFAULT_TOLERANCE unless the caller passes another); the necessity probe
-uses the fixed rounding allowance MEMBERSHIP_TOL.
+(DEFAULT_TOLERANCE unless the caller passes another).
 """
 
 from __future__ import annotations
@@ -23,14 +23,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .qcore import DEFAULT_TOLERANCE, MEMBERSHIP_TOL, DomainError, weights
-from .classes import (
-    ClassParams,
-    _functional_terms,
-    coeff_functional,
-    growth_bounds,
-    member_t_iff,
-)
+from .qcore import DEFAULT_TOLERANCE, DomainError, weights
+from .classes import ClassParams, coeff_functional, growth_bounds, member_t_iff, proof_step_violations
+from .classes import DEFAULT_PROBE_RADII, ProbeReport, necessity_probe  # noqa: F401 (re-exported)
 from .salagean import class_transform
 from .series import (
     DEFAULT_TRUNC,
@@ -41,7 +36,6 @@ from .series import (
 
 DEFAULT_RADII = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99, 0.999)
 DEFAULT_ANGULAR_COUNT = 256
-DEFAULT_PROBE_RADII = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99, 0.999, 0.9999)
 
 
 @dataclass(frozen=True)
@@ -251,73 +245,6 @@ def growth_bound_check(
     return _min_report("growth_bounds", margins, grid.points(), tolerance)
 
 
-@dataclass(frozen=True)
-class ProbeReport:
-    """Trace of the positive-real-axis expression
-
-        1 - sum_{u>=2} w_u |a_u| r**(u-1) - sum_{u>=1} w_u |b_u| r**(u-1) - alpha
-
-    along an increasing radius sequence.  first_failure is the first
-    sampled radius where the margin drops below -MEMBERSHIP_TOL (None if
-    it never does); limit_margin is the value at r = 1, which has the sign
-    of 1 - functional.
-    """
-
-    entries: tuple[tuple[float, float], ...]
-    first_failure: float | None
-    limit_margin: float
-    passed: bool
-    tolerance: float
-
-    def to_dict(self) -> dict:
-        return {
-            "check": "necessity_axis",
-            "entries": [[r, m] for r, m in self.entries],
-            "first_failure": self.first_failure,
-            "limit_margin": self.limit_margin,
-            "passed": self.passed,
-            "tolerance": self.tolerance,
-        }
-
-
-def necessity_probe(
-    f: HarmonicFunction,
-    p: ClassParams,
-    r_sequence: Sequence[float] | None = None,
-) -> ProbeReport:
-    """Evaluate the axis expression toward r -> 1 for a t_form function.
-
-    For members the margin stays >= 0 for every r < 1; once the functional
-    exceeds 1 the expression is eventually negative, so the probe exposes
-    non-membership given a radius sequence reaching close enough to 1.
-    """
-    if not f.t_form:
-        raise DomainError("the necessity probe applies only to t_form functions")
-    rs = tuple(float(r) for r in (DEFAULT_PROBE_RADII if r_sequence is None else r_sequence))
-    if not rs:
-        raise DomainError("the radius sequence must be non-empty")
-    for r in rs:
-        if not 0.0 < r < 1.0:
-            raise DomainError(f"probe radii must lie in (0, 1), got {r!r}")
-    if any(b <= a for a, b in zip(rs, rs[1:])):
-        raise DomainError("probe radii must be strictly increasing")
-
-    triples = _functional_terms(f, p)
-
-    def margin_at(r: float) -> float:
-        return 1.0 + math.fsum(-w * mag * r ** (u - 1) for u, w, mag in triples) - p.alpha
-
-    entries = tuple((r, margin_at(r)) for r in rs)
-    first_failure = next((r for r, m in entries if m < -MEMBERSHIP_TOL), None)
-    return ProbeReport(
-        entries=entries,
-        first_failure=first_failure,
-        limit_margin=margin_at(1.0),
-        passed=first_failure is None,
-        tolerance=MEMBERSHIP_TOL,
-    )
-
-
 # --- randomized generators and the counterexample scan ----------------------
 
 
@@ -386,9 +313,10 @@ def _random_gap_candidate(p: ClassParams, rng: np.random.Generator) -> HarmonicF
     raws = np.array([0.2 + rng.random() for _ in slots])
     shares = raws / raws.sum() * target
     one_minus = 1.0 - p.alpha
-    w = weights(max(u for _, u in slots), p.q, p.m)
-    h = [0j] * DEFAULT_TRUNC
-    g = [0j] * DEFAULT_TRUNC
+    n = max(u for _, u in slots)
+    w = weights(n, p.q, p.m)
+    h = [0j] * n
+    g = [0j] * n
     h[0] = 1.0
     for (kind, u), share in zip(slots, shares):
         mag = share * one_minus / w[u - 1]
@@ -397,20 +325,7 @@ def _random_gap_candidate(p: ClassParams, rng: np.random.Generator) -> HarmonicF
             h[u - 1] += mag * phase
         else:
             g[u - 1] += mag * phase
-    return HarmonicFunction(AnalyticSeries(h), AnalyticSeries(g))
-
-
-def proof_step_violations(p: ClassParams, *, max_u: int = DEFAULT_TRUNC) -> tuple[int, ...]:
-    """Powers u in 2..max_u where u (1 - alpha) > [u]_q**m.
-
-    Wherever this comparison fails, bounding u |c_u| by
-    ([u]_q**m / (1 - alpha)) |c_u| is invalid, so the standard chain from
-    the coefficient condition to univalence and sense-preservation does
-    not go through pointwise; the sufficient condition itself is then an
-    empirical matter, which the scan below probes.
-    """
-    w = weights(max(max_u, 1), p.q, p.m)
-    return tuple(u for u in range(2, max_u + 1) if u * (1.0 - p.alpha) > w[u - 1])
+    return HarmonicFunction(AnalyticSeries(h, trunc=n), AnalyticSeries(g, trunc=n))
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from qharm import (
     satisfies_sufficient,
     sharpness_witness,
 )
+from qharm.series import MAX_JSON_TRUNC
 
 
 def params(m=0, alpha=0.0, q=0.5):
@@ -366,3 +367,29 @@ def test_functional_against_mpmath(inputs, q, m, alpha):
             assert got == 0.0
         else:
             assert abs((mpmath.mpf(got) - exact) / exact) <= (2 * trunc * m + 5) * 2.0**-52
+
+
+# --- construction size limit --------------------------------------------------------
+
+
+def test_constructions_reach_the_series_json_limit():
+    p = params(1, 0.5, 0.5)
+    assert extreme_point(MAX_JSON_TRUNC, "coanalytic", p).trunc_degree == MAX_JSON_TRUNC
+    assert convex_combination([(MAX_JSON_TRUNC, "analytic", 1.0)], p).trunc_degree == MAX_JSON_TRUNC
+    assert sharpness_witness([], [0j] * (MAX_JSON_TRUNC - 1) + [1.0], p).trunc_degree == MAX_JSON_TRUNC
+
+
+@pytest.mark.parametrize("u", [MAX_JSON_TRUNC + 1, 10**12])
+def test_constructions_refuse_longer_series_before_allocating(u):
+    # At 10**12 a refusal after allocation would be a MemoryError or a hang.
+    p = params(1, 0.5, 0.5)
+    for build in (
+        lambda: extreme_point(u, "analytic", p),
+        lambda: extreme_point(u, "coanalytic", p),
+        lambda: convex_combination([(2, "analytic", 0.5), (u, "coanalytic", 0.5)], p),
+        lambda: extreme_point(2, "analytic", p, trunc=u),
+    ):
+        with pytest.raises(DomainError, match=f"series length {u} exceeds the limit {MAX_JSON_TRUNC}"):
+            build()
+    with pytest.raises(DomainError, match="exceeds the limit"):
+        sharpness_witness([], [0j] * MAX_JSON_TRUNC + [1.0], p)

@@ -408,6 +408,42 @@ def test_series_trunc_above_limit_is_usage_error(tmp_path, capsys):
 # --- the membership threshold ---------------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["extremal", "--u", str(MAX_JSON_TRUNC), "--kind", "analytic"],
+        ["extremal", "--u", str(MAX_JSON_TRUNC), "--kind", "coanalytic", "--positive-coanalytic"],
+        ["combine", "--point", f"{MAX_JSON_TRUNC}:coanalytic:1"],
+        ["witness", "--y", f"{MAX_JSON_TRUNC}=1"],
+    ],
+)
+def test_construction_at_the_limit_reads_back(tmp_path, capsys, argv):
+    out = str(tmp_path / "f.json")
+    cls = ["--m", "1", "--alpha", "0.5", "--q", "0.5"]
+    assert run([*argv, *cls, "--out", out]) == 0
+    assert run(["check", "--in", out, *cls]) == 0
+    assert json.loads(capsys.readouterr().out)["functional"] == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("u", [MAX_JSON_TRUNC + 1, 10**12])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["extremal", "--u", "{u}", "--kind", "analytic"],
+        ["combine", "--point", "{u}:coanalytic:1"],
+        ["witness", "--x", "{u}=1"],
+        ["witness", "--y", "{u}=1"],
+    ],
+)
+def test_construction_beyond_the_limit_is_usage_error(tmp_path, capsys, argv, u):
+    out = tmp_path / "f.json"
+    argv = [a.format(u=u) for a in argv]
+    assert run([*argv, "--m", "1", "--alpha", "0.5", "--q", "0.5", "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(MAX_JSON_TRUNC) in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("excess,accepted", [(0.5, True), (2.0, False)])
 def test_membership_threshold_is_membership_tol(tmp_path, capsys, excess, accepted):
     # alpha = 0.5 and a single b_1: the functional is 2 b_1 = 1 + excess * MEMBERSHIP_TOL

@@ -5,15 +5,19 @@ zero-seeded Horner loop over every stored coefficient, the whole grid
 evaluated for the injectivity pairs, and margin_rows with its own margin
 formulas.  The library skips high-order +0+0j coefficients, caches the grid
 points and evaluates only the pair ends; its reports and margin tables must
-equal the reference bit for bit, zero signs included.
+equal the reference bit for bit, zero signs included.  Likewise the scan
+builds its candidates at their highest drawn power, and its reports must
+equal those of candidates padded to DEFAULT_TRUNC.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from qharm import (
+    DEFAULT_TRUNC,
     AnalyticSeries,
     ClassParams,
     DiskGrid,
@@ -22,6 +26,7 @@ from qharm import (
     QParam,
     class_transform,
     classical_derivative,
+    counterexample_scan,
     growth_bound_check,
     growth_bounds,
     injectivity_sample_check,
@@ -32,6 +37,8 @@ from qharm import (
     salagean_harmonic,
     sense_preserving_margin,
 )
+from qharm import verify
+from qharm.qcore import weights
 from qharm.verify import _eval_poly
 
 # --- reference engine ---------------------------------------------------------------
@@ -239,3 +246,41 @@ def test_negative_zero_coefficients_are_evaluated():
     expected = ref_poly(g, z)
     assert np.signbit(expected.real).any() and not np.signbit(expected.real).all()
     assert np.array_equal(_eval_poly(g, z).view(np.uint64), expected.view(np.uint64))
+
+
+def ref_gap_candidate(p, rng):
+    """The scan's candidate with h and g padded to DEFAULT_TRUNC."""
+    target = 1.001 + 0.4 * rng.random()
+    nslots = 2 + int(rng.random() * 3)
+    slots = []
+    for _ in range(nslots):
+        kind = "a" if rng.random() < 0.5 else "b"
+        slots.append((kind, 2 + int(rng.random() * 6)))
+    raws = np.array([0.2 + rng.random() for _ in slots])
+    shares = raws / raws.sum() * target
+    w = weights(max(u for _, u in slots), p.q, p.m)
+    h = [0j] * DEFAULT_TRUNC
+    g = [0j] * DEFAULT_TRUNC
+    h[0] = 1.0
+    for (kind, u), share in zip(slots, shares):
+        mag = share * (1.0 - p.alpha) / w[u - 1]
+        phase = complex(math.cos(2.0 * math.pi * rng.random()), math.sin(2.0 * math.pi * rng.random()))
+        if kind == "a":
+            h[u - 1] += mag * phase
+        else:
+            g[u - 1] += mag * phase
+    return HarmonicFunction(AnalyticSeries(h), AnalyticSeries(g))
+
+
+# The benchmark's parameter sets P1-P4.
+SCAN_PARAMS = [(3, 0.25, 0.9), (0, 0.0, 0.5), (1, 0.5, 0.99), (6, 0.1, 0.7)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(mat=st.sampled_from(SCAN_PARAMS), seed=st.integers(0, 2**63 - 1), trials=st.integers(1, 20))
+def test_scan_matches_padded_candidates(mat, seed, trials):
+    p = ClassParams(m=mat[0], alpha=mat[1], q=QParam(mat[2]))
+    got = counterexample_scan(p, trials, seed).to_dict()
+    with mock.patch.object(verify, "_random_gap_candidate", ref_gap_candidate):
+        expected = counterexample_scan(p, trials, seed).to_dict()
+    assert_same(got, expected)
