@@ -3,10 +3,14 @@
 
 The standard route from the coefficient condition to univalence and
 sense-preservation bounds u |c_u| by ([u]_q**m / (1 - alpha)) |c_u|, which
-is only valid where the comparison above holds.  Since [u]_q < u for
-q < 1, it fails for small orders m.  This script tabulates, over an
-(m, q) lattice at a fixed alpha, the largest power u <= u-max violating
-the comparison (0 = valid everywhere), writing a CSV heat map.
+is only valid where the comparison above holds.  For q < 1, [u]_q**m
+stays below (1 - q)**-m while u (1 - alpha) grows without bound, so at
+every q and m the comparison fails once u exceeds about
+(1 - q)**-m / (1 - alpha): the first failing u is 1334 at
+(m, alpha, q) = (3, 0.25, 0.9) and 1525 at (6, 0.1, 0.7).  This script
+tabulates, over an (m, q) lattice at a fixed alpha, the largest power
+u <= u-max violating the comparison (0 = valid up to u-max), writing a
+CSV heat map.
 
 Usage:
     python3 scripts/proof_step_map.py --alpha 0 --u-max 64 --out step_map.csv

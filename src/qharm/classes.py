@@ -8,7 +8,7 @@ coefficient functional
     sum_{u>=2} ([u]_q**m / (1-alpha)) |a_u|
   + sum_{u>=1} ([u]_q**m / (1-alpha)) |b_u|
 
-is <= 1 for a sufficient membership certificate; for functions in the
+is <= 1 in the sufficient coefficient condition; for functions in the
 negative-coefficient normalization (t_form) the same inequality is an
 exact characterization.  The one-term boundary functions with functional
 exactly 1 are the extreme points of the closed convex hull, and every
@@ -25,14 +25,9 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .qcore import DEFAULT_TOLERANCE, MEMBERSHIP_TOL, DomainError, QParam, weights  # noqa: F401 (re-exported)
+from .qcore import MAX_JSON_TRUNC, at_most
 from .salagean import OperatorParams
-from .series import (
-    DEFAULT_TRUNC,
-    MAX_JSON_TRUNC,
-    AnalyticSeries,
-    HarmonicFunction,
-    _t_structure,
-)
+from .series import DEFAULT_TRUNC, AnalyticSeries, HarmonicFunction
 
 
 @dataclass(frozen=True)
@@ -88,11 +83,15 @@ def coeff_functional(f: HarmonicFunction, p: ClassParams) -> float:
 
 
 def satisfies_sufficient(f: HarmonicFunction, p: ClassParams) -> bool:
-    """Sufficient membership certificate: functional <= 1 + MEMBERSHIP_TOL.
+    """Whether the coefficient functional is <= 1 + MEMBERSHIP_TOL.
 
-    A True result certifies that f is univalent, sense-preserving and in
-    the family; False is inconclusive for general f (the condition is not
-    necessary outside the t_form normalization).
+    This decides the coefficient condition only.  It does not certify
+    univalence or sense-preservation: the chain from it to those needs
+    u (1 - alpha) <= [u]_q**m at every nonzero power (see
+    proof_step_violations), and at (m, alpha, q) = (3, 0.25, 0.9) the
+    +-signed co-analytic extreme point at u = 1334 has functional 1 yet
+    |g'(r)| > |h'(r)| at r = 1 - 1e-7.  False is inconclusive for general
+    f (the condition is not necessary outside the t_form normalization).
     """
     return coeff_functional(f, p) <= 1.0 + MEMBERSHIP_TOL
 
@@ -192,9 +191,7 @@ def proof_step_violations(p: ClassParams, *, max_u: int = DEFAULT_TRUNC) -> tupl
 
 
 def _series_length(n: int) -> int:
-    if n > MAX_JSON_TRUNC:  # refused before anything is allocated
-        raise DomainError(f"series length {n} exceeds the limit {MAX_JSON_TRUNC}")
-    return n
+    return at_most(n, MAX_JSON_TRUNC, "series length")
 
 
 def extreme_point(
@@ -212,8 +209,8 @@ def extreme_point(
     magnitude (1-alpha)/[u]_q**m at power u.  The hull statement prints
     that coefficient with a minus sign, which conflicts with the sign
     normalization of the t_form subclass; coanalytic_sign selects the
-    stored sign (-1 as printed, +1 for the t_form-compatible variant).
-    The t_form flag is set only when the signs match that normalization.
+    stored sign (-1 as printed, +1 for the t_form-compatible variant), so
+    only the +1 variant is t_form.
 
     Every output except u = 1 analytic has coefficient functional exactly
     1 (to rounding); u = 1 analytic gives 0.
@@ -232,14 +229,10 @@ def extreme_point(
         h[0] = 1.0
         if u >= 2:
             h[u - 1] = -mag
-        return HarmonicFunction(AnalyticSeries(h, trunc=n), AnalyticSeries.zero(n), t_form=True)
+        return HarmonicFunction(AnalyticSeries(h, trunc=n), AnalyticSeries.zero(n))
     g = [0j] * n
     g[u - 1] = coanalytic_sign * mag
-    return HarmonicFunction(
-        AnalyticSeries.identity(n),
-        AnalyticSeries(g, trunc=n),
-        t_form=(coanalytic_sign > 0),
-    )
+    return HarmonicFunction(AnalyticSeries.identity(n), AnalyticSeries(g, trunc=n))
 
 
 def convex_combination(
@@ -287,7 +280,7 @@ def convex_combination(
                 h[u - 1] -= mag
         else:
             g[u - 1] += mag
-    return HarmonicFunction(AnalyticSeries(h, trunc=n), AnalyticSeries(g, trunc=n), t_form=True)
+    return HarmonicFunction(AnalyticSeries(h, trunc=n), AnalyticSeries(g, trunc=n))
 
 
 def sharpness_witness(
@@ -321,9 +314,7 @@ def sharpness_witness(
         h[u - 1] = one_minus / w[u - 1] * v
     for u, v in enumerate(ys, start=1):
         g[u - 1] = one_minus / w[u - 1] * v
-    hs = AnalyticSeries(h, trunc=n)
-    gs = AnalyticSeries(g, trunc=n)
-    return HarmonicFunction(hs, gs, t_form=_t_structure(hs, gs))
+    return HarmonicFunction(AnalyticSeries(h, trunc=n), AnalyticSeries(g, trunc=n))
 
 
 def _r2_coefficient(b1: float, p: ClassParams) -> float:
@@ -363,17 +354,22 @@ def growth_bounds(b1_mag: float, r: float, p: ClassParams) -> GrowthBounds:
     )
 
 
-def growth_witness_upper(b1_mag: float, p: ClassParams, *, trunc: int = DEFAULT_TRUNC) -> HarmonicFunction:
-    """z + b1 conj(z) + ((1 - alpha - b1)/[2]_q**m) conj(z)**2; its modulus
-    on the positive real axis equals the upper growth bound."""
+def _witness_terms(b1_mag: float, p: ClassParams, trunc: int) -> tuple[float, float, int]:
+    """(b1, r**2 coefficient, series length) of a growth witness, which
+    needs powers 1 and 2, so 2 <= trunc <= MAX_JSON_TRUNC."""
     b1 = float(b1_mag)
     if not 0.0 <= b1 <= 1.0 - p.alpha:
         raise DomainError(f"witness requires 0 <= |b_1| <= 1 - alpha, got {b1_mag!r}")
-    c = _r2_coefficient(b1, p)
-    g = [0j] * trunc
-    g[0] = b1
-    g[1] = c
-    return HarmonicFunction(AnalyticSeries.identity(trunc), AnalyticSeries(g, trunc=trunc), t_form=True)
+    if operator.index(trunc) < 2:
+        raise DomainError(f"a growth witness needs trunc >= 2, got {trunc!r}")
+    return b1, _r2_coefficient(b1, p), _series_length(trunc)
+
+
+def growth_witness_upper(b1_mag: float, p: ClassParams, *, trunc: int = DEFAULT_TRUNC) -> HarmonicFunction:
+    """z + b1 conj(z) + ((1 - alpha - b1)/[2]_q**m) conj(z)**2; its modulus
+    on the positive real axis equals the upper growth bound."""
+    b1, c, n = _witness_terms(b1_mag, p, trunc)
+    return HarmonicFunction(AnalyticSeries.identity(n), AnalyticSeries((b1, c), trunc=n))
 
 
 def growth_witness_lower(b1_mag: float, p: ClassParams, *, trunc: int = DEFAULT_TRUNC) -> AnalyticSeries:
@@ -384,8 +380,5 @@ def growth_witness_lower(b1_mag: float, p: ClassParams, *, trunc: int = DEFAULT_
     normalized HarmonicFunction; it is returned as a plain series for
     pointwise evaluation.
     """
-    b1 = float(b1_mag)
-    if not 0.0 <= b1 <= 1.0 - p.alpha:
-        raise DomainError(f"witness requires 0 <= |b_1| <= 1 - alpha, got {b1_mag!r}")
-    c = _r2_coefficient(b1, p)
-    return AnalyticSeries((1.0 - b1, -c), trunc=trunc)
+    b1, c, n = _witness_terms(b1_mag, p, trunc)
+    return AnalyticSeries((1.0 - b1, -c), trunc=n)

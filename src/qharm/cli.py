@@ -11,8 +11,10 @@ check failed (valid run, negative result); 2 usage or parse error,
 including malformed series JSON (the diagnostic names the offending
 field), and any failure to write a result (--out, --csv, or a closed
 stdout such as ``qharm probe ... | head -1``).  The environment variable
-QHARM_TOL overrides the default check tolerance of 1e-9; it is read on
-every run, and an unparseable value is a usage error.
+QHARM_TOL overrides the default check tolerance of 1e-9 for verify and
+scan, the two subcommands that sample the disc; they read it on every
+run, and an unparseable value is a usage error there.  The other
+subcommands ignore it.
 
 The argument parser is built once per process and reused by every run(),
 so in-process callers pay for argparse set-up only on the first call.
@@ -159,31 +161,31 @@ def _parse_indexed(values: list[str] | None, lowest: int, flag: str) -> dict[int
 # --- subcommand handlers: each returns (payload, passed) -------------------
 
 
-def _cmd_qint(args, tol: float):
+def _cmd_qint(args):
     q = QParam(args.q)
     value = q_integer(args.u, q) if args.m is None else q_integer_pow(args.u, q, args.m)
     return value, True
 
 
-def _cmd_dq(args, tol: float):
+def _cmd_dq(args):
     f = _input(args)
     q = QParam(args.q)
     return {"h": _power_series_json(q_derivative(f.h, q)), "g": _power_series_json(q_derivative(f.g, q))}, True
 
 
-def _cmd_salagean(args, tol: float):
+def _cmd_salagean(args):
     f = _input(args)
     p = _operator_params(args)
     return harmonic_to_json(salagean_harmonic(f, p)), True
 
 
-def _cmd_transform(args, tol: float):
+def _cmd_transform(args):
     f = _input(args)
     p = _operator_params(args)
     return _power_series_json(class_transform(f, p)), True
 
 
-def _cmd_check(args, tol: float):
+def _cmd_check(args):
     f = _input(args)
     p = _class_params(args)
     functional = coeff_functional(f, p)
@@ -193,14 +195,14 @@ def _cmd_check(args, tol: float):
     return {"functional": functional, "sufficient": sufficient, "t_form": f.t_form, "t_member": t_member}, verdict
 
 
-def _cmd_extremal(args, tol: float):
+def _cmd_extremal(args):
     p = _class_params(args)
     sign = 1 if args.positive_coanalytic else -1
     f = extreme_point(args.u, args.kind, p, coanalytic_sign=sign)
     return harmonic_to_json(f), True
 
 
-def _cmd_combine(args, tol: float):
+def _cmd_combine(args):
     p = _class_params(args)
     terms = []
     for item in args.point:
@@ -214,7 +216,7 @@ def _cmd_combine(args, tol: float):
     return harmonic_to_json(convex_combination(terms, p)), True
 
 
-def _cmd_witness(args, tol: float):
+def _cmd_witness(args):
     p = _class_params(args)
     x_map = _parse_indexed(args.x, 2, "--x")
     y_map = _parse_indexed(args.y, 1, "--y")
@@ -223,15 +225,16 @@ def _cmd_witness(args, tol: float):
     return harmonic_to_json(sharpness_witness(xs, ys, p)), True
 
 
-def _cmd_growth(args, tol: float):
+def _cmd_growth(args):
     p = _class_params(args)
     b = growth_bounds(args.b1, args.r, p)
     return {"lower": b.lower, "upper": b.upper, "radius": b.radius}, True
 
 
-def _cmd_verify(args, tol: float):
+def _cmd_verify(args):
     from . import verify
 
+    tol = _tolerance()
     f = _input(args)
     p = _class_params(args)
     grid = verify.DiskGrid(**_grid_kwargs(args))
@@ -248,16 +251,17 @@ def _cmd_verify(args, tol: float):
     return [r.to_dict() for r in reports], all(r.passed for r in reports)
 
 
-def _cmd_probe(args, tol: float):
+def _cmd_probe(args):
     f = _input(args)
     p = _class_params(args)
     report = necessity_probe(f, p, _parse_radii(args.radii))
     return report.to_dict(), report.passed
 
 
-def _cmd_scan(args, tol: float):
+def _cmd_scan(args):
     from . import verify
 
+    tol = _tolerance()
     p = _class_params(args)
     report = verify.counterexample_scan(p, args.trials, args.seed, pair_budget=args.pair_budget, tolerance=tol)
     return report.to_dict(), True
@@ -400,7 +404,7 @@ def run(argv: list[str]) -> int:
     raising SystemExit, so it can be driven in-process."""
     try:
         args = build_parser().parse_args(argv)
-        payload, passed = args.handler(args, _tolerance())
+        payload, passed = args.handler(args)
         _emit(payload, getattr(args, "out", None))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK

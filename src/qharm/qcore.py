@@ -24,9 +24,22 @@ from dataclasses import dataclass
 MEMBERSHIP_TOL = 1e-12
 DEFAULT_TOLERANCE = 1e-9
 
+# Largest power a series may carry (the trunc of a series JSON document,
+# whose parser pads both parts to it) and a weight query may name.
+MAX_JSON_TRUNC = 4096
+
 
 class DomainError(ValueError):
     """An argument lies outside an operation's mathematical domain."""
+
+
+def at_most(n: int, limit: int, what: str) -> int:
+    """``n`` as an int, refused with DomainError above ``limit``; callers
+    check a size here before they allocate or loop in proportion to it."""
+    n = operator.index(n)
+    if n > limit:
+        raise DomainError(f"{what} {n} exceeds the limit {limit}")
+    return n
 
 
 @dataclass(frozen=True)
@@ -81,10 +94,10 @@ def weights(n: int, q: QParam, m: int, classical: bool = False) -> tuple[float, 
 
 
 def q_integer(u: int, q: QParam) -> float:
-    """[u]_q = 1 + q + ... + q**(u-1); see weights."""
-    return weights(u, q, 1)[-1]
+    """[u]_q = 1 + q + ... + q**(u-1) for u <= MAX_JSON_TRUNC; see weights."""
+    return q_integer_pow(u, q, 1)
 
 
 def q_integer_pow(u: int, q: QParam, m: int) -> float:
-    """[u]_q raised to the m-th power; see weights."""
-    return weights(u, q, m)[-1]
+    """[u]_q raised to the m-th power, for u <= MAX_JSON_TRUNC; see weights."""
+    return weights(at_most(u, MAX_JSON_TRUNC, "u"), q, m)[-1]

@@ -17,14 +17,7 @@ import operator
 from dataclasses import dataclass
 
 from .qcore import DomainError, QParam, weights
-from .series import (
-    AnalyticSeries,
-    HarmonicFunction,
-    PowerSeries,
-    _t_structure,
-    eval_analytic,
-    eval_power,
-)
+from .series import AnalyticSeries, HarmonicFunction, PowerSeries, eval_analytic, eval_power
 
 
 @dataclass(frozen=True)
@@ -84,16 +77,14 @@ def salagean_harmonic(f: HarmonicFunction, p: OperatorParams) -> HarmonicFunctio
     """Apply the operator to a harmonic pair: the analytic part is
     transformed directly and the co-analytic part picks up the factor
     (-1)**m, so that evaluating the result as h(z) + conj(g(z)) gives the
-    operator value on f.
-
-    The t_form flag of the result is recomputed from the coefficient signs
-    (odd orders flip them).
+    operator value on f.  Odd orders flip the signs of g, and with them
+    whether the result is t_form.
     """
     h2 = salagean(f.h, p)
     g2 = salagean(f.g, p)
     if p.m % 2:
         g2 = AnalyticSeries(tuple(-c for c in g2.coeffs), trunc=g2.trunc_degree)
-    return HarmonicFunction(h2, g2, t_form=_t_structure(h2, g2))
+    return HarmonicFunction(h2, g2)
 
 
 def class_transform(f: HarmonicFunction, p: OperatorParams) -> PowerSeries:

@@ -15,16 +15,13 @@ unrestricted.
 from __future__ import annotations
 
 import cmath
+import math
 import operator
 from typing import Iterable, Mapping
 
-from .qcore import DomainError
+from .qcore import MAX_JSON_TRUNC, DomainError
 
 DEFAULT_TRUNC = 32
-
-# Largest trunc a series JSON document may declare: the parser pads both
-# parts to trunc, so this bounds the memory one input can claim.
-MAX_JSON_TRUNC = 4096
 
 
 class SchemaError(ValueError):
@@ -131,16 +128,16 @@ class HarmonicFunction:
     Invariants enforced at construction: the h coefficient of z is exactly
     1, and the g coefficient of z has modulus at most 1 (modulus exactly 1
     sits on the closure boundary and is admitted so that the one-term
-    boundary functions of the family are constructible).  When ``t_form``
-    is set, every h coefficient beyond the first must be real and <= 0 and
-    every g coefficient real and >= 0; that is the sign normalization under
-    which the coefficient criterion is an equivalence rather than only a
-    sufficient condition.
+    boundary functions of the family are constructible).  ``t_form`` is
+    read from the coefficients: True iff every h coefficient beyond the
+    first is real and <= 0 and every g coefficient real and >= 0, the sign
+    normalization under which the coefficient criterion is an equivalence
+    rather than only a sufficient condition.
     """
 
     __slots__ = ("_h", "_g", "_t_form")
 
-    def __init__(self, h: AnalyticSeries, g: AnalyticSeries | None = None, t_form: bool = False):
+    def __init__(self, h: AnalyticSeries, g: AnalyticSeries | None = None):
         if g is None:
             g = AnalyticSeries.zero(trunc=h.trunc_degree)
         trunc = max(h.trunc_degree, g.trunc_degree)
@@ -152,12 +149,9 @@ class HarmonicFunction:
             raise ValueError(f"h must be normalized with coefficient 1 at z, got {h.coeffs[0]!r}")
         if abs(g.coeffs[0]) > 1.0:
             raise DomainError(f"|b_1| must not exceed 1, got {abs(g.coeffs[0])!r}")
-        t_form = bool(t_form)
-        if t_form and not _t_structure(h, g):
-            raise ValueError("t_form flag set but coefficients do not have the required signs")
         self._h = h
         self._g = g
-        self._t_form = t_form
+        self._t_form = _t_structure(h, g)
 
     @property
     def h(self) -> AnalyticSeries:
@@ -202,21 +196,21 @@ class HarmonicFunction:
             if not (mag >= 0.0):
                 raise DomainError(f"magnitude for power {u} must be >= 0, got {mag!r}")
             g[u - 1] = float(mag)
-        return cls(AnalyticSeries(h, trunc=trunc), AnalyticSeries(g, trunc=trunc), t_form=True)
+        return cls(AnalyticSeries(h, trunc=trunc), AnalyticSeries(g, trunc=trunc))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, HarmonicFunction):
             return NotImplemented
-        return self._h == other._h and self._g == other._g and self._t_form == other._t_form
+        return self._h == other._h and self._g == other._g
 
     def __hash__(self) -> int:
-        return hash((self._h, self._g, self._t_form))
+        return hash((self._h, self._g))
 
     def __repr__(self) -> str:
         return f"HarmonicFunction(h={self._h!r}, g={self._g!r}, t_form={self._t_form})"
 
 
-def eval_analytic(s: AnalyticSeries, z: complex) -> complex:
+def eval_analytic(s: AnalyticSeries, z):
     """Evaluate sum c_u z**u as z times the Horner value of its coefficients.
 
     Values with |z| > 1 are allowed; the series is simply evaluated as the
@@ -225,16 +219,33 @@ def eval_analytic(s: AnalyticSeries, z: complex) -> complex:
     return eval_power(s, z) * z
 
 
-def eval_power(s: PowerSeries | AnalyticSeries, z: complex) -> complex:
-    """Evaluate sum c_u z**u (from u = 0) by Horner's scheme; s(z)/z for an AnalyticSeries."""
+def eval_power(s: PowerSeries | AnalyticSeries, z):
+    """Evaluate sum c_u z**u (from u = 0) by Horner's scheme; s(z)/z for an AnalyticSeries.
+
+    ``z`` is a complex number or a numpy array of them (the result is then
+    an array of the same shape; numpy's complex multiply may round
+    differently from Python's, so it need not equal the scalar values bit
+    for bit).  The run of highest-power +0+0j
+    coefficients is skipped: from the zero seed each such step gives
+    exactly +0+0j again for finite z, so the result is bitwise that of the
+    full loop.  A zero with a -0.0 part is kept, since adding it can flip
+    the sign of a zero, and so is the first coefficient.
+    """
+    coeffs = s.coeffs
+    n = len(coeffs)
+    while n > 1:
+        c = coeffs[n - 1]
+        if c != 0 or math.copysign(1.0, c.real) + math.copysign(1.0, c.imag) != 2.0:
+            break
+        n -= 1
     acc = 0j
-    for c in reversed(s.coeffs):
+    for c in reversed(coeffs[:n]):
         acc = acc * z + c
     return acc
 
 
-def eval_harmonic(f: HarmonicFunction, z: complex) -> complex:
-    """f(z) = h(z) + conj(g(z))."""
+def eval_harmonic(f: HarmonicFunction, z):
+    """f(z) = h(z) + conj(g(z)), for a complex z or a numpy array."""
     return eval_analytic(f.h, z) + eval_analytic(f.g, z).conjugate()
 
 
@@ -255,7 +266,7 @@ def classical_derivative(s: AnalyticSeries) -> PowerSeries:
 def is_t_form(f: HarmonicFunction) -> bool:
     """True iff every h coefficient beyond the first is real and <= 0 and
     every g coefficient is real and >= 0 (exact zero-imaginary test)."""
-    return _t_structure(f.h, f.g)
+    return f.t_form
 
 
 # --- JSON wire format -------------------------------------------------------
@@ -294,8 +305,7 @@ def _parse_pairs(obj: object, field: str, trunc: int) -> tuple[complex, ...]:
 
 def harmonic_from_json(obj: object) -> HarmonicFunction:
     """Parse the series JSON schema; raises SchemaError naming the
-    offending field.  The t_form flag is recovered structurally from the
-    coefficient signs."""
+    offending field."""
     if not isinstance(obj, dict):
         raise SchemaError("$", f"expected a JSON object, got {type(obj).__name__}")
     for key in ("trunc", "h", "g"):
@@ -310,6 +320,4 @@ def harmonic_from_json(obj: object) -> HarmonicFunction:
         raise SchemaError("h[0]", "must be [1, 0] (normalization of the analytic part)")
     if g_coeffs and abs(g_coeffs[0]) > 1.0:
         raise SchemaError("g[0]", f"|b_1| must not exceed 1, got modulus {abs(g_coeffs[0])!r}")
-    h = AnalyticSeries(h_coeffs, trunc=trunc)
-    g = AnalyticSeries(g_coeffs, trunc=trunc)
-    return HarmonicFunction(h, g, t_form=_t_structure(h, g))
+    return HarmonicFunction(AnalyticSeries(h_coeffs, trunc=trunc), AnalyticSeries(g_coeffs, trunc=trunc))

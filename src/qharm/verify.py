@@ -19,23 +19,22 @@ import functools
 import math
 import operator
 from dataclasses import asdict, dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .qcore import DEFAULT_TOLERANCE, DomainError, weights
+from .qcore import DEFAULT_TOLERANCE, DomainError, at_most, weights
 from .classes import ClassParams, coeff_functional, growth_bounds, member_t_iff, proof_step_violations
 from .classes import DEFAULT_PROBE_RADII, ProbeReport, necessity_probe  # noqa: F401 (re-exported)
 from .salagean import class_transform
-from .series import (
-    DEFAULT_TRUNC,
-    AnalyticSeries,
-    HarmonicFunction,
-    classical_derivative,
-)
+from .series import DEFAULT_TRUNC, AnalyticSeries, HarmonicFunction, classical_derivative, eval_harmonic, eval_power
 
 DEFAULT_RADII = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99, 0.999)
 DEFAULT_ANGULAR_COUNT = 256
+
+# Size limits, each checked before anything is allocated or looped over.
+MAX_ANGULAR_COUNT = 2**16
+MAX_PAIR_BUDGET = 2**20
+MAX_TRIALS = 10**5
 
 
 @dataclass(frozen=True)
@@ -58,7 +57,7 @@ class DiskGrid:
                 raise DomainError(f"radii must lie strictly inside (0, 1), got {r!r}")
         if any(b <= a for a, b in zip(radii, radii[1:])):
             raise DomainError(f"radii must be strictly increasing, got {radii!r}")
-        k = operator.index(self.angular_count)
+        k = at_most(self.angular_count, MAX_ANGULAR_COUNT, "angular_count")
         if k < 4:
             raise DomainError(f"angular_count must be >= 4, got {self.angular_count!r}")
         object.__setattr__(self, "radii", radii)
@@ -111,42 +110,16 @@ class VerificationReport:
         }
 
 
-def _eval_poly(coeffs: Sequence[complex], z: np.ndarray) -> np.ndarray:
-    # Horner with a zero seed.  numpy's complex multiply may round
-    # differently from Python's scalar one, so grid values need not match
-    # the scalar evaluators bit for bit; every grid report goes through this
-    # one function, so grid reports are consistent with each other.
-    # The run of highest-power +0+0j coefficients is skipped: from the zero
-    # seed each such step gives exactly +0+0j again for finite z.  A zero
-    # with a -0.0 part is kept, since adding it can flip the sign of a zero.
-    n = len(coeffs)
-    while n:
-        c = coeffs[n - 1]
-        if c != 0 or math.copysign(1.0, c.real) + math.copysign(1.0, c.imag) != 2.0:
-            break
-        n -= 1
-    acc = np.zeros(z.shape, dtype=np.complex128)
-    for c in reversed(coeffs[:n]):
-        acc = acc * z + c
-    return acc
-
-
-def _eval_harmonic(f: HarmonicFunction, z: np.ndarray) -> np.ndarray:
-    return _eval_poly(f.h.coeffs, z) * z + np.conjugate(_eval_poly(f.g.coeffs, z) * z)
-
-
 # --- pointwise margins: each check is one of these plus _min_report -----------
 
 
 def _re_condition_margins(f: HarmonicFunction, p: ClassParams, z: np.ndarray) -> np.ndarray:
     t = class_transform(f, p.operator_params())
-    return np.real(_eval_poly(t.coeffs, z)) - p.alpha
+    return np.real(eval_power(t, z)) - p.alpha
 
 
 def _sense_preserving_margins(f: HarmonicFunction, z: np.ndarray) -> np.ndarray:
-    hp = classical_derivative(f.h).coeffs
-    gp = classical_derivative(f.g).coeffs
-    return np.abs(_eval_poly(hp, z)) - np.abs(_eval_poly(gp, z))
+    return np.abs(eval_power(classical_derivative(f.h), z)) - np.abs(eval_power(classical_derivative(f.g), z))
 
 
 def _growth_margins(f: HarmonicFunction, p: ClassParams, grid: DiskGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -156,7 +129,7 @@ def _growth_margins(f: HarmonicFunction, p: ClassParams, grid: DiskGrid) -> tupl
     k = grid.angular_count
     lowers = np.repeat([b.lower for b in bounds], k)
     uppers = np.repeat([b.upper for b in bounds], k)
-    mod = np.abs(_eval_harmonic(f, grid.points()))
+    mod = np.abs(eval_harmonic(f, grid.points()))
     return mod - lowers, uppers - mod
 
 
@@ -212,9 +185,7 @@ def injectivity_sample_check(
     Passes only with margin strictly above the tolerance.  argmin_point
     records the first point of the worst pair.
     """
-    pair_budget = operator.index(pair_budget)
-    if pair_budget < 1:
-        raise DomainError(f"pair_budget must be >= 1, got {pair_budget!r}")
+    pair_budget = _pair_budget(pair_budget)
     z = grid.points()
     n = z.size
     rng = np.random.default_rng(seed)
@@ -222,8 +193,15 @@ def injectivity_sample_check(
     j = rng.integers(0, n, size=pair_budget)
     j = np.where(i == j, (j + 1) % n, j)
     zi, zj = z[i], z[j]
-    ratios = np.abs(_eval_harmonic(f, zi) - _eval_harmonic(f, zj)) / np.abs(zi - zj)
+    ratios = np.abs(eval_harmonic(f, zi) - eval_harmonic(f, zj)) / np.abs(zi - zj)
     return _min_report("injectivity", ratios, zi, tolerance, strict=True)
+
+
+def _pair_budget(n: int) -> int:
+    n = at_most(n, MAX_PAIR_BUDGET, "pair_budget")
+    if n < 1:
+        raise DomainError(f"pair_budget must be >= 1, got {n!r}")
+    return n
 
 
 def growth_bound_check(
@@ -377,9 +355,10 @@ def counterexample_scan(
     the resolution of the default DiskGrid).  Deterministic for a given
     seed: trial t uses the generator seeded with (seed, t).
     """
-    trials = operator.index(trials)
+    trials = at_most(trials, MAX_TRIALS, "trials")
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials!r}")
+    pair_budget = _pair_budget(pair_budget)
     seed = operator.index(seed)
     grid = DiskGrid()
     flagged = []

@@ -89,10 +89,7 @@ def test_member_t_iff_accepts_boundary():
 
 
 def test_member_t_iff_near_boundary_b1():
-    f = pair([], [0.999])
-    assert member_t_iff(
-        HarmonicFunction(f.h, f.g, t_form=True), params(0, 0.0, 0.5)
-    )
+    assert member_t_iff(pair([], [0.999]), params(0, 0.0, 0.5))
 
 
 def test_member_t_iff_rejects_violator():
@@ -393,3 +390,24 @@ def test_constructions_refuse_longer_series_before_allocating(u):
             build()
     with pytest.raises(DomainError, match="exceeds the limit"):
         sharpness_witness([], [0j] * MAX_JSON_TRUNC + [1.0], p)
+
+
+@pytest.mark.parametrize("witness", [growth_witness_upper, growth_witness_lower])
+def test_growth_witnesses_need_trunc_from_two_to_the_limit(witness):
+    # trunc 1 has no z**2 slot; at 10**12 a refusal after allocation would
+    # be a MemoryError
+    p = params(1, 0.0, 0.5)
+    for trunc in (1, 0):
+        with pytest.raises(DomainError, match="trunc >= 2"):
+            witness(0.3, p, trunc=trunc)
+    for trunc in (MAX_JSON_TRUNC + 1, 10**12):
+        with pytest.raises(DomainError, match=f"series length {trunc} exceeds the limit {MAX_JSON_TRUNC}"):
+            witness(0.3, p, trunc=trunc)
+    assert witness(0.3, p, trunc=MAX_JSON_TRUNC).trunc_degree == MAX_JSON_TRUNC
+
+
+def test_growth_witnesses_keep_the_square_term_at_trunc_two():
+    p = params(1, 0.0, 0.5)
+    c = 0.7 / 1.5  # (1 - alpha - b1) / [2]_q
+    assert growth_witness_upper(0.3, p, trunc=2).g.coeffs == pytest.approx((0.3, c))
+    assert growth_witness_lower(0.3, p, trunc=2).coeffs == pytest.approx((0.7, -c))

@@ -6,18 +6,22 @@ import sys
 import pytest
 
 from qharm import (
+    AnalyticSeries,
     ClassParams,
+    HarmonicFunction,
     QParam,
     coeff_functional,
     convex_combination,
     extreme_point,
     harmonic_from_json,
+    harmonic_to_json,
     member_t_iff,
     satisfies_sufficient,
     sharpness_witness,
 )
 from qharm.qcore import DEFAULT_TOLERANCE, MEMBERSHIP_TOL
 from qharm.series import MAX_JSON_TRUNC
+from qharm.verify import MAX_ANGULAR_COUNT, MAX_PAIR_BUDGET, MAX_TRIALS
 from qharm.cli import build_parser, run
 
 IDENTITY_DOC = {"trunc": 4, "h": [[1, 0]], "g": []}
@@ -286,6 +290,21 @@ def test_tolerance_env_override(tmp_path, capsys, monkeypatch):
     assert all(r["tolerance"] == 1e-6 for r in reports)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["qint", "--u", "3", "--q", "0.5"], ["check", "--in", "{id}", "--m", "0", "--alpha", "0.5", "--q", "0.5"]],
+)
+def test_tolerance_env_reaches_only_verify_and_scan(tmp_path, capsys, monkeypatch, argv):
+    path = write_json(tmp_path / "id.json", IDENTITY_DOC)
+    monkeypatch.setenv("QHARM_TOL", "abc")
+    assert run([a.format(id=path) for a in argv]) == 0
+    assert capsys.readouterr().err == ""
+    cls = ["--m", "0", "--alpha", "0.5", "--q", "0.5"]
+    for sampled in (["verify", "--in", path, *cls], ["scan", "--trials", "1", "--seed", "0", *cls]):
+        assert run(sampled) == 2
+        assert "QHARM_TOL: not a real number" in capsys.readouterr().err
+
+
 def test_module_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "qharm", "qint", "--u", "3", "--q", "0.5"],
@@ -511,3 +530,36 @@ def test_out_file_holds_stdout_bytes_and_exit_is_verdict(tmp_path, capsys, case)
         assert code == 0
     if case.endswith("-violator"):
         assert code == 1
+
+
+def test_library_and_json_agree_on_t_form(tmp_path, capsys):
+    f = HarmonicFunction(AnalyticSeries.identity(4))
+    p = ClassParams(m=0, alpha=0.5, q=QParam(0.5))
+    path = write_json(tmp_path / "id.json", harmonic_to_json(f))
+    assert run(["check", "--in", path, "--m", "0", "--alpha", "0.5", "--q", "0.5"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["t_form"] is f.t_form is True
+    assert doc["t_member"] is member_t_iff(f, p) is True
+
+
+@pytest.mark.parametrize(
+    "argv,name,limit",
+    [
+        (["qint", "--q", "0.5", "--u", "{n}"], "u", MAX_JSON_TRUNC),
+        (["scan", "--seed", "0", "--trials", "{n}"], "trials", MAX_TRIALS),
+        (["scan", "--seed", "0", "--trials", "1", "--pair-budget", "{n}"], "pair_budget", MAX_PAIR_BUDGET),
+        (["verify", "--in", "{id}", "--radii", "0.5", "--pair-budget", "{n}"], "pair_budget", MAX_PAIR_BUDGET),
+        (["verify", "--in", "{id}", "--radii", "0.5", "--angles", "{n}"], "angular_count", MAX_ANGULAR_COUNT),
+    ],
+)
+@pytest.mark.parametrize("excess", [1, 10**12])
+def test_sizes_beyond_their_limit_are_usage_errors(tmp_path, capsys, argv, name, limit, excess):
+    path = write_json(tmp_path / "id.json", IDENTITY_DOC)
+    cls = [] if argv[0] == "qint" else ["--m", "0", "--alpha", "0.5", "--q", "0.5"]
+    assert run([*(a.format(n=limit + excess, id=path) for a in argv), *cls]) == 2
+    assert capsys.readouterr().err == f"error: {name} {limit + excess} exceeds the limit {limit}\n"
+
+
+def test_qint_at_its_limit(capsys):
+    assert run(["qint", "--q", "0.5", "--u", str(MAX_JSON_TRUNC)]) == 0
+    assert float(capsys.readouterr().out) == 2.0

@@ -27,10 +27,10 @@ from qharm import (
     class_transform,
     classical_derivative,
     counterexample_scan,
+    eval_power,
     growth_bound_check,
     growth_bounds,
     injectivity_sample_check,
-    is_t_form,
     margin_rows,
     member_t_iff,
     re_condition_margin,
@@ -39,7 +39,6 @@ from qharm import (
 )
 from qharm import verify
 from qharm.qcore import weights
-from qharm.verify import _eval_poly
 
 # --- reference engine ---------------------------------------------------------------
 
@@ -179,7 +178,6 @@ def functions(draw):
         h = [h[0]] + [complex(-abs(c.real) / 8.0, 0.0) for c in h[1:]]
         g = [complex(abs(c.real) / 8.0, 0.0) for c in g]
     f = HarmonicFunction(AnalyticSeries(h, trunc=trunc), AnalyticSeries(g, trunc=trunc))
-    f = HarmonicFunction(f.h, f.g, t_form=is_t_form(f))
     if draw(st.booleans()):
         m = draw(st.sampled_from([1, 3]))
         f = salagean_harmonic(f, OperatorParams(m, QParam(draw(st.sampled_from([0.5, 0.9])))))
@@ -212,8 +210,8 @@ class_params = st.builds(
 )
 def test_engine_matches_reference_bitwise(f, p, grid, pair_budget, seed):
     z = ref_points(grid)
-    for coeffs in (f.h.coeffs, f.g.coeffs):
-        assert np.array_equal(_eval_poly(coeffs, z).view(np.uint64), ref_poly(coeffs, z).view(np.uint64))
+    for s in (f.h, f.g):
+        assert np.array_equal(eval_power(s, z).view(np.uint64), ref_poly(s.coeffs, z).view(np.uint64))
     tol = 1e-9
     assert_same(re_condition_margin(f, p, grid, tolerance=tol).to_dict(), ref_re_condition(f, p, grid, tol))
     assert_same(sense_preserving_margin(f, grid, tolerance=tol).to_dict(), ref_sense_preserving(f, grid, tol))
@@ -237,15 +235,28 @@ def test_grid_points_cached_and_read_only(grid):
 
 def test_negative_zero_coefficients_are_evaluated():
     # An odd-order image negates the co-analytic zeros.  Horner over a
-    # -0.0 part gives zeros whose sign depends on z, so such a coefficient
-    # must not be skipped like +0+0j.
-    f = HarmonicFunction(AnalyticSeries([1.0], trunc=1), AnalyticSeries([], trunc=1))
-    g = salagean_harmonic(f, OperatorParams(1, QParam(0.5))).g.coeffs
-    assert np.signbit(g[0].real) and np.signbit(g[0].imag)
+    # -0.0 part gives zeros whose sign depends on z and on the number of
+    # such steps, so such a coefficient must not be skipped like +0+0j.
     z = ref_points(DiskGrid(radii=(0.5,), angular_count=8))
-    expected = ref_poly(g, z)
-    assert np.signbit(expected.real).any() and not np.signbit(expected.real).all()
-    assert np.array_equal(_eval_poly(g, z).view(np.uint64), expected.view(np.uint64))
+    for trunc in (1, 3):
+        f = HarmonicFunction(AnalyticSeries([1.0], trunc=trunc), AnalyticSeries([], trunc=trunc))
+        g = salagean_harmonic(f, OperatorParams(1, QParam(0.5))).g
+        assert all(np.signbit(c.real) and np.signbit(c.imag) for c in g.coeffs)
+        assert np.array_equal(eval_power(g, z).view(np.uint64), ref_poly(g.coeffs, z).view(np.uint64))
+    # one step leaves real zeros of either sign, three leave only +0.0
+    assert np.signbit(ref_poly(g.coeffs[:1], z).real).any()
+    assert not np.signbit(ref_poly(g.coeffs, z).real).any()
+
+
+@given(trunc=st.integers(min_value=1, max_value=8), grid=grids)
+def test_array_in_array_out(trunc, grid):
+    # the trim keeps the first coefficient, so even an all-zero series
+    # evaluates to an array shaped like z
+    z = grid.points()
+    for s in (AnalyticSeries.zero(trunc), AnalyticSeries.identity(trunc)):
+        value = eval_power(s, z)
+        assert isinstance(value, np.ndarray) and value.shape == z.shape
+        assert np.array_equal(value.view(np.uint64), ref_poly(s.coeffs, z).view(np.uint64))
 
 
 def ref_gap_candidate(p, rng):

@@ -1,22 +1,33 @@
 import json
+import struct
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from qharm import (
     AnalyticSeries,
+    ClassParams,
     DomainError,
     HarmonicFunction,
+    OperatorParams,
     PowerSeries,
+    QParam,
     SchemaError,
     classical_derivative,
+    convex_combination,
     eval_analytic,
     eval_harmonic,
     eval_power,
+    extreme_point,
+    growth_witness_upper,
     hadamard,
     harmonic_from_json,
     harmonic_to_json,
     is_t_form,
+    random_t_form,
+    salagean_harmonic,
+    sharpness_witness,
 )
 from qharm.series import MAX_JSON_TRUNC
 
@@ -91,12 +102,6 @@ def test_harmonic_b1_cap():
 def test_harmonic_pads_parts_to_common_trunc():
     f = HarmonicFunction(AnalyticSeries([1.0], trunc=2), AnalyticSeries([0.5], trunc=6))
     assert f.h.trunc_degree == f.g.trunc_degree == 6
-
-
-def test_t_form_flag_is_validated():
-    h = AnalyticSeries([1.0, 0.1], trunc=4)
-    with pytest.raises(ValueError):
-        HarmonicFunction(h, AnalyticSeries.zero(4), t_form=True)
 
 
 def test_from_t_magnitudes():
@@ -227,17 +232,19 @@ def test_is_t_form_matching_signs():
     f = HarmonicFunction(
         AnalyticSeries([1.0, -0.1], trunc=4), AnalyticSeries([0.2], trunc=4)
     )
-    assert is_t_form(f)
+    assert is_t_form(f) and f.t_form
+    assert HarmonicFunction(AnalyticSeries.identity(4)).t_form
 
 
 def test_is_t_form_positive_a_excluded():
     f = HarmonicFunction(AnalyticSeries([1.0, 0.1], trunc=4))
-    assert not is_t_form(f)
+    assert not is_t_form(f) and not f.t_form
+    assert not HarmonicFunction(AnalyticSeries.identity(4), AnalyticSeries([-0.25], trunc=4)).t_form
 
 
 def test_is_t_form_nonreal_excluded():
     f = HarmonicFunction(AnalyticSeries([1.0, -0.1j], trunc=4))
-    assert not is_t_form(f)
+    assert not is_t_form(f) and not f.t_form
 
 
 # --- JSON wire format ------------------------------------------------------------
@@ -263,6 +270,79 @@ def test_json_recovers_t_form_structurally():
     f = HarmonicFunction.from_t_magnitudes({3: 0.25}, {1: 0.5}, trunc=4)
     f2 = harmonic_from_json(harmonic_to_json(f))
     assert f2.t_form
+
+
+SIGNED_ZEROS = (0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0))
+signed_real = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(min_value=-0.5, max_value=0.5))
+coefficient = st.one_of(st.sampled_from(SIGNED_ZEROS), st.builds(complex, signed_real, signed_real))
+class_params = st.builds(
+    ClassParams,
+    m=st.integers(min_value=0, max_value=4),
+    alpha=st.sampled_from([0.0, 0.25, 0.5]),
+    q=st.sampled_from([QParam(0.5), QParam(0.9)]),
+)
+
+
+@st.composite
+def constructed(draw):
+    """A function from one of the library's constructions, or a direct
+    HarmonicFunction(h, g), optionally mapped by salagean_harmonic."""
+    p = draw(class_params)
+    trunc = draw(st.integers(min_value=2, max_value=12))
+    u = draw(st.integers(min_value=1, max_value=trunc))
+    how = draw(st.sampled_from(["extreme", "combination", "witness", "random", "growth", "direct"]))
+    if how == "extreme":
+        sign = draw(st.sampled_from([-1, 1]))
+        f = extreme_point(u, draw(st.sampled_from(["analytic", "coanalytic"])), p, coanalytic_sign=sign, trunc=trunc)
+    elif how == "combination":
+        w = draw(st.floats(min_value=0.0, max_value=1.0))
+        f = convex_combination([(u, "coanalytic", w), (trunc, "analytic", 1.0 - w)], p, trunc=trunc)
+    elif how == "witness":
+        xs = draw(st.lists(coefficient, min_size=1, max_size=trunc - 1))
+        ys = draw(st.lists(coefficient, max_size=trunc))
+        total = sum(abs(v) for v in xs + ys)
+        if total == 0.0:
+            xs, total = [1.0], 1.0
+        f = sharpness_witness([v / total for v in xs], [v / total for v in ys], p, trunc=trunc)
+    elif how == "random":
+        f = random_t_form(p, draw(st.floats(min_value=0.0, max_value=1.5)), np.random.default_rng(u), trunc=trunc)
+    elif how == "growth":
+        f = growth_witness_upper(draw(st.floats(min_value=0.0, max_value=1.0 - p.alpha)), p, trunc=trunc)
+    else:
+        h = [1.0] + draw(st.lists(coefficient, max_size=trunc - 1))
+        g = draw(st.lists(coefficient, max_size=trunc))
+        f = HarmonicFunction(AnalyticSeries(h, trunc=trunc), AnalyticSeries(g, trunc=trunc))
+    if draw(st.booleans()):
+        f = salagean_harmonic(f, p.operator_params())
+    return f
+
+
+@settings(max_examples=200, deadline=None)
+@given(f=constructed())
+def test_json_round_trip_preserves_equality_and_t_form(f):
+    f2 = harmonic_from_json(json.loads(json.dumps(harmonic_to_json(f))))
+    assert f2 == f and hash(f2) == hash(f)
+    signs = all(c.imag == 0.0 and c.real <= 0.0 for c in f.h.coeffs[1:])
+    signs = signs and all(c.imag == 0.0 and c.real >= 0.0 for c in f.g.coeffs)
+    assert f2.t_form == f.t_form == is_t_form(f) == signs
+    assert repr(f2) == repr(f)
+
+
+def bits(z):
+    return struct.pack("<dd", z.real, z.imag)
+
+
+@given(
+    coeffs=st.lists(coefficient, min_size=1, max_size=6),
+    tail=st.lists(st.sampled_from(SIGNED_ZEROS), max_size=6),
+    z=st.one_of(st.sampled_from(SIGNED_ZEROS), st.complex_numbers(max_magnitude=2.0, allow_nan=False)),
+)
+def test_scalar_eval_power_matches_the_untrimmed_loop_bitwise(coeffs, tail, z):
+    s = PowerSeries(coeffs + tail)
+    acc = 0j
+    for c in reversed(s.coeffs):
+        acc = acc * z + c
+    assert bits(eval_power(s, z)) == bits(acc)
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,6 +29,8 @@ from qharm import (
     sense_preserving_margin,
     write_margin_csv,
 )
+from qharm import verify
+from qharm.verify import MAX_ANGULAR_COUNT, MAX_PAIR_BUDGET, MAX_TRIALS
 
 
 def params(m=0, alpha=0.0, q=0.5):
@@ -381,11 +384,14 @@ def test_margin_csv_skips_growth_for_non_member():
 
 
 def test_removed_tolerance_and_generator_keywords_are_type_errors():
-    # MEMBERSHIP_TOL, the scan's DiskGrid and the generator's envelope are fixed
+    # MEMBERSHIP_TOL, the scan's DiskGrid and the generator's envelope are
+    # fixed, and t_form is read from the coefficient signs
     p = params(1, 0.0, 0.5)
     f = HarmonicFunction.from_t_magnitudes({2: 0.1}, {1: 0.1}, trunc=4)
     rng = np.random.default_rng(0)
     calls = [
+        lambda: HarmonicFunction(f.h, f.g, t_form=True),
+        lambda: HarmonicFunction(AnalyticSeries([1.0, 0.1], trunc=4), AnalyticSeries.zero(4), t_form=True),
         lambda: satisfies_sufficient(f, p, tol=0.1),
         lambda: member_t_iff(f, p, tol=0.1),
         lambda: necessity_probe(f, p, tolerance=0.1),
@@ -397,3 +403,42 @@ def test_removed_tolerance_and_generator_keywords_are_type_errors():
     for call in calls:
         with pytest.raises(TypeError):
             call()
+
+
+# --- size limits: each is checked before anything is allocated or looped over --
+
+
+class Reached(Exception):
+    """Raised by a patched step just past a size check, so that a size at
+    the limit is seen to be accepted without doing the work it asks for."""
+
+
+def test_angular_count_limit():
+    # the grid points are built lazily, so the limit itself costs nothing here
+    assert DiskGrid(angular_count=MAX_ANGULAR_COUNT).size == 11 * MAX_ANGULAR_COUNT
+    for k in (MAX_ANGULAR_COUNT + 1, 10**12):
+        with pytest.raises(DomainError, match=f"angular_count {k} exceeds the limit {MAX_ANGULAR_COUNT}"):
+            DiskGrid(angular_count=k)
+
+
+def test_pair_budget_limit():
+    grid = DiskGrid(radii=(0.5,), angular_count=4)
+    with mock.patch.object(verify.np.random, "default_rng", side_effect=Reached):
+        with pytest.raises(Reached):
+            injectivity_sample_check(IDENTITY, grid, MAX_PAIR_BUDGET)
+        for n in (MAX_PAIR_BUDGET + 1, 10**12):
+            with pytest.raises(DomainError, match=f"pair_budget {n} exceeds the limit {MAX_PAIR_BUDGET}"):
+                injectivity_sample_check(IDENTITY, grid, n)
+            with pytest.raises(DomainError, match=f"pair_budget {n} exceeds the limit"):
+                counterexample_scan(params(), 1, 0, pair_budget=n)
+
+
+def test_trials_limit():
+    with mock.patch.object(verify, "_random_gap_candidate", side_effect=Reached):
+        with pytest.raises(Reached):
+            counterexample_scan(params(), MAX_TRIALS, 0)
+        with pytest.raises(Reached):
+            counterexample_scan(params(), 1, 0, pair_budget=MAX_PAIR_BUDGET)
+        for n in (MAX_TRIALS + 1, 10**12):
+            with pytest.raises(DomainError, match=f"trials {n} exceeds the limit {MAX_TRIALS}"):
+                counterexample_scan(params(), n, 0)
