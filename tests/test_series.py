@@ -99,6 +99,19 @@ def test_harmonic_b1_cap():
     HarmonicFunction(h, AnalyticSeries([1.0], trunc=4))
 
 
+def test_t_form_flag_is_validated():
+    # t_form is read from the coefficient signs; a flag is no longer taken,
+    # whether it matches the signs or not
+    h = AnalyticSeries([1.0, 0.1], trunc=4)
+    with pytest.raises(TypeError):
+        HarmonicFunction(h, AnalyticSeries.zero(4), t_form=True)
+    f = HarmonicFunction.from_t_magnitudes({2: 0.1}, {1: 0.1}, trunc=4)
+    with pytest.raises(TypeError):
+        HarmonicFunction(f.h, f.g, t_form=True)
+    assert not HarmonicFunction(h, AnalyticSeries.zero(4)).t_form
+    assert HarmonicFunction(f.h, f.g).t_form
+
+
 def test_harmonic_pads_parts_to_common_trunc():
     f = HarmonicFunction(AnalyticSeries([1.0], trunc=2), AnalyticSeries([0.5], trunc=6))
     assert f.h.trunc_degree == f.g.trunc_degree == 6

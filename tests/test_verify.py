@@ -385,13 +385,11 @@ def test_margin_csv_skips_growth_for_non_member():
 
 def test_removed_tolerance_and_generator_keywords_are_type_errors():
     # MEMBERSHIP_TOL, the scan's DiskGrid and the generator's envelope are
-    # fixed, and t_form is read from the coefficient signs
+    # fixed
     p = params(1, 0.0, 0.5)
     f = HarmonicFunction.from_t_magnitudes({2: 0.1}, {1: 0.1}, trunc=4)
     rng = np.random.default_rng(0)
     calls = [
-        lambda: HarmonicFunction(f.h, f.g, t_form=True),
-        lambda: HarmonicFunction(AnalyticSeries([1.0, 0.1], trunc=4), AnalyticSeries.zero(4), t_form=True),
         lambda: satisfies_sufficient(f, p, tol=0.1),
         lambda: member_t_iff(f, p, tol=0.1),
         lambda: necessity_probe(f, p, tolerance=0.1),
