@@ -20,7 +20,7 @@ import argparse
 import csv
 import sys
 
-from qharm import ClassParams, QParam, proof_step_violations
+from qharm import ClassParams, DomainError, QParam, proof_step_violations
 
 
 def main() -> int:
@@ -37,8 +37,12 @@ def main() -> int:
     for m in range(args.m_max + 1):
         row = {"m": m}
         for q in qs:
-            p = ClassParams(m=m, alpha=args.alpha, q=QParam(q))
-            violations = proof_step_violations(p, max_u=args.u_max)
+            try:
+                p = ClassParams(m=m, alpha=args.alpha, q=QParam(q))
+                violations = proof_step_violations(p, max_u=args.u_max)
+            except DomainError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 2
             row[f"q={q}"] = max(violations) if violations else 0
         rows.append(row)
         print(row)

@@ -177,8 +177,14 @@ def necessity_probe(
     )
 
 
+# Largest max_u of proof_step_violations: far above MAX_JSON_TRUNC, since
+# the comparison first fails near u = (1 - q)**-m / (1 - alpha).
+MAX_PROOF_STEP_U = 2**20
+
+
 def proof_step_violations(p: ClassParams, *, max_u: int = DEFAULT_TRUNC) -> tuple[int, ...]:
-    """Powers u in 2..max_u where u (1 - alpha) > [u]_q**m.
+    """Powers u in 2..max_u where u (1 - alpha) > [u]_q**m, for max_u up
+    to MAX_PROOF_STEP_U.
 
     Wherever this comparison fails, bounding u |c_u| by
     ([u]_q**m / (1 - alpha)) |c_u| is invalid, so the standard chain from
@@ -186,6 +192,7 @@ def proof_step_violations(p: ClassParams, *, max_u: int = DEFAULT_TRUNC) -> tupl
     not go through pointwise; the sufficient condition itself is then an
     empirical matter, which verify.counterexample_scan probes.
     """
+    max_u = at_most(max_u, MAX_PROOF_STEP_U, "max_u")
     w = weights(max(max_u, 1), p.q, p.m)
     return tuple(u for u in range(2, max_u + 1) if u * (1.0 - p.alpha) > w[u - 1])
 

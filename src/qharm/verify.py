@@ -68,18 +68,19 @@ class DiskGrid:
         return len(self.radii) * self.angular_count
 
     def points(self) -> np.ndarray:
-        """Grid points in lexicographic (radius index, angle index) order, read-only."""
-        return self._points
+        """Grid points in lexicographic (radius index, angle index) order,
+        read-only and shared by every grid with the same fields."""
+        return _grid_points(self.radii, self.angular_count, self.include_positive_axis)
 
-    @functools.cached_property
-    def _points(self) -> np.ndarray:
-        k = self.angular_count
-        offset = 0.0 if self.include_positive_axis else 0.5
-        theta = 2.0 * np.pi * (np.arange(k) + offset) / k
-        ring = np.exp(1j * theta)
-        z = np.concatenate([r * ring for r in self.radii])
-        z.flags.writeable = False
-        return z
+
+@functools.lru_cache(maxsize=8)
+def _grid_points(radii: tuple[float, ...], k: int, include_positive_axis: bool) -> np.ndarray:
+    offset = 0.0 if include_positive_axis else 0.5
+    theta = 2.0 * np.pi * (np.arange(k) + offset) / k
+    ring = np.exp(1j * theta)
+    z = np.concatenate([r * ring for r in radii])
+    z.flags.writeable = False
+    return z
 
 
 @dataclass(frozen=True)
@@ -288,8 +289,9 @@ def _random_gap_candidate(p: ClassParams, rng: np.random.Generator) -> HarmonicF
         kind = "a" if rng.random() < 0.5 else "b"
         u = 2 + int(rng.random() * 6)
         slots.append((kind, u))
-    raws = np.array([0.2 + rng.random() for _ in slots])
-    shares = raws / raws.sum() * target
+    raws = [0.2 + rng.random() for _ in slots]
+    total = sum(raws)  # in order, as numpy sums fewer than 8 elements
+    shares = [r / total * target for r in raws]
     one_minus = 1.0 - p.alpha
     n = max(u for _, u in slots)
     w = weights(n, p.q, p.m)
@@ -350,10 +352,14 @@ def counterexample_scan(
     u (1 - alpha) <= [u]_q**m comparison.
 
     Each trial draws a violator of the coefficient condition and runs the
-    three empirical checks; trials passing all of them are flagged as gap
-    evidence (the sufficient condition is not necessary there, at least at
-    the resolution of the default DiskGrid).  Deterministic for a given
-    seed: trial t uses the generator seeded with (seed, t).
+    three empirical checks in the order Re-condition, sense-preserving,
+    injectivity, stopping at the first that fails; trials passing all of
+    them are flagged as gap evidence (the sufficient condition is not
+    necessary there, at least at the resolution of the default DiskGrid),
+    so margins are reported only for flagged trials.  Deterministic for a
+    given seed: trial t uses the generator seeded with (seed, t) and its
+    injectivity pairs the generator seeded with t, so a skipped check
+    changes no later draw.
     """
     trials = at_most(trials, MAX_TRIALS, "trials")
     if trials < 1:
@@ -369,9 +375,13 @@ def counterexample_scan(
         if functional <= 1.0:
             continue
         re_rep = re_condition_margin(f, p, grid, tolerance=tolerance)
+        if not re_rep.passed:
+            continue
         sp_rep = sense_preserving_margin(f, grid, tolerance=tolerance)
+        if not sp_rep.passed:
+            continue
         inj_rep = injectivity_sample_check(f, grid, pair_budget, seed=trial, tolerance=tolerance)
-        if re_rep.passed and sp_rep.passed and inj_rep.passed:
+        if inj_rep.passed:
             flagged.append(GapExample(trial, functional, re_rep.min_margin, sp_rep.min_margin, inj_rep.min_margin))
     return ScanReport(trials, seed, proof_step_violations(p), tuple(flagged))
 

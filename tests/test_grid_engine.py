@@ -6,8 +6,9 @@ evaluated for the injectivity pairs, and margin_rows with its own margin
 formulas.  The library skips high-order +0+0j coefficients, caches the grid
 points and evaluates only the pair ends; its reports and margin tables must
 equal the reference bit for bit, zero signs included.  Likewise the scan
-builds its candidates at their highest drawn power, and its reports must
-equal those of candidates padded to DEFAULT_TRUNC.
+builds its candidates at their highest drawn power and stops each trial at
+its first failed check, and its reports must equal those of candidates
+padded to DEFAULT_TRUNC with every check run.
 """
 
 import math
@@ -26,6 +27,7 @@ from qharm import (
     QParam,
     class_transform,
     classical_derivative,
+    coeff_functional,
     counterexample_scan,
     eval_power,
     growth_bound_check,
@@ -33,6 +35,7 @@ from qharm import (
     injectivity_sample_check,
     margin_rows,
     member_t_iff,
+    proof_step_violations,
     re_condition_margin,
     salagean_harmonic,
     sense_preserving_margin,
@@ -228,6 +231,7 @@ def test_engine_matches_reference_bitwise(f, p, grid, pair_budget, seed):
 def test_grid_points_cached_and_read_only(grid):
     z = grid.points()
     assert z is grid.points()
+    assert z is DiskGrid(grid.radii, grid.angular_count, grid.include_positive_axis).points()
     assert not z.flags.writeable
     fresh = ref_points(grid)
     assert np.array_equal(z.view(np.uint64), fresh.view(np.uint64))
@@ -295,3 +299,41 @@ def test_scan_matches_padded_candidates(mat, seed, trials):
     with mock.patch.object(verify, "_random_gap_candidate", ref_gap_candidate):
         expected = counterexample_scan(p, trials, seed).to_dict()
     assert_same(got, expected)
+
+
+def exhaustive_scan(p, trials, seed, pair_budget, tolerance):
+    """counterexample_scan's report, padded candidates and all three checks
+    run on every candidate whose functional exceeds 1."""
+    grid = DiskGrid()
+    flagged = []
+    for trial in range(trials):
+        f = ref_gap_candidate(p, np.random.default_rng([seed, trial]))
+        functional = coeff_functional(f, p)
+        if functional <= 1.0:
+            continue
+        re = re_condition_margin(f, p, grid, tolerance=tolerance)
+        sp = sense_preserving_margin(f, grid, tolerance=tolerance)
+        inj = injectivity_sample_check(f, grid, pair_budget, seed=trial, tolerance=tolerance)
+        if re.passed and sp.passed and inj.passed:
+            flagged.append({
+                "trial": trial,
+                "functional": functional,
+                "re_condition_margin": re.min_margin,
+                "sense_preserving_margin": sp.min_margin,
+                "injectivity_margin": inj.min_margin,
+            })
+    return {"trials": trials, "seed": seed, "step_violations": list(proof_step_violations(p)), "gap_examples": flagged}
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    mat=st.sampled_from(SCAN_PARAMS) | st.tuples(st.integers(0, 6), st.floats(0.0, 0.9), st.floats(0.05, 0.99)),
+    seed=st.integers(0, 2**63 - 1),
+    trials=st.integers(1, 40),
+    tolerance=st.sampled_from([0.0, 1e-9, 1e-3]),
+    pair_budget=st.integers(1, 128),
+)
+def test_scan_equals_exhaustive_reference(mat, seed, trials, tolerance, pair_budget):
+    p = ClassParams(m=mat[0], alpha=mat[1], q=QParam(mat[2]))
+    got = counterexample_scan(p, trials, seed, pair_budget=pair_budget, tolerance=tolerance)
+    assert_same(got.to_dict(), exhaustive_scan(p, trials, seed, pair_budget, tolerance))

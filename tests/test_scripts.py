@@ -6,6 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from qharm.classes import MAX_PROOF_STEP_U
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -44,3 +48,12 @@ def test_proof_step_map_runs(tmp_path):
     proc = run_script("proof_step_map.py", "--u-max", "8", "--m-max", "1", "--q-steps", "2", "--out", str(out))
     assert proc.returncode == 0, proc.stderr
     assert csv_header(out) == ["m", "q=0.333333", "q=0.666667"]
+
+
+@pytest.mark.parametrize("u_max", [MAX_PROOF_STEP_U + 1, 10**12])
+def test_proof_step_map_refuses_u_max_above_the_limit(tmp_path, u_max):
+    out = tmp_path / "map.csv"
+    proc = run_script("proof_step_map.py", "--u-max", str(u_max), "--out", str(out))
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: max_u {u_max} exceeds the limit {MAX_PROOF_STEP_U}\n"
+    assert not out.exists()

@@ -29,7 +29,9 @@ from qharm import (
     sense_preserving_margin,
     write_margin_csv,
 )
-from qharm import verify
+from qharm import classes, verify
+from qharm.classes import MAX_PROOF_STEP_U
+from qharm.qcore import MAX_JSON_TRUNC
 from qharm.verify import MAX_ANGULAR_COUNT, MAX_PAIR_BUDGET, MAX_TRIALS
 
 
@@ -70,6 +72,13 @@ def test_grid_points_order_and_axis():
     assert z[0] == 0.5 + 0j  # positive axis point, exactly
     assert z[4] == 0.9 + 0j
     assert grid.size == 8
+
+
+def test_grid_points_shared_by_equal_grids():
+    z = DiskGrid().points()
+    assert DiskGrid().points() is z
+    assert DiskGrid(angular_count=128).points() is not z
+    assert DiskGrid(include_positive_axis=False).points() is not z
 
 
 def test_grid_axis_exclusion():
@@ -342,6 +351,43 @@ def test_scan_reproducible():
     assert a == b
 
 
+def test_scan_stops_each_trial_at_its_first_failed_check():
+    # criterion 10's pinned call: Re-condition first, sense-preservation
+    # only after it passed, injectivity only after both passed
+    p = params(0, 0.0, 0.5)
+    grid = DiskGrid()
+    expected = []
+    for trial in range(40):
+        f = verify._random_gap_candidate(p, np.random.default_rng([20250810, trial]))
+        if coeff_functional(f, p) <= 1.0:
+            continue
+        expected.append(("re_condition_margin", f))
+        if re_condition_margin(f, p, grid).passed:
+            expected.append(("sense_preserving_margin", f))
+            if sense_preserving_margin(f, grid).passed:
+                expected.append(("injectivity_sample_check", f))
+    names = [name for name, _ in expected]
+    # both early exits are taken at this seed
+    assert 0 < names.count("sense_preserving_margin") < names.count("re_condition_margin")
+    assert 0 < names.count("injectivity_sample_check") < names.count("sense_preserving_margin")
+
+    calls = []
+
+    def spy(name):
+        real = getattr(verify, name)
+
+        def wrapper(f, *args, **kwargs):
+            calls.append((name, f))
+            return real(f, *args, **kwargs)
+
+        return mock.patch.object(verify, name, wrapper)
+
+    with spy("re_condition_margin"), spy("sense_preserving_margin"), spy("injectivity_sample_check"):
+        rep = counterexample_scan(p, 40, 20250810)
+    assert calls == expected
+    assert [g.trial for g in rep.gap_examples] == [18]
+
+
 def test_scan_rejects_bad_trials():
     with pytest.raises(DomainError):
         counterexample_scan(params(), 0, 1)
@@ -429,6 +475,18 @@ def test_pair_budget_limit():
                 injectivity_sample_check(IDENTITY, grid, n)
             with pytest.raises(DomainError, match=f"pair_budget {n} exceeds the limit"):
                 counterexample_scan(params(), 1, 0, pair_budget=n)
+
+
+def test_proof_step_u_limit():
+    # far above the longest series and the ~2*10**5 a step map needs
+    assert MAX_PROOF_STEP_U >= max(2**20, MAX_JSON_TRUNC)
+    p = params(1, 0.0, 0.5)
+    with mock.patch.object(classes, "weights", side_effect=Reached):
+        with pytest.raises(Reached):
+            proof_step_violations(p, max_u=MAX_PROOF_STEP_U)
+        for n in (MAX_PROOF_STEP_U + 1, 10**12):
+            with pytest.raises(DomainError, match=f"max_u {n} exceeds the limit {MAX_PROOF_STEP_U}"):
+                proof_step_violations(p, max_u=n)
 
 
 def test_trials_limit():
