@@ -22,6 +22,7 @@ import numpy as np
 from qharm import (
     ClassParams,
     DiskGrid,
+    DomainError,
     QParam,
     coeff_functional,
     injectivity_sample_check,
@@ -43,7 +44,29 @@ def main() -> int:
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--out", default="boundary_sweep.csv")
     args = ap.parse_args()
+    if args.per_target < 1:
+        print(f"error: --per-target must be >= 1, got {args.per_target}", file=sys.stderr)
+        return 2
+    try:
+        rows = sweep(args)
+    except DomainError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
+    try:
+        with open(args.out, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+    except OSError as exc:
+        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+        return 2
+    print(f"wrote {args.out}")
+    return 0
+
+
+def sweep(args) -> list[dict]:
+    """One CSV row per target: the worst margins over its drawn functions."""
     p = ClassParams(m=args.m, alpha=args.alpha, q=QParam(args.q))
     grid = DiskGrid()
     rows = []
@@ -74,13 +97,7 @@ def main() -> int:
             f"target {target:>6}: re {worst_re:+.3e}  sense {worst_sp:+.3e}  "
             f"inj {worst_inj:+.3e}  probe failures {len(finite)}/{args.per_target}"
         )
-
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-        writer.writeheader()
-        writer.writerows(rows)
-    print(f"wrote {args.out}")
-    return 0
+    return rows
 
 
 if __name__ == "__main__":

@@ -31,6 +31,9 @@ def main() -> int:
     ap.add_argument("--q-steps", type=int, default=9)
     ap.add_argument("--out", default="step_map.csv")
     args = ap.parse_args()
+    if args.m_max < 0 or args.q_steps < 1:
+        print(f"error: --m-max must be >= 0 and --q-steps >= 1, got {args.m_max} and {args.q_steps}", file=sys.stderr)
+        return 2
 
     qs = [round((k + 1) / (args.q_steps + 1), 6) for k in range(args.q_steps)]
     rows = []
@@ -47,10 +50,14 @@ def main() -> int:
         rows.append(row)
         print(row)
 
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-        writer.writeheader()
-        writer.writerows(rows)
+    try:
+        with open(args.out, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+    except OSError as exc:
+        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+        return 2
     print(f"wrote {args.out}")
     return 0
 

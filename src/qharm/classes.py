@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .qcore import DEFAULT_TOLERANCE, MEMBERSHIP_TOL, DomainError, QParam, weights  # noqa: F401 (re-exported)
-from .qcore import MAX_JSON_TRUNC, at_most
+from .qcore import MAX_JSON_TRUNC, at_most, radius_sequence
 from .salagean import OperatorParams
 from .series import DEFAULT_TRUNC, AnalyticSeries, HarmonicFunction
 
@@ -152,14 +152,7 @@ def necessity_probe(
     """
     if not f.t_form:
         raise DomainError("the necessity probe applies only to t_form functions")
-    rs = tuple(float(r) for r in (DEFAULT_PROBE_RADII if r_sequence is None else r_sequence))
-    if not rs:
-        raise DomainError("the radius sequence must be non-empty")
-    for r in rs:
-        if not 0.0 < r < 1.0:
-            raise DomainError(f"probe radii must lie in (0, 1), got {r!r}")
-    if any(b <= a for a, b in zip(rs, rs[1:])):
-        raise DomainError("probe radii must be strictly increasing")
+    rs = radius_sequence(DEFAULT_PROBE_RADII if r_sequence is None else r_sequence, "probe radii")
 
     triples = _functional_terms(f, p)
 
@@ -201,6 +194,46 @@ def _series_length(n: int) -> int:
     return at_most(n, MAX_JSON_TRUNC, "series length")
 
 
+_UNPLACED = 0j  # fill of a slot no term reached; each computed coefficient is a new object
+
+
+def _from_shares(p: ClassParams, n: int, terms: Sequence[tuple[str, int, float, complex]]) -> HarmonicFunction:
+    """The length-n function that every construction of the family builds.
+
+    A (kind, u, share, phase) term puts share * (1 - alpha) / [u]_q**m *
+    phase, evaluated left to right, at power u of h ("analytic") or g
+    ("coanalytic"), where it holds share * |phase| of the coefficient
+    functional.  Later terms at a power are added to the first.  Analytic
+    mass at power 1 stays on the identity, whose coefficient is exactly 1.
+    Zero shares place nothing and do not size the weight table.
+    """
+    top = max([1, *(u for _, u, share, _ in terms if share != 0)])
+    w = weights(top, p.q, p.m)
+    one_minus = 1.0 - p.alpha
+    # Both parts run to the highest placed power; AnalyticSeries pads them to n.
+    h = [_UNPLACED] * top
+    h[0] = 1.0
+    g = [_UNPLACED] * top
+    for kind, u, share, phase in terms:
+        if kind not in ("analytic", "coanalytic"):
+            raise DomainError(f"kind must be 'analytic' or 'coanalytic', got {kind!r}")
+        if operator.index(u) < 1:
+            raise DomainError(f"u must be a positive integer, got {u!r}")
+        if share == 0 or (u == 1 and kind == "analytic"):
+            continue
+        part = h if kind == "analytic" else g
+        c = share * one_minus / w[u - 1] * phase
+        old = part[u - 1]
+        part[u - 1] = c if old is _UNPLACED else old + c
+    return HarmonicFunction(AnalyticSeries(h, trunc=n), AnalyticSeries(g, trunc=n))
+
+
+def _check_unit_sum(moduli: list[float], what: str) -> None:
+    total = math.fsum(moduli)
+    if abs(total - 1.0) > MEMBERSHIP_TOL:
+        raise DomainError(f"{what} must sum to 1 within {MEMBERSHIP_TOL}, got {total!r}")
+
+
 def extreme_point(
     u: int,
     kind: str,
@@ -222,24 +255,10 @@ def extreme_point(
     Every output except u = 1 analytic has coefficient functional exactly
     1 (to rounding); u = 1 analytic gives 0.
     """
-    u = operator.index(u)
-    if u < 1:
-        raise DomainError(f"u must be a positive integer, got {u!r}")
-    if kind not in ("analytic", "coanalytic"):
-        raise DomainError(f"kind must be 'analytic' or 'coanalytic', got {kind!r}")
     if coanalytic_sign not in (-1, 1):
         raise DomainError(f"coanalytic_sign must be -1 or +1, got {coanalytic_sign!r}")
     n = _series_length(max(trunc, u))
-    mag = (1.0 - p.alpha) / weights(u, p.q, p.m)[-1]
-    if kind == "analytic":
-        h = [0j] * n
-        h[0] = 1.0
-        if u >= 2:
-            h[u - 1] = -mag
-        return HarmonicFunction(AnalyticSeries(h, trunc=n), AnalyticSeries.zero(n))
-    g = [0j] * n
-    g[u - 1] = coanalytic_sign * mag
-    return HarmonicFunction(AnalyticSeries.identity(n), AnalyticSeries(g, trunc=n))
+    return _from_shares(p, n, [(kind, u, 1.0, -1.0 if kind == "analytic" else coanalytic_sign)])
 
 
 def convex_combination(
@@ -258,36 +277,16 @@ def convex_combination(
     terms = list(terms)
     if not terms:
         raise DomainError("at least one extreme point is required")
-    masses = []
-    for u, kind, w in terms:
-        w = float(w)
+    masses = [float(w) for _, _, w in terms]
+    for w in masses:
         if w < 0.0 or not math.isfinite(w):
             raise DomainError(f"weights must be non-negative, got {w!r}")
-        if kind not in ("analytic", "coanalytic"):
-            raise DomainError(f"kind must be 'analytic' or 'coanalytic', got {kind!r}")
-        if operator.index(u) < 1:
-            raise DomainError(f"u must be a positive integer, got {u!r}")
-        masses.append(w)
-    total = math.fsum(masses)
-    if abs(total - 1.0) > MEMBERSHIP_TOL:
-        raise DomainError(f"weights must sum to 1 within {MEMBERSHIP_TOL}, got {total!r}")
+    _check_unit_sum(masses, "weights")
     n = _series_length(max([trunc, *(u for u, _, _ in terms)]))
-    wq = weights(max(u for (u, _, _), wf in zip(terms, masses) if wf != 0.0), p.q, p.m)
     # The identity coefficient is the weight total, which is 1 by contract;
-    # store it as exactly 1 rather than the rounded float sum.
-    h = [0j] * n
-    h[0] = 1.0
-    g = [0j] * n
-    for (u, kind, _), wf in zip(terms, masses):
-        if wf == 0.0:
-            continue
-        mag = wf * (1.0 - p.alpha) / wq[u - 1]
-        if kind == "analytic":
-            if u >= 2:
-                h[u - 1] -= mag
-        else:
-            g[u - 1] += mag
-    return HarmonicFunction(AnalyticSeries(h, trunc=n), AnalyticSeries(g, trunc=n))
+    # it is stored as exactly 1 rather than the rounded float sum.
+    shares = [(kind, u, w, -1.0 if kind == "analytic" else 1.0) for (u, kind, _), w in zip(terms, masses)]
+    return _from_shares(p, n, shares)
 
 
 def sharpness_witness(
@@ -308,20 +307,11 @@ def sharpness_witness(
     """
     xs = [complex(v) for v in x]
     ys = [complex(v) for v in y]
-    total = math.fsum([abs(v) for v in xs] + [abs(v) for v in ys])
-    if abs(total - 1.0) > MEMBERSHIP_TOL:
-        raise DomainError(f"weight moduli must sum to 1 within {MEMBERSHIP_TOL}, got {total!r}")
+    _check_unit_sum([abs(v) for v in xs + ys], "weight moduli")
     n = _series_length(max(trunc, len(xs) + 1, len(ys)))
-    w = weights(max(len(xs) + 1, len(ys)), p.q, p.m)
-    h = [0j] * n
-    g = [0j] * n
-    h[0] = 1.0
-    one_minus = 1.0 - p.alpha
-    for u, v in enumerate(xs, start=2):
-        h[u - 1] = one_minus / w[u - 1] * v
-    for u, v in enumerate(ys, start=1):
-        g[u - 1] = one_minus / w[u - 1] * v
-    return HarmonicFunction(AnalyticSeries(h, trunc=n), AnalyticSeries(g, trunc=n))
+    terms = [("analytic", u, 1.0, v) for u, v in enumerate(xs, start=2)]
+    terms += [("coanalytic", u, 1.0, v) for u, v in enumerate(ys, start=1)]
+    return _from_shares(p, n, terms)
 
 
 def _r2_coefficient(b1: float, p: ClassParams) -> float:

@@ -190,9 +190,8 @@ def _cmd_check(args):
     p = _class_params(args)
     functional = coeff_functional(f, p)
     sufficient = satisfies_sufficient(f, p)
-    t_member = member_t_iff(f, p) if f.t_form else None
-    verdict = t_member if f.t_form else sufficient
-    return {"functional": functional, "sufficient": sufficient, "t_form": f.t_form, "t_member": t_member}, verdict
+    t_member = sufficient if f.t_form else None
+    return {"functional": functional, "sufficient": sufficient, "t_form": f.t_form, "t_member": t_member}, sufficient
 
 
 def _cmd_extremal(args):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from typing import Iterable
 
 
 # Tolerance policy.  MEMBERSHIP_TOL is the rounding allowance wherever an
@@ -40,6 +41,20 @@ def at_most(n: int, limit: int, what: str) -> int:
     if n > limit:
         raise DomainError(f"{what} {n} exceeds the limit {limit}")
     return n
+
+
+def radius_sequence(radii: Iterable[float], what: str) -> tuple[float, ...]:
+    """``radii`` as a tuple of floats, refused with DomainError unless it
+    is non-empty, inside (0, 1) and strictly increasing."""
+    rs = tuple(float(r) for r in radii)
+    if not rs:
+        raise DomainError(f"{what} must be non-empty")
+    for r in rs:
+        if not 0.0 < r < 1.0:
+            raise DomainError(f"{what} must lie in (0, 1), got {r!r}")
+    if any(b <= a for a, b in zip(rs, rs[1:])):
+        raise DomainError(f"{what} must be strictly increasing, got {rs!r}")
+    return rs
 
 
 @dataclass(frozen=True)

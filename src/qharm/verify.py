@@ -22,11 +22,11 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .qcore import DEFAULT_TOLERANCE, DomainError, at_most, weights
-from .classes import ClassParams, coeff_functional, growth_bounds, member_t_iff, proof_step_violations
+from .qcore import DEFAULT_TOLERANCE, DomainError, at_most, radius_sequence
+from .classes import ClassParams, _from_shares, coeff_functional, growth_bounds, member_t_iff, proof_step_violations
 from .classes import DEFAULT_PROBE_RADII, ProbeReport, necessity_probe  # noqa: F401 (re-exported)
 from .salagean import class_transform
-from .series import DEFAULT_TRUNC, AnalyticSeries, HarmonicFunction, classical_derivative, eval_harmonic, eval_power
+from .series import DEFAULT_TRUNC, HarmonicFunction, classical_derivative, eval_harmonic, eval_power
 
 DEFAULT_RADII = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99, 0.999)
 DEFAULT_ANGULAR_COUNT = 256
@@ -49,14 +49,7 @@ class DiskGrid:
     include_positive_axis: bool = True
 
     def __post_init__(self) -> None:
-        radii = tuple(float(r) for r in self.radii)
-        if not radii:
-            raise DomainError("at least one radius is required")
-        for r in radii:
-            if not 0.0 < r < 1.0:
-                raise DomainError(f"radii must lie strictly inside (0, 1), got {r!r}")
-        if any(b <= a for a, b in zip(radii, radii[1:])):
-            raise DomainError(f"radii must be strictly increasing, got {radii!r}")
+        radii = radius_sequence(self.radii, "radii")
         k = at_most(self.angular_count, MAX_ANGULAR_COUNT, "angular_count")
         if k < 4:
             raise DomainError(f"angular_count must be >= 4, got {self.angular_count!r}")
@@ -252,13 +245,12 @@ def random_t_form(
     trunc = operator.index(trunc)
     if trunc < 1:
         raise DomainError(f"trunc must be >= 1, got {trunc!r}")
-    slots = [("a", u) for u in range(2, trunc + 1)] + [("b", u) for u in range(1, trunc + 1)]
+    slots = [("analytic", u) for u in range(2, trunc + 1)] + [("coanalytic", u) for u in range(1, trunc + 1)]
     raws = np.array([(0.5 + rng.random()) * 0.25**u for _, u in slots])
     shares = raws / raws.sum() * target
 
-    one_minus = 1.0 - p.alpha
-    b1_index = len(slots) - trunc  # first "b" slot, power 1
-    b1_limit = 0.95 / one_minus
+    b1_index = len(slots) - trunc  # first co-analytic slot, power 1
+    b1_limit = 0.95 / (1.0 - p.alpha)
     if shares[b1_index] > b1_limit:
         if trunc == 1:
             raise DomainError(f"target functional {target!r} needs |b_1| > 0.95 at trunc 1")
@@ -266,16 +258,8 @@ def random_t_form(
         shares[b1_index] = b1_limit
         shares[b1_index + 1] += excess  # power-2 co-analytic slot
 
-    w = weights(trunc, p.q, p.m)
-    a_mags: dict[int, float] = {}
-    b_mags: dict[int, float] = {}
-    for (kind, u), share in zip(slots, shares):
-        mag = share * one_minus / w[u - 1]
-        if kind == "a":
-            a_mags[u] = mag
-        else:
-            b_mags[u] = mag
-    return HarmonicFunction.from_t_magnitudes(a_mags, b_mags, trunc=trunc)
+    terms = [(kind, u, share, -1.0 if kind == "analytic" else 1.0) for (kind, u), share in zip(slots, shares.tolist())]
+    return _from_shares(p, trunc, terms)
 
 
 def _random_gap_candidate(p: ClassParams, rng: np.random.Generator) -> HarmonicFunction:
@@ -284,28 +268,14 @@ def _random_gap_candidate(p: ClassParams, rng: np.random.Generator) -> HarmonicF
     first co-analytic slot is excluded so |b_1| stays 0."""
     target = 1.001 + 0.4 * rng.random()
     nslots = 2 + int(rng.random() * 3)
-    slots = []
-    for _ in range(nslots):
-        kind = "a" if rng.random() < 0.5 else "b"
-        u = 2 + int(rng.random() * 6)
-        slots.append((kind, u))
+    slots = [("analytic" if rng.random() < 0.5 else "coanalytic", 2 + int(rng.random() * 6)) for _ in range(nslots)]
     raws = [0.2 + rng.random() for _ in slots]
     total = sum(raws)  # in order, as numpy sums fewer than 8 elements
-    shares = [r / total * target for r in raws]
-    one_minus = 1.0 - p.alpha
-    n = max(u for _, u in slots)
-    w = weights(n, p.q, p.m)
-    h = [0j] * n
-    g = [0j] * n
-    h[0] = 1.0
-    for (kind, u), share in zip(slots, shares):
-        mag = share * one_minus / w[u - 1]
+    terms = []
+    for (kind, u), r in zip(slots, raws):
         phase = complex(math.cos(2.0 * math.pi * rng.random()), math.sin(2.0 * math.pi * rng.random()))
-        if kind == "a":
-            h[u - 1] += mag * phase
-        else:
-            g[u - 1] += mag * phase
-    return HarmonicFunction(AnalyticSeries(h, trunc=n), AnalyticSeries(g, trunc=n))
+        terms.append((kind, u, r / total * target, phase))
+    return _from_shares(p, max(u for _, u in slots), terms)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,14 @@
+import math
+import operator
+from unittest import mock
+
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from qharm import (
+    DEFAULT_TRUNC,
+    MEMBERSHIP_TOL,
     AnalyticSeries,
     ClassParams,
     DomainError,
@@ -20,6 +27,9 @@ from qharm import (
     satisfies_sufficient,
     sharpness_witness,
 )
+from qharm import classes, verify
+from qharm.classes import _series_length
+from qharm.qcore import weights
 from qharm.series import MAX_JSON_TRUNC
 
 
@@ -411,3 +421,283 @@ def test_growth_witnesses_keep_the_square_term_at_trunc_two():
     c = 0.7 / 1.5  # (1 - alpha - b1) / [2]_q
     assert growth_witness_upper(0.3, p, trunc=2).g.coeffs == pytest.approx((0.3, c))
     assert growth_witness_lower(0.3, p, trunc=2).coeffs == pytest.approx((0.7, -c))
+
+
+# --- one share->coefficient map ------------------------------------------------------
+#
+# The five constructions below are the bodies each constructor had before
+# they shared classes._from_shares, kept verbatim as references.  The map
+# must give the same bits, zero signs included, with two exceptions that no
+# single map can avoid, since each pair of bodies answered one and the same
+# term in two ways:
+# - a zero share places nothing: random_t_form stored -0.0 in h for it,
+#   where convex_combination left a zero weight's power at +0j;
+# - a power whose analytic convex terms all round to zero holds -0.0, the
+#   bits extreme_point stored for the same term, where convex_combination
+#   summed from +0j and stored +0.0.
+
+
+def parent_extreme_point(u, kind, p, *, coanalytic_sign=-1, trunc=DEFAULT_TRUNC):
+    u = operator.index(u)
+    if u < 1:
+        raise DomainError(f"u must be a positive integer, got {u!r}")
+    if kind not in ("analytic", "coanalytic"):
+        raise DomainError(f"kind must be 'analytic' or 'coanalytic', got {kind!r}")
+    if coanalytic_sign not in (-1, 1):
+        raise DomainError(f"coanalytic_sign must be -1 or +1, got {coanalytic_sign!r}")
+    n = _series_length(max(trunc, u))
+    mag = (1.0 - p.alpha) / weights(u, p.q, p.m)[-1]
+    if kind == "analytic":
+        h = [0j] * n
+        h[0] = 1.0
+        if u >= 2:
+            h[u - 1] = -mag
+        return HarmonicFunction(AnalyticSeries(h, trunc=n), AnalyticSeries.zero(n))
+    g = [0j] * n
+    g[u - 1] = coanalytic_sign * mag
+    return HarmonicFunction(AnalyticSeries.identity(n), AnalyticSeries(g, trunc=n))
+
+
+def parent_convex_combination(terms, p, *, trunc=DEFAULT_TRUNC):
+    terms = list(terms)
+    if not terms:
+        raise DomainError("at least one extreme point is required")
+    masses = []
+    for u, kind, w in terms:
+        w = float(w)
+        if w < 0.0 or not math.isfinite(w):
+            raise DomainError(f"weights must be non-negative, got {w!r}")
+        if kind not in ("analytic", "coanalytic"):
+            raise DomainError(f"kind must be 'analytic' or 'coanalytic', got {kind!r}")
+        if operator.index(u) < 1:
+            raise DomainError(f"u must be a positive integer, got {u!r}")
+        masses.append(w)
+    total = math.fsum(masses)
+    if abs(total - 1.0) > MEMBERSHIP_TOL:
+        raise DomainError(f"weights must sum to 1 within {MEMBERSHIP_TOL}, got {total!r}")
+    n = _series_length(max([trunc, *(u for u, _, _ in terms)]))
+    wq = weights(max(u for (u, _, _), wf in zip(terms, masses) if wf != 0.0), p.q, p.m)
+    h = [0j] * n
+    h[0] = 1.0
+    g = [0j] * n
+    for (u, kind, _), wf in zip(terms, masses):
+        if wf == 0.0:
+            continue
+        mag = wf * (1.0 - p.alpha) / wq[u - 1]
+        if kind == "analytic":
+            if u >= 2:
+                h[u - 1] -= mag
+        else:
+            g[u - 1] += mag
+    return HarmonicFunction(AnalyticSeries(h, trunc=n), AnalyticSeries(g, trunc=n))
+
+
+def parent_sharpness_witness(x, y, p, *, trunc=DEFAULT_TRUNC):
+    xs = [complex(v) for v in x]
+    ys = [complex(v) for v in y]
+    total = math.fsum([abs(v) for v in xs] + [abs(v) for v in ys])
+    if abs(total - 1.0) > MEMBERSHIP_TOL:
+        raise DomainError(f"weight moduli must sum to 1 within {MEMBERSHIP_TOL}, got {total!r}")
+    n = _series_length(max(trunc, len(xs) + 1, len(ys)))
+    w = weights(max(len(xs) + 1, len(ys)), p.q, p.m)
+    h = [0j] * n
+    g = [0j] * n
+    h[0] = 1.0
+    one_minus = 1.0 - p.alpha
+    for u, v in enumerate(xs, start=2):
+        h[u - 1] = one_minus / w[u - 1] * v
+    for u, v in enumerate(ys, start=1):
+        g[u - 1] = one_minus / w[u - 1] * v
+    return HarmonicFunction(AnalyticSeries(h, trunc=n), AnalyticSeries(g, trunc=n))
+
+
+def parent_random_t_form(p, target_functional, rng, *, trunc=DEFAULT_TRUNC):
+    target = float(target_functional)
+    if not (target >= 0.0 and math.isfinite(target)):
+        raise DomainError(f"target functional must be finite and >= 0, got {target_functional!r}")
+    trunc = operator.index(trunc)
+    if trunc < 1:
+        raise DomainError(f"trunc must be >= 1, got {trunc!r}")
+    slots = [("a", u) for u in range(2, trunc + 1)] + [("b", u) for u in range(1, trunc + 1)]
+    raws = np.array([(0.5 + rng.random()) * 0.25**u for _, u in slots])
+    shares = raws / raws.sum() * target
+
+    one_minus = 1.0 - p.alpha
+    b1_index = len(slots) - trunc  # first "b" slot, power 1
+    b1_limit = 0.95 / one_minus
+    if shares[b1_index] > b1_limit:
+        if trunc == 1:
+            raise DomainError(f"target functional {target!r} needs |b_1| > 0.95 at trunc 1")
+        excess = shares[b1_index] - b1_limit
+        shares[b1_index] = b1_limit
+        shares[b1_index + 1] += excess  # power-2 co-analytic slot
+
+    w = weights(trunc, p.q, p.m)
+    a_mags: dict[int, float] = {}
+    b_mags: dict[int, float] = {}
+    for (kind, u), share in zip(slots, shares):
+        mag = share * one_minus / w[u - 1]
+        if kind == "a":
+            a_mags[u] = mag
+        else:
+            b_mags[u] = mag
+    return HarmonicFunction.from_t_magnitudes(a_mags, b_mags, trunc=trunc)
+
+
+def parent_random_gap_candidate(p, rng):
+    target = 1.001 + 0.4 * rng.random()
+    nslots = 2 + int(rng.random() * 3)
+    slots = []
+    for _ in range(nslots):
+        kind = "a" if rng.random() < 0.5 else "b"
+        u = 2 + int(rng.random() * 6)
+        slots.append((kind, u))
+    raws = [0.2 + rng.random() for _ in slots]
+    total = sum(raws)  # in order, as numpy sums fewer than 8 elements
+    shares = [r / total * target for r in raws]
+    one_minus = 1.0 - p.alpha
+    n = max(u for _, u in slots)
+    w = weights(n, p.q, p.m)
+    h = [0j] * n
+    g = [0j] * n
+    h[0] = 1.0
+    for (kind, u), share in zip(slots, shares):
+        mag = share * one_minus / w[u - 1]
+        phase = complex(math.cos(2.0 * math.pi * rng.random()), math.sin(2.0 * math.pi * rng.random()))
+        if kind == "a":
+            h[u - 1] += mag * phase
+        else:
+            g[u - 1] += mag * phase
+    return HarmonicFunction(AnalyticSeries(h, trunc=n), AnalyticSeries(g, trunc=n))
+
+
+def coeff_bits(h, g):
+    """Every coefficient part as float.hex, which tells -0.0 from +0.0."""
+    return [(c.real.hex(), c.imag.hex()) for c in (*h, *g)], len(h)
+
+
+def convex_expected(f, terms):
+    # The second exception above: the parent stored +0.0 where every
+    # analytic term at a power rounds to zero.
+    h = list(f.h.coeffs)
+    for u, kind, w in terms:
+        if kind == "analytic" and u >= 2 and w != 0.0 and h[u - 1] == 0:
+            h[u - 1] = complex(-0.0, 0.0)
+    return coeff_bits(h, f.g.coeffs)
+
+
+def t_form_expected(f, terms):
+    # The first exception above: the parent stored a signed zero at a zero share.
+    zero = {(kind, u) for kind, u, share, _ in terms if share == 0}
+    h, g = (
+        [0j if (kind, u) in zero else c for u, c in enumerate(part.coeffs, start=1)]
+        for kind, part in (("analytic", f.h), ("coanalytic", f.g))
+    )
+    return coeff_bits(h, g)
+
+
+CONSTRUCTIONS = {
+    "extreme": (
+        lambda p, u, kind, sign, trunc: extreme_point(u, kind, p, coanalytic_sign=sign, trunc=trunc),
+        lambda p, u, kind, sign, trunc: parent_extreme_point(u, kind, p, coanalytic_sign=sign, trunc=trunc),
+    ),
+    "convex": (
+        lambda p, terms, trunc: convex_combination(terms, p, trunc=trunc),
+        lambda p, terms, trunc: parent_convex_combination(terms, p, trunc=trunc),
+    ),
+    "witness": (
+        lambda p, xs, ys, trunc: sharpness_witness(xs, ys, p, trunc=trunc),
+        lambda p, xs, ys, trunc: parent_sharpness_witness(xs, ys, p, trunc=trunc),
+    ),
+    "t_form": (
+        lambda p, target, trunc, seed: verify.random_t_form(p, target, np.random.default_rng(seed), trunc=trunc),
+        lambda p, target, trunc, seed: parent_random_t_form(p, target, np.random.default_rng(seed), trunc=trunc),
+    ),
+    "gap": (
+        lambda p, seed: verify._random_gap_candidate(p, np.random.default_rng(seed)),
+        lambda p, seed: parent_random_gap_candidate(p, np.random.default_rng(seed)),
+    ),
+}
+
+SEEDS = st.integers(0, 2**63 - 1)
+TRUNCS = st.integers(1, 48)
+KINDS = st.sampled_from(["analytic", "coanalytic"])
+SMALL_POWERS = st.integers(1, 6)  # few powers, so that terms repeat them
+ZEROS = st.sampled_from([0.0, -0.0])
+SUBNORMALS = st.floats(5e-324, 2.2e-308)
+
+
+@st.composite
+def convex_terms(draw):
+    raws = draw(st.lists(ZEROS | SUBNORMALS | st.floats(0.01, 1.0), min_size=1, max_size=6))
+    raws.append(draw(st.floats(0.01, 1.0)))
+    total = math.fsum(raws)
+    return tuple((draw(SMALL_POWERS), draw(KINDS), w / total) for w in raws)
+
+
+@st.composite
+def witness_weights(draw):
+    part = ZEROS | st.floats(-1.0, 1.0)
+    vs = draw(st.lists(st.tuples(part, part), min_size=1, max_size=12))
+    total = math.fsum(abs(complex(re, im)) for re, im in vs)
+    assume(total > 0.0)
+    vs = [complex(re / total, im / total) for re, im in vs]  # keeps the zero signs
+    cut = draw(st.integers(0, len(vs)))
+    return vs[:cut], vs[cut:]
+
+
+CASES = st.one_of(
+    st.tuples(st.just("extreme"), st.integers(1, 40), KINDS, st.sampled_from([-1, 1]), TRUNCS),
+    st.tuples(st.just("convex"), convex_terms(), TRUNCS),
+    st.tuples(st.just("witness"), witness_weights(), TRUNCS).map(lambda c: (c[0], *c[1], c[2])),
+    st.tuples(st.just("t_form"), ZEROS | SUBNORMALS | st.floats(0.0, 2.0), TRUNCS, SEEDS),
+    st.tuples(st.just("gap"), SEEDS),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    case=CASES,
+    m=st.integers(0, 12),
+    alpha=st.sampled_from([0.0, 0.25, 0.75]) | st.floats(0.0, 0.99),
+    q=st.floats(0.01, 0.99),
+)
+def test_constructions_match_their_parent_bodies_bit_for_bit(case, m, alpha, q):
+    name, *args = case
+    p = params(m, alpha, q)
+    new, parent = CONSTRUCTIONS[name]
+    try:
+        ref = parent(p, *args)
+    except DomainError:
+        with pytest.raises(DomainError):
+            new(p, *args)
+        return
+    with mock.patch.object(verify, "_from_shares", wraps=classes._from_shares) as spy:
+        f = new(p, *args)
+    if name == "convex":
+        expected = convex_expected(ref, args[0])
+    elif name == "t_form":
+        expected = t_form_expected(ref, spy.call_args.args[2])
+    else:
+        expected = coeff_bits(ref.h.coeffs, ref.g.coeffs)
+    assert coeff_bits(f.h.coeffs, f.g.coeffs) == expected
+    assert f.t_form == ref.t_form
+
+
+def test_zero_shares_and_underflow_take_the_extreme_point_bits():
+    # The two exceptions, each on one input.  Target 0 places no
+    # coefficient at all; a weight that underflows at power 2 gives the
+    # -0.0 that extreme_point gives when (1 - alpha)/[u]_q**m underflows.
+    p = params(2, 0.0, 0.5)
+    f = verify.random_t_form(p, 0.0, np.random.default_rng(1), trunc=4)
+    assert coeff_bits(f.h.coeffs, f.g.coeffs) == coeff_bits(AnalyticSeries.identity(4).coeffs, (0j,) * 4)
+    parent = parent_random_t_form(p, 0.0, np.random.default_rng(1), trunc=4)
+    assert math.copysign(1.0, parent.h.coeffs[1].real) == -1.0
+    f = convex_combination([(1, "analytic", 1.0), (2, "analytic", 5e-324)], p)
+    assert math.copysign(1.0, f.h.coeffs[1].real) == -1.0
+    assert parent_convex_combination([(1, "analytic", 1.0), (2, "analytic", 5e-324)], p).h.coeffs[1] == 0
+    tiny = params(1749, 1.0 - 2.0**-53, 0.5)  # [2]_q**m is near the float limit
+    one_term = convex_combination([(2, "analytic", 1.0)], tiny)
+    point = extreme_point(2, "analytic", tiny)
+    assert coeff_bits(one_term.h.coeffs, one_term.g.coeffs) == coeff_bits(point.h.coeffs, point.g.coeffs)
+    assert math.copysign(1.0, point.h.coeffs[1].real) == -1.0 and point.h.coeffs[1] == 0

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 
@@ -22,6 +23,7 @@ from qharm import (
 from qharm.qcore import DEFAULT_TOLERANCE, MEMBERSHIP_TOL
 from qharm.series import MAX_JSON_TRUNC
 from qharm.verify import MAX_ANGULAR_COUNT, MAX_PAIR_BUDGET, MAX_TRIALS
+from qharm import cli
 from qharm.cli import build_parser, run
 
 IDENTITY_DOC = {"trunc": 4, "h": [[1, 0]], "g": []}
@@ -169,6 +171,31 @@ def test_check_member_and_violator(tmp_path, capsys):
     assert run(["check", "--in", violator, "--m", "0", "--alpha", "0.5", "--q", "0.5"]) == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["functional"] == pytest.approx(1.6, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "h, t_form, decided",
+    [
+        ([[1, 0], [-0.2, 0]], True, True),
+        ([[1, 0], [-0.8, 0]], True, False),
+        ([[1, 0], [0.2, 0.1]], False, True),
+        ([[1, 0], [0.8, 0]], False, False),
+    ],
+)
+def test_check_decides_with_one_sufficiency_call(tmp_path, capsys, h, t_form, decided):
+    # On t_form input member_t_iff is satisfies_sufficient, so check asks once.
+    path = write_json(tmp_path / "f.json", {"trunc": 4, "h": h, "g": []})
+    with mock.patch.object(cli, "satisfies_sufficient", wraps=satisfies_sufficient) as sufficient, mock.patch.object(
+        cli, "member_t_iff", wraps=member_t_iff
+    ) as member:
+        assert run(["check", "--in", path, "--m", "0", "--alpha", "0.5", "--q", "0.5"]) == (0 if decided else 1)
+    assert sufficient.call_count == 1 and member.call_count == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "functional": pytest.approx(abs(h[1][0] + 1j * h[1][1]) / 0.5),
+        "sufficient": decided,
+        "t_form": t_form,
+        "t_member": decided if t_form else None,
+    }
 
 
 def test_probe_member_vs_violator(tmp_path, capsys):

@@ -57,3 +57,23 @@ def test_proof_step_map_refuses_u_max_above_the_limit(tmp_path, u_max):
     assert proc.returncode == 2
     assert proc.stderr == f"error: max_u {u_max} exceeds the limit {MAX_PROOF_STEP_U}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "name, args, missing_dir",
+    [
+        ("proof_step_map.py", ["--m-max", "-1"], False),
+        ("proof_step_map.py", ["--q-steps", "0"], False),
+        ("proof_step_map.py", ["--u-max", "8", "--m-max", "0", "--q-steps", "1"], True),
+        ("boundary_sweep.py", ["--seed", "1", "--alpha", "2"], False),
+        ("boundary_sweep.py", ["--seed", "1", "--per-target", "0"], False),
+        ("boundary_sweep.py", ["--seed", "1", "--per-target", "1"], True),
+    ],
+)
+def test_scripts_refuse_bad_input_with_one_error_line(tmp_path, name, args, missing_dir):
+    # A tool or input error prints one error line, exits 2 and writes no CSV.
+    out = (tmp_path / "missing" if missing_dir else tmp_path) / "x.csv"
+    proc = run_script(name, *args, "--out", str(out))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert not out.exists()

@@ -1,4 +1,5 @@
 import io
+import re
 from unittest import mock
 
 import numpy as np
@@ -274,6 +275,30 @@ def test_probe_rejects_bad_radius_sequence():
         necessity_probe(f, p, [0.5, 1.0])
     with pytest.raises(DomainError):
         necessity_probe(f, p, [])
+
+
+RADIUS_CALLERS = {
+    "radii": lambda rs: DiskGrid(radii=rs),
+    "probe radii": lambda rs: necessity_probe(HarmonicFunction.from_t_magnitudes({2: 0.1}, {}, trunc=4), params(), rs),
+}
+
+
+@pytest.mark.parametrize("what", sorted(RADIUS_CALLERS))
+@pytest.mark.parametrize(
+    "radii, problem",
+    [
+        ((), "must be non-empty"),
+        ((0.0, 0.5), "must lie in (0, 1), got 0.0"),
+        ((0.5, 1.0), "must lie in (0, 1), got 1.0"),
+        ((float("nan"),), "must lie in (0, 1), got nan"),
+        ((0.5, 0.4), "must be strictly increasing, got (0.5, 0.4)"),
+        ((0.5, 0.5), "must be strictly increasing, got (0.5, 0.5)"),
+    ],
+)
+def test_radius_sequences_are_checked_alike(what, radii, problem):
+    # DiskGrid and necessity_probe share one check, which names the caller's sequence.
+    with pytest.raises(DomainError, match="^" + re.escape(f"{what} {problem}")):
+        RADIUS_CALLERS[what](radii)
 
 
 # --- generator -------------------------------------------------------------------------
