@@ -77,6 +77,7 @@ __all__ = [
     "coeff_functional",
     "convex_combination",
     "counterexample_scan",
+    "disc_checks",
     "eval_analytic",
     "eval_harmonic",
     "eval_power",

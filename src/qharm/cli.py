@@ -39,7 +39,6 @@ from .classes import (
     convex_combination,
     extreme_point,
     growth_bounds,
-    member_t_iff,
     necessity_probe,
     satisfies_sufficient,
     sharpness_witness,
@@ -237,16 +236,10 @@ def _cmd_verify(args):
     f = _input(args)
     p = _class_params(args)
     grid = verify.DiskGrid(**_grid_kwargs(args))
-    reports = [
-        verify.re_condition_margin(f, p, grid, tolerance=tol),
-        verify.sense_preserving_margin(f, grid, tolerance=tol),
-        verify.injectivity_sample_check(f, grid, args.pair_budget, seed=args.seed, tolerance=tol),
-    ]
-    if f.t_form and member_t_iff(f, p):
-        reports.append(verify.growth_bound_check(f, p, grid, tolerance=tol))
-    if args.csv:
-        with _writing(args.csv) as fh:
-            verify.write_margin_csv(fh, f, p, grid)
+    try:
+        reports = verify.disc_checks(f, p, grid, args.pair_budget, seed=args.seed, tolerance=tol, csv_path=args.csv)
+    except OSError as exc:  # only the --csv write does I/O here
+        raise UsageError(f"cannot write {args.csv}: {exc}") from None
     return [r.to_dict() for r in reports], all(r.passed for r in reports)
 
 

@@ -10,11 +10,14 @@ deterministic: grid points are enumerated in (radius, angle) order and
 minima are reduced with first-occurrence tie-breaking, so identical
 inputs (including seeds) give bitwise-identical reports.  The grid
 checks take one absolute tolerance on their sampled margins
-(DEFAULT_TOLERANCE unless the caller passes another).
+(DEFAULT_TOLERANCE unless the caller passes another).  disc_checks runs
+the checks of ``qharm verify`` and its margin table with each margin array
+computed once.
 """
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import math
 import operator
@@ -22,7 +25,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .qcore import DEFAULT_TOLERANCE, DomainError, at_most, radius_sequence
+from .qcore import DEFAULT_TOLERANCE, MAX_JSON_TRUNC, DomainError, at_most, radius_sequence
 from .classes import ClassParams, _from_shares, coeff_functional, growth_bounds, member_t_iff, proof_step_violations
 from .classes import DEFAULT_PROBE_RADII, ProbeReport, necessity_probe  # noqa: F401 (re-exported)
 from .salagean import class_transform
@@ -33,6 +36,7 @@ DEFAULT_ANGULAR_COUNT = 256
 
 # Size limits, each checked before anything is allocated or looped over.
 MAX_ANGULAR_COUNT = 2**16
+MAX_GRID_POINTS = 2**20
 MAX_PAIR_BUDGET = 2**20
 MAX_TRIALS = 10**5
 
@@ -53,6 +57,7 @@ class DiskGrid:
         k = at_most(self.angular_count, MAX_ANGULAR_COUNT, "angular_count")
         if k < 4:
             raise DomainError(f"angular_count must be >= 4, got {self.angular_count!r}")
+        at_most(len(radii) * k, MAX_GRID_POINTS, "grid size")
         object.__setattr__(self, "radii", radii)
         object.__setattr__(self, "angular_count", k)
 
@@ -106,16 +111,40 @@ class VerificationReport:
 
 # --- pointwise margins: each check is one of these plus _min_report -----------
 
+# The margin arrays of the disc_checks call in progress; None outside one.
+# The public checks keep their signatures, so they find the shared arrays here.
+_run_margins: contextvars.ContextVar[dict | None] = contextvars.ContextVar("qharm_run_margins", default=None)
 
+
+def _once_per_run(compute):
+    """Inside disc_checks, whose calls all pass its one function, class
+    and grid, compute on the first call and hand the same result to every
+    later one; outside it, compute on every call."""
+
+    @functools.wraps(compute)
+    def margins(*args):
+        memo = _run_margins.get()
+        if memo is None:
+            return compute(*args)
+        if compute not in memo:
+            memo[compute] = compute(*args)
+        return memo[compute]
+
+    return margins
+
+
+@_once_per_run
 def _re_condition_margins(f: HarmonicFunction, p: ClassParams, z: np.ndarray) -> np.ndarray:
     t = class_transform(f, p.operator_params())
     return np.real(eval_power(t, z)) - p.alpha
 
 
+@_once_per_run
 def _sense_preserving_margins(f: HarmonicFunction, z: np.ndarray) -> np.ndarray:
     return np.abs(eval_power(classical_derivative(f.h), z)) - np.abs(eval_power(classical_derivative(f.g), z))
 
 
+@_once_per_run
 def _growth_margins(f: HarmonicFunction, p: ClassParams, grid: DiskGrid) -> tuple[np.ndarray, np.ndarray]:
     """|f| - lower(r) and upper(r) - |f| on the grid, bounds once per radius."""
     b1 = f.g.coeffs[0].real
@@ -231,8 +260,10 @@ def random_t_form(
     target_functional exactly (to rounding).
 
     Functional shares are drawn Dirichlet-style: jittered raw weights with
-    a 0.25**u envelope over every slot (analytic powers 2..trunc,
+    a 0.25**u envelope over the slots (analytic powers 2..trunc,
     co-analytic 1..trunc), normalized so the shares sum to the target.
+    The envelope underflows, so no power much above 530 gets a
+    coefficient, whatever the trunc (at most MAX_JSON_TRUNC).
     Coefficient magnitudes follow as share * (1 - alpha) / w_u, so summing
     the functional telescopes back to the share total.  The first
     co-analytic magnitude is capped at 0.95 (excess share moves to the
@@ -242,7 +273,7 @@ def random_t_form(
     target = float(target_functional)
     if not (target >= 0.0 and math.isfinite(target)):
         raise DomainError(f"target functional must be finite and >= 0, got {target_functional!r}")
-    trunc = operator.index(trunc)
+    trunc = at_most(trunc, MAX_JSON_TRUNC, "trunc")
     if trunc < 1:
         raise DomainError(f"trunc must be >= 1, got {trunc!r}")
     slots = [("analytic", u) for u in range(2, trunc + 1)] + [("coanalytic", u) for u in range(1, trunc + 1)]
@@ -380,5 +411,51 @@ def write_margin_csv(stream, f: HarmonicFunction, p: ClassParams, grid: DiskGrid
     """CSV dump of margin_rows: plain decimal floats, comma separated."""
     header, rows = margin_rows(f, p, grid)
     stream.write(",".join(header) + "\n")
-    for row in rows:
-        stream.write(",".join(repr(v) for v in row) + "\n")
+    coordinates = _coordinate_columns(grid.radii, grid.angular_count, grid.include_positive_axis)
+    for start, row in zip(coordinates, rows):
+        stream.write(start + ",".join(map(repr, row[2:])) + "\n")
+
+
+@functools.lru_cache(maxsize=2)
+def _coordinate_columns(radii: tuple[float, ...], k: int, include_positive_axis: bool) -> tuple[str, ...]:
+    """The "re,im," start of each CSV row, formatted once per grid.  A
+    string takes at most about 100 bytes, so MAX_GRID_POINTS bounds the
+    cache at about 200 MB."""
+    z = _grid_points(radii, k, include_positive_axis)
+    return tuple(f"{re!r},{im!r}," for re, im in zip(np.real(z).tolist(), np.imag(z).tolist()))
+
+
+# --- the verify run ------------------------------------------------------------
+
+
+def disc_checks(
+    f: HarmonicFunction,
+    p: ClassParams,
+    grid: DiskGrid,
+    pair_budget: int,
+    *,
+    seed: int = 0,
+    tolerance: float = DEFAULT_TOLERANCE,
+    csv_path: str | None = None,
+) -> list[VerificationReport]:
+    """The reports of ``qharm verify``: Re-condition, sense-preserving,
+    injectivity and, for a t_form member, growth.  Given csv_path, the
+    margin table of write_margin_csv is written there after the checks,
+    so a run whose checks raise leaves no file.  Each margin array is
+    computed once and read by every report and the table; the results
+    equal those of the single checks bit for bit."""
+    token = _run_margins.set({})
+    try:
+        reports = [
+            re_condition_margin(f, p, grid, tolerance=tolerance),
+            sense_preserving_margin(f, grid, tolerance=tolerance),
+            injectivity_sample_check(f, grid, pair_budget, seed=seed, tolerance=tolerance),
+        ]
+        if f.t_form and member_t_iff(f, p):
+            reports.append(growth_bound_check(f, p, grid, tolerance=tolerance))
+        if csv_path is not None:
+            with open(csv_path, "w", encoding="utf-8") as fh:
+                write_margin_csv(fh, f, p, grid)
+    finally:
+        _run_margins.reset(token)
+    return reports

@@ -22,8 +22,8 @@ from qharm import (
 )
 from qharm.qcore import DEFAULT_TOLERANCE, MEMBERSHIP_TOL
 from qharm.series import MAX_JSON_TRUNC
-from qharm.verify import MAX_ANGULAR_COUNT, MAX_PAIR_BUDGET, MAX_TRIALS
-from qharm import cli
+from qharm.verify import MAX_ANGULAR_COUNT, MAX_GRID_POINTS, MAX_PAIR_BUDGET, MAX_TRIALS
+from qharm import classes, cli, series, verify
 from qharm.cli import build_parser, run
 
 IDENTITY_DOC = {"trunc": 4, "h": [[1, 0]], "g": []}
@@ -143,6 +143,22 @@ def test_verify_csv_dump(tmp_path, capsys):
     assert len(lines) == 1 + 16
 
 
+def test_verify_csv_reuses_the_grid_evaluations_of_the_checks(tmp_path, capsys):
+    f = HarmonicFunction.from_t_magnitudes({2: 0.25}, {1: 0.25}, trunc=4)
+    path = write_json(tmp_path / "f.json", harmonic_to_json(f))
+    argv = ["verify", "--in", path, "--m", "0", "--alpha", "0.25", "--q", "0.5"]
+    calls = []
+    for csv in ([], ["--csv", str(tmp_path / "grid.csv")]):
+        # eval_harmonic reaches eval_power through qharm.series
+        with mock.patch.object(series, "eval_power", wraps=series.eval_power) as in_series, \
+                mock.patch.object(verify, "eval_power", wraps=verify.eval_power) as in_verify:
+            assert run([*argv, *csv]) == 0
+        reports = json.loads(capsys.readouterr().out)
+        assert [r["check"] for r in reports][-1] == "growth_bounds"
+        calls.append(in_series.call_count + in_verify.call_count)
+    assert calls[0] == calls[1]
+
+
 def test_malformed_json_names_field(tmp_path, capsys):
     path = write_json(tmp_path / "bad.json", {"trunc": 4, "h": [[0.5, 0]], "g": []})
     assert run(["verify", "--in", path, "--m", "0", "--alpha", "0", "--q", "0.5"]) == 2
@@ -186,7 +202,7 @@ def test_check_decides_with_one_sufficiency_call(tmp_path, capsys, h, t_form, de
     # On t_form input member_t_iff is satisfies_sufficient, so check asks once.
     path = write_json(tmp_path / "f.json", {"trunc": 4, "h": h, "g": []})
     with mock.patch.object(cli, "satisfies_sufficient", wraps=satisfies_sufficient) as sufficient, mock.patch.object(
-        cli, "member_t_iff", wraps=member_t_iff
+        classes, "member_t_iff", wraps=member_t_iff
     ) as member:
         assert run(["check", "--in", path, "--m", "0", "--alpha", "0.5", "--q", "0.5"]) == (0 if decided else 1)
     assert sufficient.call_count == 1 and member.call_count == 0
@@ -585,6 +601,13 @@ def test_sizes_beyond_their_limit_are_usage_errors(tmp_path, capsys, argv, name,
     cls = [] if argv[0] == "qint" else ["--m", "0", "--alpha", "0.5", "--q", "0.5"]
     assert run([*(a.format(n=limit + excess, id=path) for a in argv), *cls]) == 2
     assert capsys.readouterr().err == f"error: {name} {limit + excess} exceeds the limit {limit}\n"
+
+
+def test_grid_size_beyond_its_limit_is_usage_error(tmp_path, capsys):
+    path = write_json(tmp_path / "id.json", IDENTITY_DOC)
+    radii = ",".join(str(i / 4098) for i in range(1, 4098))
+    assert run(["verify", "--in", path, "--radii", radii, "--m", "0", "--alpha", "0.5", "--q", "0.5"]) == 2
+    assert capsys.readouterr().err == f"error: grid size {4097 * 256} exceeds the limit {MAX_GRID_POINTS}\n"
 
 
 def test_qint_at_its_limit(capsys):

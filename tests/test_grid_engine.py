@@ -5,13 +5,19 @@ zero-seeded Horner loop over every stored coefficient, the whole grid
 evaluated for the injectivity pairs, and margin_rows with its own margin
 formulas.  The library skips high-order +0+0j coefficients, caches the grid
 points and evaluates only the pair ends; its reports and margin tables must
-equal the reference bit for bit, zero signs included.  Likewise the scan
+equal the reference bit for bit, zero signs included, and so must the
+CSV text, whose coordinate columns are formatted once per grid, and the
+reports and table of disc_checks, which share each margin array between
+them.  Likewise the scan
 builds its candidates at their highest drawn power and stops each trial at
 its first failed check, and its reports must equal those of candidates
 padded to DEFAULT_TRUNC with every check run.
 """
 
+import io
 import math
+import os
+import tempfile
 from unittest import mock
 
 import numpy as np
@@ -29,6 +35,7 @@ from qharm import (
     classical_derivative,
     coeff_functional,
     counterexample_scan,
+    disc_checks,
     eval_power,
     growth_bound_check,
     growth_bounds,
@@ -39,6 +46,7 @@ from qharm import (
     re_condition_margin,
     salagean_harmonic,
     sense_preserving_margin,
+    write_margin_csv,
 )
 from qharm import verify
 from qharm.qcore import weights
@@ -135,6 +143,11 @@ def ref_margin_rows(f, p, grid):
     return header, [[float(col[i]) for col in columns] for i in range(z.size)]
 
 
+def ref_csv(f, p, grid):
+    header, rows = ref_margin_rows(f, p, grid)
+    return "".join(",".join(line) + "\n" for line in [header, *([repr(v) for v in row] for row in rows)])
+
+
 def assert_same(a, b):
     """Equality that also tells the two signed zeros apart."""
     if isinstance(a, float):
@@ -216,15 +229,28 @@ def test_engine_matches_reference_bitwise(f, p, grid, pair_budget, seed):
     for s in (f.h, f.g):
         assert np.array_equal(eval_power(s, z).view(np.uint64), ref_poly(s.coeffs, z).view(np.uint64))
     tol = 1e-9
-    assert_same(re_condition_margin(f, p, grid, tolerance=tol).to_dict(), ref_re_condition(f, p, grid, tol))
-    assert_same(sense_preserving_margin(f, grid, tolerance=tol).to_dict(), ref_sense_preserving(f, grid, tol))
-    assert_same(
-        injectivity_sample_check(f, grid, pair_budget, seed=seed, tolerance=tol).to_dict(),
+    expected = [
+        ref_re_condition(f, p, grid, tol),
+        ref_sense_preserving(f, grid, tol),
         ref_injectivity(f, grid, pair_budget, seed, tol),
-    )
+    ]
+    assert_same(re_condition_margin(f, p, grid, tolerance=tol).to_dict(), expected[0])
+    assert_same(sense_preserving_margin(f, grid, tolerance=tol).to_dict(), expected[1])
+    assert_same(injectivity_sample_check(f, grid, pair_budget, seed=seed, tolerance=tol).to_dict(), expected[2])
     if f.t_form and member_t_iff(f, p):
-        assert_same(growth_bound_check(f, p, grid, tolerance=tol).to_dict(), ref_growth(f, p, grid, tol))
+        expected.append(ref_growth(f, p, grid, tol))
+        assert_same(growth_bound_check(f, p, grid, tolerance=tol).to_dict(), expected[3])
     assert_same(margin_rows(f, p, grid), ref_margin_rows(f, p, grid))
+    text = ref_csv(f, p, grid)
+    buf = io.StringIO()
+    write_margin_csv(buf, f, p, grid)
+    assert buf.getvalue() == text
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "margins.csv")
+        reports = disc_checks(f, p, grid, pair_budget, seed=seed, tolerance=tol, csv_path=path)
+        with open(path, encoding="utf-8") as fh:
+            assert fh.read() == text
+    assert_same([r.to_dict() for r in reports], expected)
 
 
 @given(grid=grids)
@@ -235,6 +261,16 @@ def test_grid_points_cached_and_read_only(grid):
     assert not z.flags.writeable
     fresh = ref_points(grid)
     assert np.array_equal(z.view(np.uint64), fresh.view(np.uint64))
+
+
+def test_coordinate_columns_cached_per_grid():
+    def columns(grid):
+        return verify._coordinate_columns(grid.radii, grid.angular_count, grid.include_positive_axis)
+
+    grid = DiskGrid(radii=(0.5, 0.9), angular_count=8)
+    assert columns(grid) is columns(DiskGrid(radii=(0.5, 0.9), angular_count=8))
+    off_axis = columns(DiskGrid(radii=(0.5, 0.9), angular_count=8, include_positive_axis=False))
+    assert off_axis is not columns(grid) and off_axis != columns(grid)
 
 
 def test_negative_zero_coefficients_are_evaluated():

@@ -19,6 +19,8 @@ from qharm import (
     extreme_point,
     growth_bound_check,
     growth_witness_upper,
+    harmonic_from_json,
+    harmonic_to_json,
     injectivity_sample_check,
     margin_rows,
     member_t_iff,
@@ -33,7 +35,7 @@ from qharm import (
 from qharm import classes, verify
 from qharm.classes import MAX_PROOF_STEP_U
 from qharm.qcore import MAX_JSON_TRUNC
-from qharm.verify import MAX_ANGULAR_COUNT, MAX_PAIR_BUDGET, MAX_TRIALS
+from qharm.verify import MAX_ANGULAR_COUNT, MAX_GRID_POINTS, MAX_PAIR_BUDGET, MAX_TRIALS
 
 
 def params(m=0, alpha=0.0, q=0.5):
@@ -340,6 +342,26 @@ def test_random_t_form_trunc_one():
     assert f.g.coeffs == (0.5 + 0j,)
 
 
+def test_random_t_form_trunc_limit():
+    p = params(3, 0.25, 0.9)
+    f = random_t_form(p, 0.5, np.random.default_rng(1), trunc=MAX_JSON_TRUNC)
+    assert harmonic_from_json(harmonic_to_json(f)) == f
+    # refused before a single draw: the series could not be read back
+    rng = mock.Mock(random=mock.Mock(side_effect=Reached))
+    for n in (MAX_JSON_TRUNC + 1, 10**12):
+        with pytest.raises(DomainError, match=f"trunc {n} exceeds the limit {MAX_JSON_TRUNC}"):
+            random_t_form(p, 0.5, rng, trunc=n)
+
+
+def test_random_t_form_envelope_underflows():
+    # 0.25**u is 0 from u = 538 on, and the coefficients go to 0 a little
+    # before it, so the longest series has nothing past power 532
+    p = params(3, 0.25, 0.9)
+    f = random_t_form(p, 0.5, np.random.default_rng(1), trunc=MAX_JSON_TRUNC)
+    for part in (f.h, f.g):
+        assert max(u for u, c in enumerate(part.coeffs, 1) if c != 0) == 532
+
+
 # --- proof-step map and scan ------------------------------------------------------------
 
 
@@ -488,6 +510,16 @@ def test_angular_count_limit():
     for k in (MAX_ANGULAR_COUNT + 1, 10**12):
         with pytest.raises(DomainError, match=f"angular_count {k} exceeds the limit {MAX_ANGULAR_COUNT}"):
             DiskGrid(angular_count=k)
+
+
+def test_grid_size_limit():
+    # the limit admits the angular limit on the default radii
+    assert MAX_GRID_POINTS >= 11 * MAX_ANGULAR_COUNT
+    radii = tuple((i + 1) / 64 for i in range(32))
+    assert DiskGrid(radii=radii[:16], angular_count=MAX_ANGULAR_COUNT).size == MAX_GRID_POINTS
+    # 17 * 61681 == MAX_GRID_POINTS + 1
+    with pytest.raises(DomainError, match=f"grid size {MAX_GRID_POINTS + 1} exceeds the limit {MAX_GRID_POINTS}"):
+        DiskGrid(radii=radii[:17], angular_count=61681)
 
 
 def test_pair_budget_limit():
