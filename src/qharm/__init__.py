@@ -77,7 +77,6 @@ __all__ = [
     "coeff_functional",
     "convex_combination",
     "counterexample_scan",
-    "disc_checks",
     "eval_analytic",
     "eval_harmonic",
     "eval_power",

@@ -236,10 +236,8 @@ def _cmd_verify(args):
     f = _input(args)
     p = _class_params(args)
     grid = verify.DiskGrid(**_grid_kwargs(args))
-    try:
-        reports = verify.disc_checks(f, p, grid, args.pair_budget, seed=args.seed, tolerance=tol, csv_path=args.csv)
-    except OSError as exc:  # only the --csv write does I/O here
-        raise UsageError(f"cannot write {args.csv}: {exc}") from None
+    csv = functools.partial(_writing, args.csv) if args.csv else None
+    reports = verify.disc_checks(f, p, grid, args.pair_budget, seed=args.seed, tolerance=tol, csv=csv)
     return [r.to_dict() for r in reports], all(r.passed for r in reports)
 
 

@@ -17,7 +17,6 @@ computed once.
 
 from __future__ import annotations
 
-import contextvars
 import functools
 import math
 import operator
@@ -111,40 +110,16 @@ class VerificationReport:
 
 # --- pointwise margins: each check is one of these plus _min_report -----------
 
-# The margin arrays of the disc_checks call in progress; None outside one.
-# The public checks keep their signatures, so they find the shared arrays here.
-_run_margins: contextvars.ContextVar[dict | None] = contextvars.ContextVar("qharm_run_margins", default=None)
 
-
-def _once_per_run(compute):
-    """Inside disc_checks, whose calls all pass its one function, class
-    and grid, compute on the first call and hand the same result to every
-    later one; outside it, compute on every call."""
-
-    @functools.wraps(compute)
-    def margins(*args):
-        memo = _run_margins.get()
-        if memo is None:
-            return compute(*args)
-        if compute not in memo:
-            memo[compute] = compute(*args)
-        return memo[compute]
-
-    return margins
-
-
-@_once_per_run
 def _re_condition_margins(f: HarmonicFunction, p: ClassParams, z: np.ndarray) -> np.ndarray:
     t = class_transform(f, p.operator_params())
     return np.real(eval_power(t, z)) - p.alpha
 
 
-@_once_per_run
 def _sense_preserving_margins(f: HarmonicFunction, z: np.ndarray) -> np.ndarray:
     return np.abs(eval_power(classical_derivative(f.h), z)) - np.abs(eval_power(classical_derivative(f.g), z))
 
 
-@_once_per_run
 def _growth_margins(f: HarmonicFunction, p: ClassParams, grid: DiskGrid) -> tuple[np.ndarray, np.ndarray]:
     """|f| - lower(r) and upper(r) - |f| on the grid, bounds once per radius."""
     b1 = f.g.coeffs[0].real
@@ -241,9 +216,12 @@ def growth_bound_check(
     """
     if not member_t_iff(f, p):
         raise DomainError("growth bounds hold for t_form members; the functional exceeds 1")
-    lower_m, upper_m = _growth_margins(f, p, grid)
-    margins = np.minimum(upper_m, lower_m)
-    return _min_report("growth_bounds", margins, grid.points(), tolerance)
+    return _growth_report(_growth_margins(f, p, grid), grid.points(), tolerance)
+
+
+def _growth_report(margins: tuple[np.ndarray, np.ndarray], z: np.ndarray, tolerance: float) -> VerificationReport:
+    lower_m, upper_m = margins
+    return _min_report("growth_bounds", np.minimum(upper_m, lower_m), z, tolerance)
 
 
 # --- randomized generators and the counterexample scan ----------------------
@@ -398,31 +376,34 @@ def margin_rows(
     """Per-point margin table: one row per grid point with the pointwise
     margins of the active checks.  Growth margins are included when f is a
     t_form member (both one-sided margins, lower then upper)."""
+    return _table(grid, *_margin_columns(f, p, grid))
+
+
+def _margin_columns(f: HarmonicFunction, p: ClassParams, grid: DiskGrid) -> tuple[list[str], list[np.ndarray]]:
+    """Names and arrays of the margin columns of margin_rows (all but re, im)."""
     z = grid.points()
-    header = ["re", "im", "re_condition_margin", "sense_preserving_margin"]
-    columns = [np.real(z), np.imag(z), _re_condition_margins(f, p, z), _sense_preserving_margins(f, z)]
+    header = ["re_condition_margin", "sense_preserving_margin"]
+    columns = [_re_condition_margins(f, p, z), _sense_preserving_margins(f, z)]
     if f.t_form and member_t_iff(f, p):
         header += ["growth_lower_margin", "growth_upper_margin"]
         columns += _growth_margins(f, p, grid)
-    return header, np.column_stack(columns).tolist()
+    return header, columns
+
+
+def _table(grid: DiskGrid, header: list[str], columns: list[np.ndarray]) -> tuple[list[str], list[list[float]]]:
+    z = grid.points()
+    return ["re", "im", *header], np.column_stack([np.real(z), np.imag(z), *columns]).tolist()
 
 
 def write_margin_csv(stream, f: HarmonicFunction, p: ClassParams, grid: DiskGrid) -> None:
     """CSV dump of margin_rows: plain decimal floats, comma separated."""
-    header, rows = margin_rows(f, p, grid)
+    _write_csv(stream, *margin_rows(f, p, grid))
+
+
+def _write_csv(stream, header: list[str], rows: list[list[float]]) -> None:
     stream.write(",".join(header) + "\n")
-    coordinates = _coordinate_columns(grid.radii, grid.angular_count, grid.include_positive_axis)
-    for start, row in zip(coordinates, rows):
-        stream.write(start + ",".join(map(repr, row[2:])) + "\n")
-
-
-@functools.lru_cache(maxsize=2)
-def _coordinate_columns(radii: tuple[float, ...], k: int, include_positive_axis: bool) -> tuple[str, ...]:
-    """The "re,im," start of each CSV row, formatted once per grid.  A
-    string takes at most about 100 bytes, so MAX_GRID_POINTS bounds the
-    cache at about 200 MB."""
-    z = _grid_points(radii, k, include_positive_axis)
-    return tuple(f"{re!r},{im!r}," for re, im in zip(np.real(z).tolist(), np.imag(z).tolist()))
+    for row in rows:
+        stream.write(",".join(map(repr, row)) + "\n")
 
 
 # --- the verify run ------------------------------------------------------------
@@ -436,26 +417,24 @@ def disc_checks(
     *,
     seed: int = 0,
     tolerance: float = DEFAULT_TOLERANCE,
-    csv_path: str | None = None,
+    csv=None,
 ) -> list[VerificationReport]:
     """The reports of ``qharm verify``: Re-condition, sense-preserving,
-    injectivity and, for a t_form member, growth.  Given csv_path, the
-    margin table of write_margin_csv is written there after the checks,
-    so a run whose checks raise leaves no file.  Each margin array is
-    computed once and read by every report and the table; the results
-    equal those of the single checks bit for bit."""
-    token = _run_margins.set({})
-    try:
-        reports = [
-            re_condition_margin(f, p, grid, tolerance=tolerance),
-            sense_preserving_margin(f, grid, tolerance=tolerance),
-            injectivity_sample_check(f, grid, pair_budget, seed=seed, tolerance=tolerance),
-        ]
-        if f.t_form and member_t_iff(f, p):
-            reports.append(growth_bound_check(f, p, grid, tolerance=tolerance))
-        if csv_path is not None:
-            with open(csv_path, "w", encoding="utf-8") as fh:
-                write_margin_csv(fh, f, p, grid)
-    finally:
-        _run_margins.reset(token)
+    injectivity and, for a t_form member, growth, equal to those of the
+    single checks.  Each margin array is computed once and read by the
+    reports and the margin table.  csv, if given, is called after the
+    checks and returns a context manager yielding the stream for the
+    write_margin_csv table, so a run whose checks raise opens nothing."""
+    z = grid.points()
+    header, columns = _margin_columns(f, p, grid)
+    reports = [
+        _min_report("re_condition", columns[0], z, tolerance),
+        _min_report("sense_preserving", columns[1], z, tolerance),
+        injectivity_sample_check(f, grid, pair_budget, seed=seed, tolerance=tolerance),
+    ]
+    if len(columns) == 4:
+        reports.append(_growth_report(columns[2:], z, tolerance))
+    if csv is not None:
+        with csv() as stream:
+            _write_csv(stream, *_table(grid, header, columns))
     return reports

@@ -23,7 +23,7 @@ from qharm import (
 from qharm.qcore import DEFAULT_TOLERANCE, MEMBERSHIP_TOL
 from qharm.series import MAX_JSON_TRUNC
 from qharm.verify import MAX_ANGULAR_COUNT, MAX_GRID_POINTS, MAX_PAIR_BUDGET, MAX_TRIALS
-from qharm import classes, cli, series, verify
+from qharm import cli, series, verify
 from qharm.cli import build_parser, run
 
 IDENTITY_DOC = {"trunc": 4, "h": [[1, 0]], "g": []}
@@ -143,6 +143,14 @@ def test_verify_csv_dump(tmp_path, capsys):
     assert len(lines) == 1 + 16
 
 
+def test_verify_empty_csv_path_writes_no_table(tmp_path, monkeypatch, capsys):
+    path = write_json(tmp_path / "id.json", IDENTITY_DOC)
+    monkeypatch.chdir(tmp_path)
+    assert run(["verify", "--in", path, "--m", "0", "--alpha", "0.5", "--q", "0.5", "--csv", ""]) == 0
+    assert len(json.loads(capsys.readouterr().out)) == 4
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["id.json"]
+
+
 def test_verify_csv_reuses_the_grid_evaluations_of_the_checks(tmp_path, capsys):
     f = HarmonicFunction.from_t_magnitudes({2: 0.25}, {1: 0.25}, trunc=4)
     path = write_json(tmp_path / "f.json", harmonic_to_json(f))
@@ -202,7 +210,7 @@ def test_check_decides_with_one_sufficiency_call(tmp_path, capsys, h, t_form, de
     # On t_form input member_t_iff is satisfies_sufficient, so check asks once.
     path = write_json(tmp_path / "f.json", {"trunc": 4, "h": h, "g": []})
     with mock.patch.object(cli, "satisfies_sufficient", wraps=satisfies_sufficient) as sufficient, mock.patch.object(
-        classes, "member_t_iff", wraps=member_t_iff
+        cli, "member_t_iff", wraps=member_t_iff, create=True
     ) as member:
         assert run(["check", "--in", path, "--m", "0", "--alpha", "0.5", "--q", "0.5"]) == (0 if decided else 1)
     assert sufficient.call_count == 1 and member.call_count == 0

@@ -6,18 +6,16 @@ evaluated for the injectivity pairs, and margin_rows with its own margin
 formulas.  The library skips high-order +0+0j coefficients, caches the grid
 points and evaluates only the pair ends; its reports and margin tables must
 equal the reference bit for bit, zero signs included, and so must the
-CSV text, whose coordinate columns are formatted once per grid, and the
-reports and table of disc_checks, which share each margin array between
-them.  Likewise the scan
+CSV text and the reports and table of disc_checks, which share each
+margin array between them.  Likewise the scan
 builds its candidates at their highest drawn power and stops each trial at
 its first failed check, and its reports must equal those of candidates
 padded to DEFAULT_TRUNC with every check run.
 """
 
+import contextlib
 import io
 import math
-import os
-import tempfile
 from unittest import mock
 
 import numpy as np
@@ -35,7 +33,6 @@ from qharm import (
     classical_derivative,
     coeff_functional,
     counterexample_scan,
-    disc_checks,
     eval_power,
     growth_bound_check,
     growth_bounds,
@@ -245,11 +242,9 @@ def test_engine_matches_reference_bitwise(f, p, grid, pair_budget, seed):
     buf = io.StringIO()
     write_margin_csv(buf, f, p, grid)
     assert buf.getvalue() == text
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "margins.csv")
-        reports = disc_checks(f, p, grid, pair_budget, seed=seed, tolerance=tol, csv_path=path)
-        with open(path, encoding="utf-8") as fh:
-            assert fh.read() == text
+    buf = io.StringIO()
+    reports = verify.disc_checks(f, p, grid, pair_budget, seed=seed, tolerance=tol, csv=lambda: contextlib.nullcontext(buf))
+    assert buf.getvalue() == text
     assert_same([r.to_dict() for r in reports], expected)
 
 
@@ -261,16 +256,6 @@ def test_grid_points_cached_and_read_only(grid):
     assert not z.flags.writeable
     fresh = ref_points(grid)
     assert np.array_equal(z.view(np.uint64), fresh.view(np.uint64))
-
-
-def test_coordinate_columns_cached_per_grid():
-    def columns(grid):
-        return verify._coordinate_columns(grid.radii, grid.angular_count, grid.include_positive_axis)
-
-    grid = DiskGrid(radii=(0.5, 0.9), angular_count=8)
-    assert columns(grid) is columns(DiskGrid(radii=(0.5, 0.9), angular_count=8))
-    off_axis = columns(DiskGrid(radii=(0.5, 0.9), angular_count=8, include_positive_axis=False))
-    assert off_axis is not columns(grid) and off_axis != columns(grid)
 
 
 def test_negative_zero_coefficients_are_evaluated():
