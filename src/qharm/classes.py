@@ -230,7 +230,7 @@ def _from_shares(p: ClassParams, n: int, terms: Sequence[tuple[str, int, float, 
 
 def _check_unit_sum(moduli: list[float], what: str) -> None:
     total = math.fsum(moduli)
-    if abs(total - 1.0) > MEMBERSHIP_TOL:
+    if not abs(total - 1.0) <= MEMBERSHIP_TOL:
         raise DomainError(f"{what} must sum to 1 within {MEMBERSHIP_TOL}, got {total!r}")
 
 
@@ -280,7 +280,7 @@ def convex_combination(
     masses = [float(w) for _, _, w in terms]
     for w in masses:
         if w < 0.0 or not math.isfinite(w):
-            raise DomainError(f"weights must be non-negative, got {w!r}")
+            raise DomainError(f"weights must be finite and non-negative, got {w!r}")
     _check_unit_sum(masses, "weights")
     n = _series_length(max([trunc, *(u for u, _, _ in terms)]))
     # The identity coefficient is the weight total, which is 1 by contract;

@@ -44,7 +44,7 @@ from .classes import (
     sharpness_witness,
 )
 from .salagean import OperatorParams, class_transform, q_derivative, salagean_harmonic
-from .series import MAX_JSON_TRUNC, SchemaError, harmonic_from_json, harmonic_to_json
+from .series import MAX_JSON_TRUNC, SchemaError, harmonic_from_json, harmonic_to_json, power_series_to_json
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -110,10 +110,6 @@ def _emit(payload, out: str | None) -> None:
         _write_stdout(text)
 
 
-def _power_series_json(series) -> dict:
-    return {"start_power": 0, "coeffs": [[c.real, c.imag] for c in series.coeffs]}
-
-
 def _parse_radii(text: str | None) -> tuple[float, ...] | None:
     if text is None:
         return None
@@ -169,7 +165,7 @@ def _cmd_qint(args):
 def _cmd_dq(args):
     f = _input(args)
     q = QParam(args.q)
-    return {"h": _power_series_json(q_derivative(f.h, q)), "g": _power_series_json(q_derivative(f.g, q))}, True
+    return {"h": power_series_to_json(q_derivative(f.h, q)), "g": power_series_to_json(q_derivative(f.g, q))}, True
 
 
 def _cmd_salagean(args):
@@ -181,7 +177,7 @@ def _cmd_salagean(args):
 def _cmd_transform(args):
     f = _input(args)
     p = _operator_params(args)
-    return _power_series_json(class_transform(f, p)), True
+    return power_series_to_json(class_transform(f, p)), True
 
 
 def _cmd_check(args):

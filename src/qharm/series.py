@@ -9,7 +9,9 @@ term (coefficients from z**0).
 Series arithmetic is exact for the stored coefficient range and silently
 truncates beyond the truncation degree.  All types are immutable and all
 operations are pure, so concurrent use and transfer between threads are
-unrestricted.
+unrestricted.  The three types are frozen dataclasses without
+``__slots__``: a frozen class with hand-written slots cannot be unpickled
+or copied, since both restore its state through the refused ``__setattr__``.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import cmath
 import math
 import operator
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from .qcore import MAX_JSON_TRUNC, DomainError
@@ -33,37 +36,37 @@ class SchemaError(ValueError):
         self.field = field
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class _Series:
-    """Accessors shared by the two series types; coeffs[0] is the coefficient of z**_start."""
+    """Storage and accessors shared by the two series types; coeffs[0] is the coefficient of z**_start."""
 
-    __slots__ = ("_coeffs",)
+    coeffs: tuple[complex, ...]
     _start = 1
 
-    @property
-    def coeffs(self) -> tuple[complex, ...]:
-        return self._coeffs
+    def __init__(self, coeffs: Iterable[complex], length: int | None):
+        """Store ``coeffs`` as finite complex values, zero-padded and cut to
+        ``length`` (None: as given, but at least one)."""
+        vals = [complex(c) for c in coeffs]
+        for u, c in enumerate(vals, start=self._start):
+            if not cmath.isfinite(c):
+                raise ValueError(f"coefficient at power {u} is not finite: {c!r}")
+        n = max(len(vals), 1) if length is None else length
+        object.__setattr__(self, "coeffs", tuple(vals[:n]) + (0j,) * (n - len(vals)))
 
     def coeff(self, u: int) -> complex:
         """Coefficient of z**u for u >= _start; zero beyond the stored range."""
         u = operator.index(u)
         if u < self._start:
             raise DomainError(f"power index must be >= {self._start}, got {u!r}")
-        if u - self._start >= len(self._coeffs):
+        if u - self._start >= len(self.coeffs):
             return 0j
-        return self._coeffs[u - self._start]
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._coeffs == other._coeffs
-
-    def __hash__(self) -> int:
-        return hash(self._coeffs)
+        return self.coeffs[u - self._start]
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}({list(self._coeffs)!r})"
+        return f"{type(self).__name__}({list(self.coeffs)!r})"
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class AnalyticSeries(_Series):
     """Coefficients c_1..c_N of a series with no constant term.
 
@@ -72,23 +75,15 @@ class AnalyticSeries(_Series):
     degree; longer input is silently truncated.
     """
 
-    __slots__ = ()
-
     def __init__(self, coeffs: Iterable[complex] = (), trunc: int = DEFAULT_TRUNC):
         trunc = operator.index(trunc)
         if trunc < 1:
             raise ValueError(f"truncation degree must be positive, got {trunc!r}")
-        vals = [complex(c) for c in coeffs]
-        for i, c in enumerate(vals):
-            if not cmath.isfinite(c):
-                raise ValueError(f"coefficient at power {i + 1} is not finite: {c!r}")
-        if len(vals) < trunc:
-            vals.extend([0j] * (trunc - len(vals)))
-        self._coeffs = tuple(vals[:trunc])
+        super().__init__(coeffs, trunc)
 
     @property
     def trunc_degree(self) -> int:
-        return len(self._coeffs)
+        return len(self.coeffs)
 
     @classmethod
     def identity(cls, trunc: int = DEFAULT_TRUNC) -> "AnalyticSeries":
@@ -100,19 +95,15 @@ class AnalyticSeries(_Series):
         return cls((), trunc=trunc)
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class PowerSeries(_Series):
     """Coefficients from z**0 upward; the result type of derivative-like
     maps, which drop the degree by one and so acquire a constant term."""
 
-    __slots__ = ()
     _start = 0
 
     def __init__(self, coeffs: Iterable[complex] = (0j,)):
-        vals = [complex(c) for c in coeffs]
-        for k, c in enumerate(vals):
-            if not cmath.isfinite(c):
-                raise ValueError(f"coefficient at power {k} is not finite: {c!r}")
-        self._coeffs = tuple(vals) or (0j,)
+        super().__init__(coeffs, None)
 
 
 def _t_structure(h: AnalyticSeries, g: AnalyticSeries) -> bool:
@@ -122,6 +113,7 @@ def _t_structure(h: AnalyticSeries, g: AnalyticSeries) -> bool:
     return h_ok and g_ok
 
 
+@dataclass(frozen=True, init=False)
 class HarmonicFunction:
     """Pair (h, g) representing f = h + conj(g) on the unit disc.
 
@@ -135,7 +127,9 @@ class HarmonicFunction:
     rather than only a sufficient condition.
     """
 
-    __slots__ = ("_h", "_g", "_t_form")
+    h: AnalyticSeries
+    g: AnalyticSeries
+    t_form: bool = field(init=False, compare=False)
 
     def __init__(self, h: AnalyticSeries, g: AnalyticSeries | None = None):
         if g is None:
@@ -149,25 +143,13 @@ class HarmonicFunction:
             raise ValueError(f"h must be normalized with coefficient 1 at z, got {h.coeffs[0]!r}")
         if abs(g.coeffs[0]) > 1.0:
             raise DomainError(f"|b_1| must not exceed 1, got {abs(g.coeffs[0])!r}")
-        self._h = h
-        self._g = g
-        self._t_form = _t_structure(h, g)
-
-    @property
-    def h(self) -> AnalyticSeries:
-        return self._h
-
-    @property
-    def g(self) -> AnalyticSeries:
-        return self._g
-
-    @property
-    def t_form(self) -> bool:
-        return self._t_form
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "t_form", _t_structure(h, g))
 
     @property
     def trunc_degree(self) -> int:
-        return self._h.trunc_degree
+        return self.h.trunc_degree
 
     @classmethod
     def from_t_magnitudes(
@@ -197,17 +179,6 @@ class HarmonicFunction:
                 raise DomainError(f"magnitude for power {u} must be >= 0, got {mag!r}")
             g[u - 1] = float(mag)
         return cls(AnalyticSeries(h, trunc=trunc), AnalyticSeries(g, trunc=trunc))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, HarmonicFunction):
-            return NotImplemented
-        return self._h == other._h and self._g == other._g
-
-    def __hash__(self) -> int:
-        return hash((self._h, self._g))
-
-    def __repr__(self) -> str:
-        return f"HarmonicFunction(h={self._h!r}, g={self._g!r}, t_form={self._t_form})"
 
 
 def eval_analytic(s: AnalyticSeries, z):
@@ -272,15 +243,21 @@ def is_t_form(f: HarmonicFunction) -> bool:
 # --- JSON wire format -------------------------------------------------------
 #
 # {"trunc": N, "h": [[re, im], ...], "g": [[re, im], ...]} with index 0 of
-# each array holding the coefficient of z**1; h[0] must be [1, 0].
+# each array holding the coefficient of z**1; h[0] must be [1, 0].  A
+# PowerSeries is written, not read, as {"start_power": 0, "coeffs": [...]}
+# with index 0 holding the constant term.
+
+
+def _pairs(s: _Series) -> list[list[float]]:
+    return [[c.real, c.imag] for c in s.coeffs]
 
 
 def harmonic_to_json(f: HarmonicFunction) -> dict:
-    return {
-        "trunc": f.trunc_degree,
-        "h": [[c.real, c.imag] for c in f.h.coeffs],
-        "g": [[c.real, c.imag] for c in f.g.coeffs],
-    }
+    return {"trunc": f.trunc_degree, "h": _pairs(f.h), "g": _pairs(f.g)}
+
+
+def power_series_to_json(s: PowerSeries) -> dict:
+    return {"start_power": 0, "coeffs": _pairs(s)}
 
 
 def _parse_pairs(obj: object, field: str, trunc: int) -> tuple[complex, ...]:

@@ -237,6 +237,12 @@ def test_witness_rejects_bad_weight_sum():
         sharpness_witness([0.6], [0.6], params())
 
 
+@pytest.mark.parametrize("weight", [float("nan"), complex("nanj"), float("inf")])
+def test_witness_refuses_non_finite_weight_moduli(weight):
+    with pytest.raises(DomainError, match="weight moduli must sum to 1"):
+        sharpness_witness([weight], [], params())
+
+
 # --- growth bounds --------------------------------------------------------------------
 
 

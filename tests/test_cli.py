@@ -10,7 +10,9 @@ from qharm import (
     AnalyticSeries,
     ClassParams,
     HarmonicFunction,
+    OperatorParams,
     QParam,
+    class_transform,
     coeff_functional,
     convex_combination,
     extreme_point,
@@ -250,11 +252,15 @@ def test_salagean_command_round_trips(tmp_path, capsys):
 
 
 def test_transform_command(tmp_path, capsys):
-    path = write_json(tmp_path / "f.json", {"trunc": 2, "h": [[1, 0], [-0.2, 0]], "g": []})
+    src = {"trunc": 2, "h": [[1, 0], [-0.2, 0]], "g": []}
+    path = write_json(tmp_path / "f.json", src)
     assert run(["transform", "--in", path, "--m", "1", "--q", "0.5"]) == 0
     doc = json.loads(capsys.readouterr().out)
+    assert doc["start_power"] == 0
     assert doc["coeffs"][0] == [1.0, 0.0]
     assert doc["coeffs"][1][0] == pytest.approx(-0.3, abs=1e-15)
+    expected = class_transform(harmonic_from_json(src), OperatorParams(1, QParam(0.5))).coeffs
+    assert doc["coeffs"] == [[c.real, c.imag] for c in expected]
 
 
 def test_combine_command(capsys):

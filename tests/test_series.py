@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 import struct
 
 import numpy as np
@@ -83,6 +85,24 @@ def test_power_series_accessors_start_at_zero():
     # equal coefficients do not make the two types equal
     assert a.coeffs == s.coeffs and a != s and s != a
     assert s == PowerSeries([2.0, 0.5]) and hash(s) == hash(PowerSeries([2.0, 0.5]))
+
+
+@pytest.mark.parametrize(
+    "value, names",
+    [
+        (AnalyticSeries([1.0, -0.25j], trunc=3), ("coeffs",)),
+        (PowerSeries([2.0, 0.5]), ("coeffs",)),
+        (HarmonicFunction(AnalyticSeries([1.0, -0.2], trunc=3), AnalyticSeries([0.1], trunc=3)), ("h", "g", "t_form")),
+    ],
+)
+def test_values_pickle_copy_and_refuse_assignment(value, names):
+    # A frozen class with hand-written __slots__ fails the round trips:
+    # unpickling and copying restore slot state through the refused __setattr__.
+    for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+        assert type(twin) is type(value) and twin == value and repr(twin) == repr(value)
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(value, name))
 
 
 def test_harmonic_requires_normalization():
