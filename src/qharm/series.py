@@ -267,15 +267,17 @@ def _parse_pairs(obj: object, field: str, trunc: int) -> tuple[complex, ...]:
         raise SchemaError(field, f"{len(obj)} coefficients exceed trunc = {trunc}")
     out = []
     for i, entry in enumerate(obj):
-        where = f"{field}[{i}]"
         if not (isinstance(entry, list) and len(entry) == 2):
-            raise SchemaError(where, "expected a [re, im] pair")
+            raise SchemaError(f"{field}[{i}]", "expected a [re, im] pair")
         re, im = entry
         if isinstance(re, bool) or isinstance(im, bool) or not isinstance(re, (int, float)) or not isinstance(im, (int, float)):
-            raise SchemaError(where, "re and im must be real numbers")
-        c = complex(float(re), float(im))
+            raise SchemaError(f"{field}[{i}]", "re and im must be real numbers")
+        try:
+            c = complex(re, im)
+        except OverflowError:  # an integer beyond the float range
+            raise SchemaError(f"{field}[{i}]", "re and im must fit in a float") from None
         if not cmath.isfinite(c):
-            raise SchemaError(where, f"coefficient is not finite: {entry!r}")
+            raise SchemaError(f"{field}[{i}]", f"coefficient is not finite: {entry!r}")
         out.append(c)
     return tuple(out)
 

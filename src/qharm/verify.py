@@ -12,7 +12,8 @@ inputs (including seeds) give bitwise-identical reports.  The grid
 checks take one absolute tolerance on their sampled margins
 (DEFAULT_TOLERANCE unless the caller passes another).  disc_checks runs
 the checks of ``qharm verify`` and its margin table with each margin array
-computed once.
+computed once and f evaluated once per point set: injectivity reads the
+growth check's grid values, or evaluates both pair ends in one pass.
 """
 
 from __future__ import annotations
@@ -120,15 +121,16 @@ def _sense_preserving_margins(f: HarmonicFunction, z: np.ndarray) -> np.ndarray:
     return np.abs(eval_power(classical_derivative(f.h), z)) - np.abs(eval_power(classical_derivative(f.g), z))
 
 
-def _growth_margins(f: HarmonicFunction, p: ClassParams, grid: DiskGrid) -> tuple[np.ndarray, np.ndarray]:
-    """|f| - lower(r) and upper(r) - |f| on the grid, bounds once per radius."""
+def _growth_margins(f: HarmonicFunction, p: ClassParams, grid: DiskGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """|f| - lower(r), upper(r) - |f| (bounds once per radius) and f on the grid."""
     b1 = f.g.coeffs[0].real
     bounds = [growth_bounds(b1, r, p) for r in grid.radii]
     k = grid.angular_count
     lowers = np.repeat([b.lower for b in bounds], k)
     uppers = np.repeat([b.upper for b in bounds], k)
-    mod = np.abs(eval_harmonic(f, grid.points()))
-    return mod - lowers, uppers - mod
+    fz = eval_harmonic(f, grid.points())
+    mod = np.abs(fz)
+    return mod - lowers, uppers - mod, fz
 
 
 def _min_report(
@@ -183,15 +185,26 @@ def injectivity_sample_check(
     Passes only with margin strictly above the tolerance.  argmin_point
     records the first point of the worst pair.
     """
+    return _injectivity_report(f, grid.points(), pair_budget, seed, tolerance)
+
+
+def _injectivity_report(
+    f: HarmonicFunction, z: np.ndarray, pair_budget: int, seed: int, tolerance: float, fz: np.ndarray | None = None
+) -> VerificationReport:
+    """Injectivity report on the points z.  fz is f on all of z, or None: then f is
+    evaluated once on both ends of all pairs, giving the same bits element by element."""
     pair_budget = _pair_budget(pair_budget)
-    z = grid.points()
     n = z.size
     rng = np.random.default_rng(seed)
     i = rng.integers(0, n, size=pair_budget)
     j = rng.integers(0, n, size=pair_budget)
     j = np.where(i == j, (j + 1) % n, j)
-    zi, zj = z[i], z[j]
-    ratios = np.abs(eval_harmonic(f, zi) - eval_harmonic(f, zj)) / np.abs(zi - zj)
+    if fz is None:
+        fi, fj = eval_harmonic(f, z[np.concatenate([i, j])]).reshape(2, -1)
+    else:
+        fi, fj = fz[i], fz[j]
+    zi = z[i]
+    ratios = np.abs(fi - fj) / np.abs(zi - z[j])
     return _min_report("injectivity", ratios, zi, tolerance, strict=True)
 
 
@@ -216,7 +229,7 @@ def growth_bound_check(
     """
     if not member_t_iff(f, p):
         raise DomainError("growth bounds hold for t_form members; the functional exceeds 1")
-    return _growth_report(_growth_margins(f, p, grid), grid.points(), tolerance)
+    return _growth_report(_growth_margins(f, p, grid)[:2], grid.points(), tolerance)
 
 
 def _growth_report(margins: tuple[np.ndarray, np.ndarray], z: np.ndarray, tolerance: float) -> VerificationReport:
@@ -272,9 +285,10 @@ def random_t_form(
 
 
 def _random_gap_candidate(p: ClassParams, rng: np.random.Generator) -> HarmonicFunction:
-    """Random function with complex-phased coefficients whose functional
-    slightly exceeds 1, i.e. a violator of the sufficient condition.  The
-    first co-analytic slot is excluded so |b_1| stays 0."""
+    """Random function with complex-phased coefficients whose shares sum to a
+    target in [1.001, 1.401); each phase is complex(cos 2 pi r1, sin 2 pi r2)
+    from two draws, so |phase| is in [0, sqrt(2)] and the functional may be
+    <= 1 (the scan skips those).  The first co-analytic slot is excluded so |b_1| stays 0."""
     target = 1.001 + 0.4 * rng.random()
     nslots = 2 + int(rng.random() * 3)
     slots = [("analytic" if rng.random() < 0.5 else "coanalytic", 2 + int(rng.random() * 6)) for _ in range(nslots)]
@@ -376,18 +390,21 @@ def margin_rows(
     """Per-point margin table: one row per grid point with the pointwise
     margins of the active checks.  Growth margins are included when f is a
     t_form member (both one-sided margins, lower then upper)."""
-    return _table(grid, *_margin_columns(f, p, grid))
+    return _table(grid, *_margin_columns(f, p, grid)[:2])
 
 
-def _margin_columns(f: HarmonicFunction, p: ClassParams, grid: DiskGrid) -> tuple[list[str], list[np.ndarray]]:
-    """Names and arrays of the margin columns of margin_rows (all but re, im)."""
+def _margin_columns(
+    f: HarmonicFunction, p: ClassParams, grid: DiskGrid
+) -> tuple[list[str], list[np.ndarray], np.ndarray | None]:
+    """Names and arrays of the margin columns of margin_rows (all but re,
+    im), and f on the grid if the growth margins evaluated it (else None)."""
     z = grid.points()
     header = ["re_condition_margin", "sense_preserving_margin"]
     columns = [_re_condition_margins(f, p, z), _sense_preserving_margins(f, z)]
-    if f.t_form and member_t_iff(f, p):
-        header += ["growth_lower_margin", "growth_upper_margin"]
-        columns += _growth_margins(f, p, grid)
-    return header, columns
+    if not (f.t_form and member_t_iff(f, p)):
+        return header, columns, None
+    lower_m, upper_m, fz = _growth_margins(f, p, grid)
+    return [*header, "growth_lower_margin", "growth_upper_margin"], [*columns, lower_m, upper_m], fz
 
 
 def _table(grid: DiskGrid, header: list[str], columns: list[np.ndarray]) -> tuple[list[str], list[list[float]]]:
@@ -422,17 +439,18 @@ def disc_checks(
     """The reports of ``qharm verify``: Re-condition, sense-preserving,
     injectivity and, for a t_form member, growth, equal to those of the
     single checks.  Each margin array is computed once and read by the
-    reports and the margin table.  csv, if given, is called after the
+    reports and the margin table; injectivity reads f from the growth
+    margins when there are some.  csv, if given, is called after the
     checks and returns a context manager yielding the stream for the
     write_margin_csv table, so a run whose checks raise opens nothing."""
     z = grid.points()
-    header, columns = _margin_columns(f, p, grid)
+    header, columns, fz = _margin_columns(f, p, grid)
     reports = [
         _min_report("re_condition", columns[0], z, tolerance),
         _min_report("sense_preserving", columns[1], z, tolerance),
-        injectivity_sample_check(f, grid, pair_budget, seed=seed, tolerance=tolerance),
+        _injectivity_report(f, z, pair_budget, seed, tolerance, fz),
     ]
-    if len(columns) == 4:
+    if fz is not None:
         reports.append(_growth_report(columns[2:], z, tolerance))
     if csv is not None:
         with csv() as stream:

@@ -153,26 +153,58 @@ def test_verify_empty_csv_path_writes_no_table(tmp_path, monkeypatch, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["id.json"]
 
 
+def run_counting_eval_power(argv):
+    """Exit status of qharm argv, and the eval_power calls the run made."""
+    # eval_harmonic reaches eval_power through qharm.series
+    with mock.patch.object(series, "eval_power", wraps=series.eval_power) as in_series, \
+            mock.patch.object(verify, "eval_power", wraps=verify.eval_power) as in_verify:
+        status = run(argv)
+    return status, in_series.call_count + in_verify.call_count
+
+
 def test_verify_csv_reuses_the_grid_evaluations_of_the_checks(tmp_path, capsys):
     f = HarmonicFunction.from_t_magnitudes({2: 0.25}, {1: 0.25}, trunc=4)
     path = write_json(tmp_path / "f.json", harmonic_to_json(f))
     argv = ["verify", "--in", path, "--m", "0", "--alpha", "0.25", "--q", "0.5"]
     calls = []
     for csv in ([], ["--csv", str(tmp_path / "grid.csv")]):
-        # eval_harmonic reaches eval_power through qharm.series
-        with mock.patch.object(series, "eval_power", wraps=series.eval_power) as in_series, \
-                mock.patch.object(verify, "eval_power", wraps=verify.eval_power) as in_verify:
-            assert run([*argv, *csv]) == 0
+        status, count = run_counting_eval_power([*argv, *csv])
+        assert status == 0
         reports = json.loads(capsys.readouterr().out)
         assert [r["check"] for r in reports][-1] == "growth_bounds"
-        calls.append(in_series.call_count + in_verify.call_count)
+        calls.append(count)
     assert calls[0] == calls[1]
+
+
+@pytest.mark.parametrize(
+    "f,checks",
+    [
+        (HarmonicFunction.from_t_magnitudes({2: 0.25}, {1: 0.25}, trunc=4), 4),  # t_form member
+        (HarmonicFunction.from_t_magnitudes({2: 0.6}, {1: 0.25}, trunc=4), 3),  # t_form, functional > 1
+        (HarmonicFunction(AnalyticSeries([1, 0.1j], trunc=4)), 3),  # not t_form
+    ],
+)
+def test_verify_evaluates_each_polynomial_once(tmp_path, capsys, f, checks):
+    # T, h' and g' on the grid, then h and g once: on the grid for the
+    # growth margins, which injectivity reads, or else at the pair ends
+    path = write_json(tmp_path / "f.json", harmonic_to_json(f))
+    status, count = run_counting_eval_power(["verify", "--in", path, "--m", "0", "--alpha", "0.25", "--q", "0.5"])
+    assert status in (0, 1)
+    assert len(json.loads(capsys.readouterr().out)) == checks
+    assert count == 5
 
 
 def test_malformed_json_names_field(tmp_path, capsys):
     path = write_json(tmp_path / "bad.json", {"trunc": 4, "h": [[0.5, 0]], "g": []})
     assert run(["verify", "--in", path, "--m", "0", "--alpha", "0", "--q", "0.5"]) == 2
     assert "h[0]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["check", "verify"])
+def test_coefficient_beyond_the_float_range_names_field(tmp_path, capsys, command):
+    path = write_json(tmp_path / "big.json", {"trunc": 4, "h": [[1, 0], [10**400, 0]], "g": []})
+    assert run([command, "--in", path, "--m", "0", "--alpha", "0", "--q", "0.5"]) == 2
+    assert "h[1]" in capsys.readouterr().err
 
 
 def test_unparseable_json_is_usage_error(tmp_path, capsys):

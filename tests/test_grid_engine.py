@@ -4,10 +4,11 @@ The reference below is the plain engine: a fresh point array per call, a
 zero-seeded Horner loop over every stored coefficient, the whole grid
 evaluated for the injectivity pairs, and margin_rows with its own margin
 formulas.  The library skips high-order +0+0j coefficients, caches the grid
-points and evaluates only the pair ends; its reports and margin tables must
-equal the reference bit for bit, zero signs included, and so must the
-CSV text and the reports and table of disc_checks, which share each
-margin array between them.  Likewise the scan
+points, and evaluates f for the injectivity pairs either once on both pair
+ends or not at all, reading the grid values of the growth margins; its
+reports and margin tables must equal the reference bit for bit, zero signs
+included, and so must the CSV text and the reports and table of
+disc_checks, which share each margin array between them.  Likewise the scan
 builds its candidates at their highest drawn power and stops each trial at
 its first failed check, and its reports must equal those of candidates
 padded to DEFAULT_TRUNC with every check run.

@@ -394,6 +394,8 @@ def test_scalar_eval_power_matches_the_untrimmed_loop_bitwise(coeffs, tail, z):
         ({"trunc": 4, "h": [[1, 0], [1, "x"]], "g": []}, "h[1]"),
         ({"trunc": 4, "h": [[1, 0]], "g": [[1.5, 0]]}, "g[0]"),
         ({"trunc": MAX_JSON_TRUNC + 1, "h": [[1, 0]], "g": []}, "trunc"),
+        ({"trunc": 4, "h": [[1, 0], [10**400, 0]], "g": []}, "h[1]"),  # 401 digits: no float holds it
+        ({"trunc": 4, "h": [[1, 0]], "g": [[0, 0], [0, -(10**400)]]}, "g[1]"),
     ],
 )
 def test_json_schema_errors_name_field(doc, field):
