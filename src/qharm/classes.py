@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .qcore import DEFAULT_TOLERANCE, MEMBERSHIP_TOL, DomainError, QParam, weights  # noqa: F401 (re-exported)
-from .qcore import MAX_JSON_TRUNC, at_most, radius_sequence
+from .qcore import MAX_JSON_TRUNC, MAX_PROOF_STEP_U, in_range, radius_sequence
 from .salagean import OperatorParams
 from .series import DEFAULT_TRUNC, AnalyticSeries, HarmonicFunction
 
@@ -40,9 +40,7 @@ class ClassParams:
     q: QParam
 
     def __post_init__(self) -> None:
-        m = operator.index(self.m)
-        if m < 0:
-            raise DomainError(f"m must be >= 0, got {self.m!r}")
+        m = in_range(self.m, 0, None, "m")
         alpha = float(self.alpha)
         if not 0.0 <= alpha < 1.0:
             raise DomainError(f"alpha must lie in [0, 1), got {self.alpha!r}")
@@ -170,14 +168,9 @@ def necessity_probe(
     )
 
 
-# Largest max_u of proof_step_violations: far above MAX_JSON_TRUNC, since
-# the comparison first fails near u = (1 - q)**-m / (1 - alpha).
-MAX_PROOF_STEP_U = 2**20
-
-
 def proof_step_violations(p: ClassParams, *, max_u: int = DEFAULT_TRUNC) -> tuple[int, ...]:
-    """Powers u in 2..max_u where u (1 - alpha) > [u]_q**m, for max_u up
-    to MAX_PROOF_STEP_U.
+    """Powers u in 2..max_u where u (1 - alpha) > [u]_q**m, for max_u in
+    0..MAX_PROOF_STEP_U.
 
     Wherever this comparison fails, bounding u |c_u| by
     ([u]_q**m / (1 - alpha)) |c_u| is invalid, so the standard chain from
@@ -185,13 +178,13 @@ def proof_step_violations(p: ClassParams, *, max_u: int = DEFAULT_TRUNC) -> tupl
     not go through pointwise; the sufficient condition itself is then an
     empirical matter, which verify.counterexample_scan probes.
     """
-    max_u = at_most(max_u, MAX_PROOF_STEP_U, "max_u")
+    max_u = in_range(max_u, 0, MAX_PROOF_STEP_U, "max_u")
     w = weights(max(max_u, 1), p.q, p.m)
     return tuple(u for u in range(2, max_u + 1) if u * (1.0 - p.alpha) > w[u - 1])
 
 
 def _series_length(n: int) -> int:
-    return at_most(n, MAX_JSON_TRUNC, "series length")
+    return in_range(n, 1, MAX_JSON_TRUNC, "series length")
 
 
 _UNPLACED = 0j  # fill of a slot no term reached; each computed coefficient is a new object
@@ -207,6 +200,7 @@ def _from_shares(p: ClassParams, n: int, terms: Sequence[tuple[str, int, float, 
     mass at power 1 stays on the identity, whose coefficient is exactly 1.
     Zero shares place nothing and do not size the weight table.
     """
+    in_range(min((u for _, u, _, _ in terms), default=1), 1, None, "u")
     top = max([1, *(u for _, u, share, _ in terms if share != 0)])
     w = weights(top, p.q, p.m)
     one_minus = 1.0 - p.alpha
@@ -217,8 +211,6 @@ def _from_shares(p: ClassParams, n: int, terms: Sequence[tuple[str, int, float, 
     for kind, u, share, phase in terms:
         if kind not in ("analytic", "coanalytic"):
             raise DomainError(f"kind must be 'analytic' or 'coanalytic', got {kind!r}")
-        if operator.index(u) < 1:
-            raise DomainError(f"u must be a positive integer, got {u!r}")
         if share == 0 or (u == 1 and kind == "analytic"):
             continue
         part = h if kind == "analytic" else g

@@ -75,7 +75,7 @@ def _input(args):
             obj = json.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bad UTF-8, or an integer too long to convert
         raise UsageError(f"{path}: malformed JSON: {exc}") from None
     return harmonic_from_json(obj)
 

@@ -29,16 +29,24 @@ DEFAULT_TOLERANCE = 1e-9
 # whose parser pads both parts to it) and a weight query may name.
 MAX_JSON_TRUNC = 4096
 
+# Longest weight table, and so the largest max_u of
+# classes.proof_step_violations: far above MAX_JSON_TRUNC, since the
+# comparison there first fails near u = (1 - q)**-m / (1 - alpha).
+MAX_PROOF_STEP_U = 2**20
+
 
 class DomainError(ValueError):
     """An argument lies outside an operation's mathematical domain."""
 
 
-def at_most(n: int, limit: int, what: str) -> int:
-    """``n`` as an int, refused with DomainError above ``limit``; callers
-    check a size here before they allocate or loop in proportion to it."""
+def in_range(n: int, low: int, limit: int | None, what: str) -> int:
+    """``n`` as an int, refused with DomainError below ``low`` or above
+    ``limit`` (None: no upper end).  Every count, size, power and order
+    is checked here, before anything is allocated or looped over."""
     n = operator.index(n)
-    if n > limit:
+    if n < low:
+        raise DomainError(f"{what} must be >= {low}, got {n}")
+    if limit is not None and n > limit:
         raise DomainError(f"{what} {n} exceeds the limit {limit}")
     return n
 
@@ -86,14 +94,10 @@ def weights(n: int, q: QParam, m: int, classical: bool = False) -> tuple[float, 
     full precision as q -> 1- (where (1 - q**u)/(1 - q) cancels).  m = 0
     gives exactly 1.0; a weight too large for a float raises DomainError.
     Weights grow with u, so callers build the table only up to the highest
-    power they use.
+    power they use, at most MAX_PROOF_STEP_U.
     """
-    n = operator.index(n)
-    m = operator.index(m)
-    if n < 1:
-        raise DomainError(f"the highest power must be a positive integer, got {n!r}")
-    if m < 0:
-        raise DomainError(f"m must be non-negative, got {m!r}")
+    n = in_range(n, 1, MAX_PROOF_STEP_U, "highest power")
+    m = in_range(m, 0, None, "m")
     try:
         if classical:
             return tuple(float(u**m) for u in range(1, n + 1))
@@ -115,4 +119,4 @@ def q_integer(u: int, q: QParam) -> float:
 
 def q_integer_pow(u: int, q: QParam, m: int) -> float:
     """[u]_q raised to the m-th power, for u <= MAX_JSON_TRUNC; see weights."""
-    return weights(at_most(u, MAX_JSON_TRUNC, "u"), q, m)[-1]
+    return weights(in_range(u, 1, MAX_JSON_TRUNC, "u"), q, m)[-1]

@@ -13,10 +13,9 @@ operator, without routing q = 1 through QParam.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
-from .qcore import DomainError, QParam, weights
+from .qcore import MAX_JSON_TRUNC, DomainError, QParam, in_range, weights
 from .series import AnalyticSeries, HarmonicFunction, PowerSeries, eval_analytic, eval_power
 
 
@@ -29,10 +28,7 @@ class OperatorParams:
     classical_mode: bool = False
 
     def __post_init__(self) -> None:
-        m = operator.index(self.m)
-        if m < 0:
-            raise DomainError(f"operator order m must be >= 0, got {self.m!r}")
-        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "m", in_range(self.m, 0, None, "m"))
 
 
 def q_derivative(s: AnalyticSeries, q: QParam) -> PowerSeries:
@@ -47,6 +43,7 @@ def q_derivative(s: AnalyticSeries, q: QParam) -> PowerSeries:
 def salagean_kernel(trunc: int, p: OperatorParams) -> AnalyticSeries:
     """The convolution kernel z + sum_u w_u z**u with w_u = [u]_q**m
     (or u**m in classical mode)."""
+    trunc = in_range(trunc, 1, MAX_JSON_TRUNC, "series length")
     return AnalyticSeries(weights(trunc, p.q, p.m, p.classical_mode), trunc=trunc)
 
 

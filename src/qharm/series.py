@@ -22,7 +22,7 @@ import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from .qcore import MAX_JSON_TRUNC, DomainError
+from .qcore import MAX_JSON_TRUNC, DomainError, in_range
 
 DEFAULT_TRUNC = 32
 
@@ -55,9 +55,7 @@ class _Series:
 
     def coeff(self, u: int) -> complex:
         """Coefficient of z**u for u >= _start; zero beyond the stored range."""
-        u = operator.index(u)
-        if u < self._start:
-            raise DomainError(f"power index must be >= {self._start}, got {u!r}")
+        u = in_range(u, self._start, None, "power index")
         if u - self._start >= len(self.coeffs):
             return 0j
         return self.coeffs[u - self._start]
@@ -72,14 +70,12 @@ class AnalyticSeries(_Series):
 
     ``coeffs`` are stored as a tuple of complex values, index 0 holding the
     coefficient of z**1.  Shorter input is zero-padded to the truncation
-    degree; longer input is silently truncated.
+    degree, which lies in 1..MAX_JSON_TRUNC; longer input is silently
+    truncated.
     """
 
     def __init__(self, coeffs: Iterable[complex] = (), trunc: int = DEFAULT_TRUNC):
-        trunc = operator.index(trunc)
-        if trunc < 1:
-            raise ValueError(f"truncation degree must be positive, got {trunc!r}")
-        super().__init__(coeffs, trunc)
+        super().__init__(coeffs, in_range(trunc, 1, MAX_JSON_TRUNC, "series length"))
 
     @property
     def trunc_degree(self) -> int:
@@ -159,25 +155,19 @@ class HarmonicFunction:
         trunc: int = DEFAULT_TRUNC,
     ) -> "HarmonicFunction":
         """Build h(z) = z - sum |a_u| z**u, g(z) = sum |b_u| z**u from
-        magnitude maps (a keys are powers >= 2, b keys powers >= 1)."""
-        trunc = max([operator.index(trunc), *a_mags.keys(), *b_mags.keys()])
+        magnitude maps (a keys are powers >= 2, b keys powers >= 1), padded
+        to the larger of trunc and the highest key."""
+        a = [(in_range(u, 2, None, "analytic power"), mag) for u, mag in a_mags.items()]
+        b = [(in_range(u, 1, None, "co-analytic power"), mag) for u, mag in b_mags.items()]
+        trunc = in_range(max([operator.index(trunc), *(u for u, _ in a + b)]), 1, MAX_JSON_TRUNC, "series length")
         h = [0.0] * trunc
         g = [0.0] * trunc
         h[0] = 1.0
-        for u, mag in a_mags.items():
-            u = operator.index(u)
-            if u < 2:
-                raise DomainError(f"analytic magnitudes start at power 2, got {u}")
-            if not (mag >= 0.0):
-                raise DomainError(f"magnitude for power {u} must be >= 0, got {mag!r}")
-            h[u - 1] = -float(mag)
-        for u, mag in b_mags.items():
-            u = operator.index(u)
-            if u < 1:
-                raise DomainError(f"co-analytic magnitudes start at power 1, got {u}")
-            if not (mag >= 0.0):
-                raise DomainError(f"magnitude for power {u} must be >= 0, got {mag!r}")
-            g[u - 1] = float(mag)
+        for part, sign, terms in ((h, -1.0, a), (g, 1.0, b)):
+            for u, mag in terms:
+                if not (mag >= 0.0):
+                    raise DomainError(f"magnitude for power {u} must be >= 0, got {mag!r}")
+                part[u - 1] = sign * float(mag)
         return cls(AnalyticSeries(h, trunc=trunc), AnalyticSeries(g, trunc=trunc))
 
 

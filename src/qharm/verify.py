@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .qcore import DEFAULT_TOLERANCE, MAX_JSON_TRUNC, DomainError, at_most, radius_sequence
+from .qcore import DEFAULT_TOLERANCE, MAX_JSON_TRUNC, DomainError, in_range, radius_sequence
 from .classes import ClassParams, _from_shares, coeff_functional, growth_bounds, member_t_iff, proof_step_violations
 from .classes import DEFAULT_PROBE_RADII, ProbeReport, necessity_probe  # noqa: F401 (re-exported)
 from .salagean import class_transform
@@ -54,10 +54,8 @@ class DiskGrid:
 
     def __post_init__(self) -> None:
         radii = radius_sequence(self.radii, "radii")
-        k = at_most(self.angular_count, MAX_ANGULAR_COUNT, "angular_count")
-        if k < 4:
-            raise DomainError(f"angular_count must be >= 4, got {self.angular_count!r}")
-        at_most(len(radii) * k, MAX_GRID_POINTS, "grid size")
+        k = in_range(self.angular_count, 4, MAX_ANGULAR_COUNT, "angular_count")
+        in_range(len(radii) * k, 1, MAX_GRID_POINTS, "grid size")
         object.__setattr__(self, "radii", radii)
         object.__setattr__(self, "angular_count", k)
 
@@ -193,7 +191,7 @@ def _injectivity_report(
 ) -> VerificationReport:
     """Injectivity report on the points z.  fz is f on all of z, or None: then f is
     evaluated once on both ends of all pairs, giving the same bits element by element."""
-    pair_budget = _pair_budget(pair_budget)
+    pair_budget = in_range(pair_budget, 1, MAX_PAIR_BUDGET, "pair_budget")
     n = z.size
     rng = np.random.default_rng(seed)
     i = rng.integers(0, n, size=pair_budget)
@@ -206,13 +204,6 @@ def _injectivity_report(
     zi = z[i]
     ratios = np.abs(fi - fj) / np.abs(zi - z[j])
     return _min_report("injectivity", ratios, zi, tolerance, strict=True)
-
-
-def _pair_budget(n: int) -> int:
-    n = at_most(n, MAX_PAIR_BUDGET, "pair_budget")
-    if n < 1:
-        raise DomainError(f"pair_budget must be >= 1, got {n!r}")
-    return n
 
 
 def growth_bound_check(
@@ -264,9 +255,7 @@ def random_t_form(
     target = float(target_functional)
     if not (target >= 0.0 and math.isfinite(target)):
         raise DomainError(f"target functional must be finite and >= 0, got {target_functional!r}")
-    trunc = at_most(trunc, MAX_JSON_TRUNC, "trunc")
-    if trunc < 1:
-        raise DomainError(f"trunc must be >= 1, got {trunc!r}")
+    trunc = in_range(trunc, 1, MAX_JSON_TRUNC, "trunc")
     slots = [("analytic", u) for u in range(2, trunc + 1)] + [("coanalytic", u) for u in range(1, trunc + 1)]
     raws = np.array([(0.5 + rng.random()) * 0.25**u for _, u in slots])
     shares = raws / raws.sum() * target
@@ -354,10 +343,8 @@ def counterexample_scan(
     injectivity pairs the generator seeded with t, so a skipped check
     changes no later draw.
     """
-    trials = at_most(trials, MAX_TRIALS, "trials")
-    if trials < 1:
-        raise DomainError(f"trials must be >= 1, got {trials!r}")
-    pair_budget = _pair_budget(pair_budget)
+    trials = in_range(trials, 1, MAX_TRIALS, "trials")
+    pair_budget = in_range(pair_budget, 1, MAX_PAIR_BUDGET, "pair_budget")
     seed = operator.index(seed)
     grid = DiskGrid()
     flagged = []

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -153,6 +155,25 @@ def test_verify_empty_csv_path_writes_no_table(tmp_path, monkeypatch, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["id.json"]
 
 
+def test_verify_no_axis_writes_the_table_of_the_offset_grid(tmp_path, capsys):
+    f = HarmonicFunction.from_t_magnitudes({2: 0.25}, {1: 0.25}, trunc=4)
+    p = ClassParams(m=0, alpha=0.25, q=QParam(0.5))
+    path = write_json(tmp_path / "f.json", harmonic_to_json(f))
+    csv_path = tmp_path / "grid.csv"
+    argv = ["verify", "--in", path, "--m", "0", "--alpha", "0.25", "--q", "0.5", "--no-axis", "--csv", str(csv_path)]
+    assert run(argv) == 0
+    capsys.readouterr()
+
+    def table(grid):
+        buf = io.StringIO()
+        verify.disc_checks(f, p, grid, 256, csv=lambda: contextlib.nullcontext(buf))
+        return buf.getvalue().encode()
+
+    expected = table(verify.DiskGrid(include_positive_axis=False))
+    assert csv_path.read_bytes() == expected
+    assert expected != table(verify.DiskGrid())
+
+
 def run_counting_eval_power(argv):
     """Exit status of qharm argv, and the eval_power calls the run made."""
     # eval_harmonic reaches eval_power through qharm.series
@@ -212,6 +233,23 @@ def test_unparseable_json_is_usage_error(tmp_path, capsys):
     path.write_text("{not json")
     assert run(["verify", "--in", str(path), "--m", "0", "--alpha", "0", "--q", "0.5"]) == 2
     assert "malformed JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b'{"trunc": 4, "h": [[1, 0], [' + b"7" * 5000 + b', 0]], "g": []}',  # past Python's int-string limit
+        b"\xff\xfe{}",  # not UTF-8
+    ],
+    ids=["5000-digit-integer", "not-utf8"],
+)
+def test_unreadable_json_names_the_file(tmp_path, capsys, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    assert run(["check", "--in", str(path), "--m", "0", "--alpha", "0", "--q", "0.5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: malformed JSON: ")
+    assert err.count("\n") == 1
 
 
 def test_missing_file_is_usage_error(tmp_path, capsys):
@@ -647,6 +685,40 @@ def test_sizes_beyond_their_limit_are_usage_errors(tmp_path, capsys, argv, name,
     cls = [] if argv[0] == "qint" else ["--m", "0", "--alpha", "0.5", "--q", "0.5"]
     assert run([*(a.format(n=limit + excess, id=path) for a in argv), *cls]) == 2
     assert capsys.readouterr().err == f"error: {name} {limit + excess} exceeds the limit {limit}\n"
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["qint", "--q", "0.5", "--u", "0"], "u must be >= 1, got 0"),
+        (["scan", "--seed", "0", "--trials", "0"], "trials must be >= 1, got 0"),
+        (["scan", "--seed", "0", "--trials", "1", "--pair-budget", "0"], "pair_budget must be >= 1, got 0"),
+        (["verify", "--in", "{id}", "--radii", "0.5", "--pair-budget", "0"], "pair_budget must be >= 1, got 0"),
+        (["verify", "--in", "{id}", "--radii", "0.5", "--angles", "3"], "angular_count must be >= 4, got 3"),
+    ],
+)
+def test_sizes_below_their_minimum_are_usage_errors(tmp_path, capsys, argv, message):
+    path = write_json(tmp_path / "id.json", IDENTITY_DOC)
+    cls = [] if argv[0] == "qint" else ["--m", "0", "--alpha", "0.5", "--q", "0.5"]
+    assert run([*(a.format(id=path) for a in argv), *cls]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv,env,message",
+    [
+        (["verify", "--in", "{id}", "--radii", "0.5,x"], None, "--radii: expected comma-separated reals, got '0.5,x'"),
+        (["verify", "--in", "{id}"], "-1", "QHARM_TOL: must be a finite non-negative real, got '-1'"),
+        (["witness", "--x", "2"], None, "--x: expected U=COMPLEX, got '2'"),
+        (["combine", "--point", "2:analytic:x"], None, "--point: expected U:KIND:WEIGHT, got '2:analytic:x'"),
+    ],
+)
+def test_unparseable_arguments_are_one_line_usage_errors(tmp_path, capsys, monkeypatch, argv, env, message):
+    path = write_json(tmp_path / "id.json", IDENTITY_DOC)
+    if env is not None:
+        monkeypatch.setenv("QHARM_TOL", env)
+    assert run([*(a.format(id=path) for a in argv), "--m", "0", "--alpha", "0.5", "--q", "0.5"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_grid_size_beyond_its_limit_is_usage_error(tmp_path, capsys):

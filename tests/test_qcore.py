@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qharm import DomainError, QParam, q_integer, q_integer_pow
-from qharm.qcore import weights
+from qharm.qcore import MAX_PROOF_STEP_U, in_range, weights
 
 # q values away from the endpoints; the endpoints themselves are covered by
 # dedicated limit tests.
@@ -174,3 +174,29 @@ def test_weights_against_mpmath_near_one(k, m):
             exact = mpmath.fsum(mq**j for j in range(u)) ** m
             rel = abs((mpmath.mpf(w[u - 1]) - exact) / exact)
             assert rel <= (2 * u * m + 1) * 2.0**-52
+
+
+def test_in_range_is_the_one_integer_range_rule():
+    assert in_range(3, 1, 3, "n") == 3
+    assert in_range(10**30, 0, None, "m") == 10**30
+    with pytest.raises(DomainError, match=r"^n must be >= 1, got 0$"):
+        in_range(0, 1, 3, "n")
+    with pytest.raises(DomainError, match=r"^n 4 exceeds the limit 3$"):
+        in_range(4, 1, 3, "n")
+    with pytest.raises(TypeError):
+        in_range(2.0, 1, 3, "n")
+    with pytest.raises(DomainError, match=r"^m must be >= 0, got -1$"):
+        weights(3, QParam(0.5), -1)
+
+
+@pytest.mark.parametrize("n", [MAX_PROOF_STEP_U + 1, 10**12])
+def test_weight_table_refuses_lengths_past_the_limit(n):
+    # at 10**12 a refusal after the loop would be a MemoryError or a hang
+    for classical in (False, True):
+        with pytest.raises(DomainError, match=f"^highest power {n} exceeds the limit {MAX_PROOF_STEP_U}$"):
+            weights(n, QParam(0.5), 1, classical)
+
+
+def test_weight_table_at_its_limit():
+    w = weights(MAX_PROOF_STEP_U, QParam(0.5), 1)
+    assert len(w) == MAX_PROOF_STEP_U and w[-1] == 2.0

@@ -1,3 +1,6 @@
+import importlib
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -19,7 +22,9 @@ from qharm import (
     salagean_harmonic,
     salagean_kernel,
 )
-from qharm.qcore import weights
+from qharm.qcore import MAX_JSON_TRUNC, weights
+
+salagean_module = importlib.import_module("qharm.salagean")  # the package re-exports the function salagean
 
 
 def difference_quotient(s, q, z):
@@ -294,3 +299,12 @@ def test_zero_tail_needs_no_weight():
     assert bits(out.coeffs[2:]) == bits([1.0 * complex(-0.0)] + [1.0 * 0j] * 37)
     with pytest.raises(DomainError, match="overflows"):
         salagean(AnalyticSeries([1.0] * 40, trunc=40), OperatorParams(400, QParam(0.5), classical_mode=True))
+
+
+@pytest.mark.parametrize("n", [MAX_JSON_TRUNC + 1, 10**12])
+def test_kernel_refuses_lengths_past_the_limit_before_weighting(n):
+    p = OperatorParams(1, QParam(0.5))
+    with mock.patch.object(salagean_module, "weights", side_effect=AssertionError("weights ran")):
+        with pytest.raises(DomainError, match=f"^series length {n} exceeds the limit {MAX_JSON_TRUNC}$"):
+            salagean_kernel(n, p)
+    assert salagean_kernel(MAX_JSON_TRUNC, p).trunc_degree == MAX_JSON_TRUNC

@@ -66,6 +66,37 @@ def test_series_rejects_bad_trunc():
         AnalyticSeries([], trunc=0)
 
 
+@pytest.mark.parametrize("n", [MAX_JSON_TRUNC + 1, 10**12])
+def test_series_constructors_refuse_lengths_past_the_limit(n):
+    # at 10**12 a refusal after allocation would be a MemoryError or a hang
+    for build in (
+        lambda: AnalyticSeries(trunc=n),
+        lambda: AnalyticSeries.zero(trunc=n),
+        lambda: HarmonicFunction.from_t_magnitudes({}, {}, trunc=n),
+        lambda: HarmonicFunction.from_t_magnitudes({n: 0.1}, {}),
+        lambda: HarmonicFunction.from_t_magnitudes({}, {n: 0.1}),
+    ):
+        with pytest.raises(DomainError, match=f"^series length {n} exceeds the limit {MAX_JSON_TRUNC}$"):
+            build()
+
+
+def test_series_constructors_at_the_limit_and_below_their_minimum():
+    assert AnalyticSeries(trunc=MAX_JSON_TRUNC).trunc_degree == MAX_JSON_TRUNC
+    f = HarmonicFunction.from_t_magnitudes({MAX_JSON_TRUNC: 0.1}, {MAX_JSON_TRUNC: 0.2})
+    assert f.trunc_degree == MAX_JSON_TRUNC
+    assert (f.h.coeffs[-1], f.g.coeffs[-1]) == (-0.1, 0.2)
+    for build, message in (
+        (lambda: AnalyticSeries(trunc=0), "series length must be >= 1, got 0"),
+        (lambda: HarmonicFunction.from_t_magnitudes({}, {}, trunc=0), "series length must be >= 1, got 0"),
+        (lambda: HarmonicFunction.from_t_magnitudes({1: 0.1}, {}), "analytic power must be >= 2, got 1"),
+        (lambda: HarmonicFunction.from_t_magnitudes({}, {0: 0.1}), "co-analytic power must be >= 1, got 0"),
+        (lambda: AnalyticSeries([1.0]).coeff(0), "power index must be >= 1, got 0"),
+        (lambda: PowerSeries([1.0]).coeff(-1), "power index must be >= 0, got -1"),
+    ):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            build()
+
+
 def test_coeff_accessor():
     s = AnalyticSeries([1.0, 0.5], trunc=3)
     assert s.coeff(2) == 0.5
@@ -396,6 +427,8 @@ def test_scalar_eval_power_matches_the_untrimmed_loop_bitwise(coeffs, tail, z):
         ({"trunc": MAX_JSON_TRUNC + 1, "h": [[1, 0]], "g": []}, "trunc"),
         ({"trunc": 4, "h": [[1, 0], [10**400, 0]], "g": []}, "h[1]"),  # 401 digits: no float holds it
         ({"trunc": 4, "h": [[1, 0]], "g": [[0, 0], [0, -(10**400)]]}, "g[1]"),
+        ({"trunc": 4, "h": [[1, 0], [float("nan"), 0]], "g": []}, "h[1]"),
+        ({"trunc": 4, "h": [[1, 0]], "g": [[0, float("inf")]]}, "g[0]"),
     ],
 )
 def test_json_schema_errors_name_field(doc, field):

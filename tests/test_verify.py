@@ -546,6 +546,13 @@ def test_proof_step_u_limit():
                 proof_step_violations(p, max_u=n)
 
 
+def test_proof_step_max_u_from_zero():
+    p = params(1, 0.0, 0.5)
+    assert proof_step_violations(p, max_u=0) == proof_step_violations(p, max_u=1) == ()
+    with pytest.raises(DomainError, match="^max_u must be >= 0, got -1$"):
+        proof_step_violations(p, max_u=-1)
+
+
 def test_trials_limit():
     with mock.patch.object(verify, "_random_gap_candidate", side_effect=Reached):
         with pytest.raises(Reached):
