@@ -13,7 +13,6 @@ Usage:
         --per-target 25 --seed 7 --out boundary_sweep.csv
 """
 
-import argparse
 import csv
 import sys
 
@@ -22,7 +21,6 @@ import numpy as np
 from qharm import (
     ClassParams,
     DiskGrid,
-    DomainError,
     QParam,
     coeff_functional,
     injectivity_sample_check,
@@ -31,37 +29,34 @@ from qharm import (
     re_condition_margin,
     sense_preserving_margin,
 )
+from qharm import cli
+from qharm.qcore import in_range
+from qharm.verify import MAX_TRIALS
 
 TARGETS = [0.80, 0.90, 0.95, 0.99, 0.999, 1.0, 1.001, 1.01, 1.05, 1.10, 1.20]
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap = cli.Parser(description=__doc__.splitlines()[0])
     ap.add_argument("--m", type=int, default=3)
     ap.add_argument("--alpha", type=float, default=0.25)
     ap.add_argument("--q", type=float, default=0.9)
     ap.add_argument("--per-target", type=int, default=25)
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--out", default="boundary_sweep.csv")
-    args = ap.parse_args()
-    if args.per_target < 1:
-        print(f"error: --per-target must be >= 1, got {args.per_target}", file=sys.stderr)
-        return 2
     try:
+        args = ap.parse_args()
+        in_range(args.per_target, 1, MAX_TRIALS, "--per-target")
+        in_range(args.seed, 0, None, "--seed")
         rows = sweep(args)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
-        with open(args.out, "w", newline="", encoding="utf-8") as fh:
+        with cli.writing(args.out) as fh:
             writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
             writer.writeheader()
             writer.writerows(rows)
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+        cli.write_stdout(f"wrote {args.out}\n")
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(f"wrote {args.out}")
     return 0
 
 
@@ -93,12 +88,12 @@ def sweep(args) -> list[dict]:
                 "earliest_failure_radius": min(finite) if finite else "",
             }
         )
-        print(
+        cli.write_stdout(
             f"target {target:>6}: re {worst_re:+.3e}  sense {worst_sp:+.3e}  "
-            f"inj {worst_inj:+.3e}  probe failures {len(finite)}/{args.per_target}"
+            f"inj {worst_inj:+.3e}  probe failures {len(finite)}/{args.per_target}\n"
         )
     return rows
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    cli.exit_with(main())

@@ -16,51 +16,53 @@ Usage:
     python3 scripts/proof_step_map.py --alpha 0 --u-max 64 --out step_map.csv
 """
 
-import argparse
 import csv
 import sys
 
-from qharm import ClassParams, DomainError, QParam, proof_step_violations
+from qharm import ClassParams, QParam, proof_step_violations
+from qharm import cli
+from qharm.qcore import in_range
+
+# Largest --m-max and --q-steps: the lattice has at most 1,001 x 1,000 cells.
+MAX_LATTICE_SIDE = 1000
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap = cli.Parser(description=__doc__.splitlines()[0])
     ap.add_argument("--alpha", type=float, default=0.0)
     ap.add_argument("--u-max", type=int, default=64)
     ap.add_argument("--m-max", type=int, default=6)
     ap.add_argument("--q-steps", type=int, default=9)
     ap.add_argument("--out", default="step_map.csv")
-    args = ap.parse_args()
-    if args.m_max < 0 or args.q_steps < 1:
-        print(f"error: --m-max must be >= 0 and --q-steps >= 1, got {args.m_max} and {args.q_steps}", file=sys.stderr)
+    try:
+        args = ap.parse_args()
+        in_range(args.m_max, 0, MAX_LATTICE_SIDE, "--m-max")
+        in_range(args.q_steps, 1, MAX_LATTICE_SIDE, "--q-steps")
+        rows = step_map(args)
+        with cli.writing(args.out) as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+        cli.write_stdout(f"wrote {args.out}\n")
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
+
+def step_map(args) -> list[dict]:
+    """One CSV row per order m: the largest violating power at each q."""
     qs = [round((k + 1) / (args.q_steps + 1), 6) for k in range(args.q_steps)]
     rows = []
     for m in range(args.m_max + 1):
         row = {"m": m}
         for q in qs:
-            try:
-                p = ClassParams(m=m, alpha=args.alpha, q=QParam(q))
-                violations = proof_step_violations(p, max_u=args.u_max)
-            except DomainError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
+            violations = proof_step_violations(ClassParams(m=m, alpha=args.alpha, q=QParam(q)), max_u=args.u_max)
             row[f"q={q}"] = max(violations) if violations else 0
         rows.append(row)
-        print(row)
-
-    try:
-        with open(args.out, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-            writer.writeheader()
-            writer.writerows(rows)
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return 2
-    print(f"wrote {args.out}")
-    return 0
+        cli.write_stdout(f"{row}\n")
+    return rows
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    cli.exit_with(main())

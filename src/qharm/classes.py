@@ -20,7 +20,6 @@ without numpy.  Constructions refuse series longer than MAX_JSON_TRUNC.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -349,9 +348,8 @@ def _witness_terms(b1_mag: float, p: ClassParams, trunc: int) -> tuple[float, fl
     b1 = float(b1_mag)
     if not 0.0 <= b1 <= 1.0 - p.alpha:
         raise DomainError(f"witness requires 0 <= |b_1| <= 1 - alpha, got {b1_mag!r}")
-    if operator.index(trunc) < 2:
-        raise DomainError(f"a growth witness needs trunc >= 2, got {trunc!r}")
-    return b1, _r2_coefficient(b1, p), _series_length(trunc)
+    n = in_range(trunc, 2, MAX_JSON_TRUNC, "series length")
+    return b1, _r2_coefficient(b1, p), n
 
 
 def growth_witness_upper(b1_mag: float, p: ClassParams, *, trunc: int = DEFAULT_TRUNC) -> HarmonicFunction:

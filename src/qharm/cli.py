@@ -32,7 +32,7 @@ import math
 import os
 import sys
 
-from .qcore import DEFAULT_TOLERANCE, QParam, q_integer, q_integer_pow
+from .qcore import DEFAULT_TOLERANCE, QParam, in_range, q_integer, q_integer_pow
 from .classes import (
     ClassParams,
     coeff_functional,
@@ -81,17 +81,17 @@ def _input(args):
 
 
 @contextlib.contextmanager
-def _writing(path: str):
-    """Open ``path`` for writing; any OSError while opening, writing or
-    closing it becomes a usage error (exit 2), not a traceback."""
+def writing(path: str):
+    """Open ``path`` for writing, newlines untranslated (as csv needs); any
+    OSError while opening, writing or closing it is a usage error (exit 2)."""
     try:
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
             yield fh
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc}") from None
 
 
-def _write_stdout(text: str) -> None:
+def write_stdout(text: str) -> None:
     """Write to stdout and flush, so that a closed pipe is reported here,
     as a usage error, rather than at interpreter exit."""
     try:
@@ -104,10 +104,10 @@ def _write_stdout(text: str) -> None:
 def _emit(payload, out: str | None) -> None:
     text = json.dumps(payload, indent=2) + "\n"
     if out:
-        with _writing(out) as fh:
+        with writing(out) as fh:
             fh.write(text)
     else:
-        _write_stdout(text)
+        write_stdout(text)
 
 
 def _parse_radii(text: str | None) -> tuple[float, ...] | None:
@@ -147,8 +147,7 @@ def _parse_indexed(values: list[str] | None, lowest: int, flag: str) -> dict[int
             c = complex(val)
         except ValueError:
             raise UsageError(f"{flag}: expected U=COMPLEX, got {item!r}") from None
-        if not lowest <= u <= MAX_JSON_TRUNC:
-            raise UsageError(f"{flag}: power must lie in [{lowest}, {MAX_JSON_TRUNC}], got {u}")
+        u = in_range(u, lowest, MAX_JSON_TRUNC, f"{flag} power")
         out[u] = out.get(u, 0j) + c
     return out
 
@@ -232,7 +231,7 @@ def _cmd_verify(args):
     f = _input(args)
     p = _class_params(args)
     grid = verify.DiskGrid(**_grid_kwargs(args))
-    csv = functools.partial(_writing, args.csv) if args.csv else None
+    csv = functools.partial(writing, args.csv) if args.csv else None
     reports = verify.disc_checks(f, p, grid, args.pair_budget, seed=args.seed, tolerance=tol, csv=csv)
     return [r.to_dict() for r in reports], all(r.passed for r in reports)
 
@@ -273,10 +272,10 @@ def _add_grid_flags(sub) -> None:
     sub.add_argument("--no-axis", action="store_true", help="offset angles off the positive real axis")
 
 
-class _Parser(argparse.ArgumentParser):
+class Parser(argparse.ArgumentParser):
     def print_help(self, file=None):
         # argparse's own print_help swallows a write error; --help must exit 2 too
-        _write_stdout(self.format_help())
+        write_stdout(self.format_help())
 
 
 @functools.cache
@@ -285,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     every later one.  Parsing leaves it unchanged (argparse copies
     ``append`` defaults), so nothing carries over between runs; callers
     must not add to it or change its defaults."""
-    parser = _Parser(
+    parser = Parser(
         prog="qharm",
         description="Salagean q-operator toolkit for harmonic mappings on the unit disc.",
     )
@@ -397,19 +396,23 @@ def run(argv: list[str]) -> int:
     except SchemaError as exc:
         print(f"error: invalid series JSON: field {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
-def main() -> None:
-    code = run(sys.argv[1:])
+def exit_with(code: int) -> None:
+    """sys.exit(code) for main and the experiment scripts, after a last flush
+    of stdout: a failed write was reported once and must not fail at exit."""
     try:
         sys.stdout.flush()
     except BrokenPipeError:
-        # run() has reported the failed write, whose text stays buffered.
         # The recipe of Python's signal docs: point stdout at devnull, so
         # that the flush at interpreter shutdown does not fail again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     sys.exit(code)
+
+
+def main() -> None:
+    exit_with(run(sys.argv[1:]))

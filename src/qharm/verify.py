@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -193,7 +192,7 @@ def _injectivity_report(
     evaluated once on both ends of all pairs, giving the same bits element by element."""
     pair_budget = in_range(pair_budget, 1, MAX_PAIR_BUDGET, "pair_budget")
     n = z.size
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(in_range(seed, 0, None, "seed"))
     i = rng.integers(0, n, size=pair_budget)
     j = rng.integers(0, n, size=pair_budget)
     j = np.where(i == j, (j + 1) % n, j)
@@ -345,7 +344,7 @@ def counterexample_scan(
     """
     trials = in_range(trials, 1, MAX_TRIALS, "trials")
     pair_budget = in_range(pair_budget, 1, MAX_PAIR_BUDGET, "pair_budget")
-    seed = operator.index(seed)
+    seed = in_range(seed, 0, None, "seed")
     grid = DiskGrid()
     flagged = []
     for trial in range(trials):

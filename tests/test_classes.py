@@ -414,7 +414,7 @@ def test_growth_witnesses_need_trunc_from_two_to_the_limit(witness):
     # be a MemoryError
     p = params(1, 0.0, 0.5)
     for trunc in (1, 0):
-        with pytest.raises(DomainError, match="trunc >= 2"):
+        with pytest.raises(DomainError, match=f"^series length must be >= 2, got {trunc}$"):
             witness(0.3, p, trunc=trunc)
     for trunc in (MAX_JSON_TRUNC + 1, 10**12):
         with pytest.raises(DomainError, match=f"series length {trunc} exceeds the limit {MAX_JSON_TRUNC}"):

@@ -7,6 +7,7 @@ import sys
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qharm import (
     AnalyticSeries,
@@ -695,6 +696,9 @@ def test_sizes_beyond_their_limit_are_usage_errors(tmp_path, capsys, argv, name,
         (["scan", "--seed", "0", "--trials", "1", "--pair-budget", "0"], "pair_budget must be >= 1, got 0"),
         (["verify", "--in", "{id}", "--radii", "0.5", "--pair-budget", "0"], "pair_budget must be >= 1, got 0"),
         (["verify", "--in", "{id}", "--radii", "0.5", "--angles", "3"], "angular_count must be >= 4, got 3"),
+        (["verify", "--in", "{id}", "--radii", "0.5", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["scan", "--seed", "-1", "--trials", "1"], "seed must be >= 0, got -1"),
+        (["witness", "--x=1=0.5"], "--x power must be >= 2, got 1"),
     ],
 )
 def test_sizes_below_their_minimum_are_usage_errors(tmp_path, capsys, argv, message):
@@ -731,3 +735,72 @@ def test_grid_size_beyond_its_limit_is_usage_error(tmp_path, capsys):
 def test_qint_at_its_limit(capsys):
     assert run(["qint", "--q", "0.5", "--u", str(MAX_JSON_TRUNC)]) == 0
     assert float(capsys.readouterr().out) == 2.0
+
+
+# --- the exit contract over every integer flag -------------------------------------
+
+ALPHA_Q = ["--alpha", "0.5", "--q", "0.5"]
+# subcommand -> (its other arguments, {integer flag: limit or None})
+INT_FLAGS = {
+    "qint": (["--q", "0.5"], {"--u": MAX_JSON_TRUNC, "--m": None}),
+    "dq": (["--in", "{member}", "--q", "0.5"], {}),
+    "salagean": (["--in", "{member}", "--q", "0.5"], {"--m": None}),
+    "transform": (["--in", "{member}", "--q", "0.5"], {"--m": None}),
+    "check": (["--in", "{member}", *ALPHA_Q], {"--m": None}),
+    "extremal": (["--kind", "coanalytic", *ALPHA_Q], {"--u": MAX_JSON_TRUNC, "--m": None}),
+    "combine": (ALPHA_Q, {"--point": MAX_JSON_TRUNC, "--m": None}),
+    "witness": (ALPHA_Q, {"--x": MAX_JSON_TRUNC, "--y": MAX_JSON_TRUNC, "--m": None}),
+    "growth": (["--b1", "0.2", "--r", "0.5", *ALPHA_Q], {"--m": None}),
+    "verify": (
+        ["--in", "{member}", *ALPHA_Q],
+        {"--m": None, "--angles": MAX_ANGULAR_COUNT, "--pair-budget": MAX_PAIR_BUDGET, "--seed": None},
+    ),
+    "probe": (["--in", "{member}", *ALPHA_Q], {"--m": None}),
+    "scan": (ALPHA_Q, {"--m": None, "--trials": MAX_TRIALS, "--seed": None, "--pair-budget": MAX_PAIR_BUDGET}),
+}
+# flags whose value holds a power among other fields
+VALUE_FORMS = {"--point": "{n}:coanalytic:1", "--x": "{n}=0.5", "--y": "{n}=0.5"}
+
+
+def test_int_flags_cover_every_subcommand():
+    subparsers = build_parser()._subparsers._group_actions[0].choices
+    assert set(INT_FLAGS) == set(subparsers)
+    for name, sub in subparsers.items():
+        typed = {a.option_strings[0] for a in sub._actions if a.type is int}
+        assert typed <= set(INT_FLAGS[name][1]), name
+
+
+@st.composite
+def int_flag_argv(draw):
+    """A subcommand with each integer flag omitted or set to an edge value;
+    --flag=value, so that argparse takes a negative value as a value."""
+    command = draw(st.sampled_from(sorted(INT_FLAGS)))
+    fixed, limits = INT_FLAGS[command]
+    argv = [command, *fixed]
+    for flag, limit in limits.items():
+        n = draw(st.sampled_from([None, -1, 0, 1, 2, 10**12] + ([] if limit is None else [limit + 1])))
+        if n is not None:
+            argv.append(f"{flag}=" + VALUE_FORMS.get(flag, "{n}").format(n=n))
+    return argv
+
+
+@pytest.fixture(scope="module")
+def member_path(tmp_path_factory):
+    return write_json(tmp_path_factory.mktemp("member") / "m.json", {"trunc": 4, "h": [[1, 0], [-0.2, 0]], "g": [[0.1, 0]]})
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=int_flag_argv())
+def test_every_integer_flag_keeps_the_exit_contract(member_path, argv):
+    # exit 1 means only "a check failed"; any tool or input error is one error line and exit 2
+    argv = [a.format(member=member_path) for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    lines = err.getvalue().splitlines()
+    if code == 2:
+        errors = [line for line in lines if "error: " in line]
+        assert len(errors) == 1 and errors == lines[-1:], argv
+    else:
+        assert code == 0 or (code == 1 and argv[0] in ("check", "verify", "probe")), argv
+        assert lines == [], argv

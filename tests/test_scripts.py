@@ -2,6 +2,7 @@
 
 import csv
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -9,16 +10,21 @@ from pathlib import Path
 import pytest
 
 from qharm.classes import MAX_PROOF_STEP_U
+from qharm.verify import MAX_TRIALS
 
 ROOT = Path(__file__).resolve().parent.parent
+MAX_LATTICE_SIDE = runpy.run_path(str(ROOT / "scripts" / "proof_step_map.py"))["MAX_LATTICE_SIDE"]
 
 
-def run_script(name, *args):
-    env = dict(os.environ)
+def run_script(name, *args, stdout=subprocess.PIPE, unbuffered=False):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *args],
-        capture_output=True,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         text=True,
         env=env,
     )
@@ -68,6 +74,10 @@ def test_proof_step_map_refuses_u_max_above_the_limit(tmp_path, u_max):
         ("boundary_sweep.py", ["--seed", "1", "--alpha", "2"], False),
         ("boundary_sweep.py", ["--seed", "1", "--per-target", "0"], False),
         ("boundary_sweep.py", ["--seed", "1", "--per-target", "1"], True),
+        ("boundary_sweep.py", ["--seed", "-1", "--per-target", "1"], False),
+        ("boundary_sweep.py", ["--seed", "1", "--per-target", str(MAX_TRIALS + 1)], False),
+        ("proof_step_map.py", ["--m-max", str(MAX_LATTICE_SIDE + 1)], False),
+        ("proof_step_map.py", ["--q-steps", str(MAX_LATTICE_SIDE + 1)], False),
     ],
 )
 def test_scripts_refuse_bad_input_with_one_error_line(tmp_path, name, args, missing_dir):
@@ -77,3 +87,26 @@ def test_scripts_refuse_bad_input_with_one_error_line(tmp_path, name, args, miss
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize(
+    "name, args",
+    [
+        ("boundary_sweep.py", ["--seed", "1", "--per-target", "1"]),
+        ("proof_step_map.py", ["--u-max", "8", "--m-max", "1", "--q-steps", "2"]),
+    ],
+)
+def test_closed_stdout_pipe_exits_two_without_traceback(tmp_path, name, args, unbuffered):
+    # the progress lines come before the CSV, so a closed stdout leaves no CSV
+    out = tmp_path / "x.csv"
+    for argv in ([*args, "--out", str(out)], ["--help"]):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = run_script(name, *argv, stdout=write_end, unbuffered=unbuffered)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2, argv
+        assert proc.stderr.splitlines() == ["error: cannot write <stdout>: [Errno 32] Broken pipe"], argv
+        assert not out.exists()

@@ -440,6 +440,14 @@ def test_scan_rejects_bad_trials():
         counterexample_scan(params(), 0, 1)
 
 
+def test_negative_seeds_are_domain_errors():
+    # numpy refuses them too, but with a ValueError that names no seed
+    with pytest.raises(DomainError, match="^seed must be >= 0, got -1$"):
+        counterexample_scan(params(), 1, -1)
+    with pytest.raises(DomainError, match="^seed must be >= 0, got -1$"):
+        injectivity_sample_check(IDENTITY, DiskGrid(), 8, seed=-1)
+
+
 # --- reports and CSV ----------------------------------------------------------------------
 
 
