@@ -46,7 +46,8 @@ def main() -> int:
     ap.add_argument("--out", default="boundary_sweep.csv")
     try:
         args = ap.parse_args()
-        in_range(args.per_target, 1, MAX_TRIALS, "--per-target")
+        in_range(args.per_target, 1, None, "--per-target")
+        in_range(args.per_target * len(TARGETS), 1, MAX_TRIALS, f"drawn functions --per-target * {len(TARGETS)} targets")
         in_range(args.seed, 0, None, "--seed")
         rows = sweep(args)
         with cli.writing(args.out) as fh:

@@ -25,6 +25,7 @@ from typing import Iterable, Mapping
 from .qcore import MAX_JSON_TRUNC, DomainError, in_range
 
 DEFAULT_TRUNC = 32
+_real, _imag = operator.attrgetter("real"), operator.attrgetter("imag")
 
 
 class SchemaError(ValueError):
@@ -46,10 +47,10 @@ class _Series:
     def __init__(self, coeffs: Iterable[complex], length: int | None):
         """Store ``coeffs`` as finite complex values, zero-padded and cut to
         ``length`` (None: as given, but at least one)."""
-        vals = [complex(c) for c in coeffs]
-        for u, c in enumerate(vals, start=self._start):
-            if not cmath.isfinite(c):
-                raise ValueError(f"coefficient at power {u} is not finite: {c!r}")
+        vals = list(map(complex, coeffs))
+        if not all(map(cmath.isfinite, vals)):
+            u, c = next((u, c) for u, c in enumerate(vals, start=self._start) if not cmath.isfinite(c))
+            raise ValueError(f"coefficient at power {u} is not finite: {c!r}")
         n = max(len(vals), 1) if length is None else length
         object.__setattr__(self, "coeffs", tuple(vals[:n]) + (0j,) * (n - len(vals)))
 
@@ -103,10 +104,11 @@ class PowerSeries(_Series):
 
 
 def _t_structure(h: AnalyticSeries, g: AnalyticSeries) -> bool:
-    # Exact, tolerance-free: T-form functions are constructed, not measured.
-    h_ok = all(c.imag == 0.0 and c.real <= 0.0 for c in h.coeffs[1:])
-    g_ok = all(c.imag == 0.0 and c.real >= 0.0 for c in g.coeffs)
-    return h_ok and g_ok
+    # Exact and tolerance-free on finite coefficients: T-form functions are constructed, not measured.
+    tail = h.coeffs[1:]
+    if any(map(_imag, tail)) or any(map(_imag, g.coeffs)):
+        return False
+    return max(map(_real, tail), default=0.0) <= 0.0 and min(map(_real, g.coeffs)) >= 0.0
 
 
 @dataclass(frozen=True, init=False)
@@ -190,7 +192,9 @@ def eval_power(s: PowerSeries | AnalyticSeries, z):
     coefficients is skipped: from the zero seed each such step gives
     exactly +0+0j again for finite z, so the result is bitwise that of the
     full loop.  A zero with a -0.0 part is kept, since adding it can flip
-    the sign of a zero, and so is the first coefficient.
+    the sign of a zero, and so is the first coefficient.  On 2 or more points
+    the steps after the first update one new array in place, bitwise like
+    ``acc = acc * z + c``; a 1-element array in place would not be.
     """
     coeffs = s.coeffs
     n = len(coeffs)
@@ -199,9 +203,15 @@ def eval_power(s: PowerSeries | AnalyticSeries, z):
         if c != 0 or math.copysign(1.0, c.real) + math.copysign(1.0, c.imag) != 2.0:
             break
         n -= 1
-    acc = 0j
-    for c in reversed(coeffs[:n]):
-        acc = acc * z + c
+    acc = 0j * z + coeffs[n - 1]  # a new object, never z itself
+    rest = reversed(coeffs[: n - 1])
+    if getattr(acc, "size", 1) > 1:  # an array of 2 or more points
+        for c in rest:
+            acc *= z
+            acc += c
+    else:
+        for c in rest:
+            acc = acc * z + c
     return acc
 
 
@@ -263,12 +273,12 @@ def _parse_pairs(obj: object, field: str, trunc: int) -> tuple[complex, ...]:
         if isinstance(re, bool) or isinstance(im, bool) or not isinstance(re, (int, float)) or not isinstance(im, (int, float)):
             raise SchemaError(f"{field}[{i}]", "re and im must be real numbers")
         try:
-            c = complex(re, im)
+            out.append(complex(re, im))
         except OverflowError:  # an integer beyond the float range
             raise SchemaError(f"{field}[{i}]", "re and im must fit in a float") from None
-        if not cmath.isfinite(c):
-            raise SchemaError(f"{field}[{i}]", f"coefficient is not finite: {entry!r}")
-        out.append(c)
+    if not all(map(cmath.isfinite, out)):
+        i = next(i for i, c in enumerate(out) if not cmath.isfinite(c))
+        raise SchemaError(f"{field}[{i}]", f"coefficient is not finite: {obj[i]!r}")
     return tuple(out)
 
 

@@ -250,13 +250,15 @@ def random_t_form(
     co-analytic magnitude is capped at 0.95 (excess share moves to the
     power-2 co-analytic slot), keeping construction inside |b_1| <= 1; at
     trunc 1 there is no such slot, and a target needing one is refused.
+    The jitter is one rng.random(len(slots)) call, the same as a draw per slot.
     """
     target = float(target_functional)
     if not (target >= 0.0 and math.isfinite(target)):
         raise DomainError(f"target functional must be finite and >= 0, got {target_functional!r}")
     trunc = in_range(trunc, 1, MAX_JSON_TRUNC, "trunc")
     slots = [("analytic", u) for u in range(2, trunc + 1)] + [("coanalytic", u) for u in range(1, trunc + 1)]
-    raws = np.array([(0.5 + rng.random()) * 0.25**u for _, u in slots])
+    jitter = rng.random(len(slots)).tolist()
+    raws = np.array([(0.5 + r) * 0.25**u for r, (_, u) in zip(jitter, slots)])
     shares = raws / raws.sum() * target
 
     b1_index = len(slots) - trunc  # first co-analytic slot, power 1
@@ -276,15 +278,18 @@ def _random_gap_candidate(p: ClassParams, rng: np.random.Generator) -> HarmonicF
     """Random function with complex-phased coefficients whose shares sum to a
     target in [1.001, 1.401); each phase is complex(cos 2 pi r1, sin 2 pi r2)
     from two draws, so |phase| is in [0, sqrt(2)] and the functional may be
-    <= 1 (the scan skips those).  The first co-analytic slot is excluded so |b_1| stays 0."""
-    target = 1.001 + 0.4 * rng.random()
-    nslots = 2 + int(rng.random() * 3)
-    slots = [("analytic" if rng.random() < 0.5 else "coanalytic", 2 + int(rng.random() * 6)) for _ in range(nslots)]
-    raws = [0.2 + rng.random() for _ in slots]
+    <= 1 (the scan skips those).  The first co-analytic slot is excluded so |b_1| stays 0.
+    The uniforms are one rng.random(22) call, read as scalar draws would be (2,
+    then 5 per slot for up to 4 slots); the scan draws nothing more from rng."""
+    draws = iter(rng.random(22).tolist())
+    target = 1.001 + 0.4 * next(draws)
+    nslots = 2 + int(next(draws) * 3)
+    slots = [("analytic" if next(draws) < 0.5 else "coanalytic", 2 + int(next(draws) * 6)) for _ in range(nslots)]
+    raws = [0.2 + next(draws) for _ in slots]
     total = sum(raws)  # in order, as numpy sums fewer than 8 elements
     terms = []
     for (kind, u), r in zip(slots, raws):
-        phase = complex(math.cos(2.0 * math.pi * rng.random()), math.sin(2.0 * math.pi * rng.random()))
+        phase = complex(math.cos(2.0 * math.pi * next(draws)), math.sin(2.0 * math.pi * next(draws)))
         terms.append((kind, u, r / total * target, phase))
     return _from_shares(p, max(u for _, u in slots), terms)
 

@@ -11,15 +11,21 @@ included, and so must the CSV text and the reports and table of
 disc_checks, which share each margin array between them.  Likewise the scan
 builds its candidates at their highest drawn power and stops each trial at
 its first failed check, and its reports must equal those of candidates
-padded to DEFAULT_TRUNC with every check run.
+padded to DEFAULT_TRUNC with every check run.  The library's Horner updates
+one array in place from 2 points up, so eval_power must equal the
+out-of-place loop on every form of z it meets.  Its candidates and
+random_t_form draw their uniforms in one call, so each must equal a body
+drawing one scalar at a time.
 """
 
 import contextlib
 import io
 import math
+import re
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from qharm import (
@@ -41,13 +47,15 @@ from qharm import (
     margin_rows,
     member_t_iff,
     proof_step_violations,
+    random_t_form,
     re_condition_margin,
     salagean_harmonic,
     sense_preserving_margin,
     write_margin_csv,
 )
 from qharm import verify
-from qharm.qcore import weights
+from qharm.classes import _from_shares
+from qharm.qcore import DomainError, weights
 
 # --- reference engine ---------------------------------------------------------------
 
@@ -285,6 +293,55 @@ def test_array_in_array_out(trunc, grid):
         assert np.array_equal(value.view(np.uint64), ref_poly(s.coeffs, z).view(np.uint64))
 
 
+@st.composite
+def evaluation_points(draw):
+    """z in each form eval_power is given: flat and 2-D arrays of 1-600 or
+    2,816 points, strided and gathered views, read-only arrays (the grid's
+    among them), 0-d arrays and numpy scalars; signed zeros included."""
+    form = draw(st.sampled_from(["flat", "2d", "strided", "gathered", "grid", "0d", "scalar"]))
+    if form == "grid":
+        return draw(st.one_of(grids, st.just(DiskGrid()))).points()
+    size = draw(st.sampled_from([1, 2, 2816]) | st.integers(1, 600))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = np.array([0.0, -0.0, 0.5, -0.5, 1.0])
+
+    def points(n):
+        parts = rng.uniform(-1.2, 1.2, (2, n))
+        special = rng.random((2, n)) < 0.1
+        parts[special] = rng.choice(pool, special.sum())
+        return parts[0] + 1j * parts[1]
+
+    if form == "2d":
+        rows = draw(st.integers(1, 4))
+        z = points(rows * size).reshape((rows, size) if draw(st.booleans()) else (size, rows))
+    elif form == "strided":
+        step = draw(st.sampled_from([2, 3, -1, -2]))
+        z = points(size * abs(step))[::step]
+    elif form == "gathered":
+        z = points(size)[rng.integers(0, size, size)]
+    elif form == "0d":
+        return np.array(points(1)[0])
+    elif form == "scalar":
+        return np.complex128(points(1)[0])
+    else:
+        z = points(size)
+    z.flags.writeable = draw(st.booleans())
+    return z
+
+
+@settings(max_examples=300, deadline=None)
+@given(f=functions(), z=evaluation_points())
+def test_eval_power_kernel_matches_out_of_place_horner(f, z):
+    # Arrays of 2 or more points are updated in place; smaller ones are not,
+    # since in place a 1-element array rounds unlike the array loop.
+    before = z.tobytes()
+    for s in (f.h, f.g, classical_derivative(f.h)):
+        got, want = eval_power(s, z), ref_poly(s.coeffs, z)
+        assert type(got) is type(want) and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    assert z.tobytes() == before
+
+
 def ref_gap_candidate(p, rng):
     """The scan's candidate with h and g padded to DEFAULT_TRUNC."""
     target = 1.001 + 0.4 * rng.random()
@@ -359,3 +416,58 @@ def test_scan_equals_exhaustive_reference(mat, seed, trials, tolerance, pair_bud
     p = ClassParams(m=mat[0], alpha=mat[1], q=QParam(mat[2]))
     got = counterexample_scan(p, trials, seed, pair_budget=pair_budget, tolerance=tolerance)
     assert_same(got.to_dict(), exhaustive_scan(p, trials, seed, pair_budget, tolerance))
+
+
+def coeff_parts(s):
+    return [part for c in s.coeffs for part in (c.real, c.imag)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(mat=st.sampled_from(SCAN_PARAMS), seed=st.integers(0, 2**63 - 1), trials=st.integers(1, 40))
+def test_every_scan_candidate_equals_the_padded_reference(mat, seed, trials):
+    # every trial, skipped or not: the scan's reports show only flagged ones
+    p = ClassParams(m=mat[0], alpha=mat[1], q=QParam(mat[2]))
+    for trial in range(trials):
+        f = verify._random_gap_candidate(p, np.random.default_rng([seed, trial]))
+        ref = ref_gap_candidate(p, np.random.default_rng([seed, trial]))
+        for got, want in ((f.h, ref.h), (f.g, ref.g)):
+            assert_same(coeff_parts(AnalyticSeries(got.coeffs, trunc=DEFAULT_TRUNC)), coeff_parts(want))
+
+
+def ref_random_t_form(p, target, rng, trunc):
+    """random_t_form's body with one scalar draw per slot."""
+    slots = [("analytic", u) for u in range(2, trunc + 1)] + [("coanalytic", u) for u in range(1, trunc + 1)]
+    raws = np.array([(0.5 + rng.random()) * 0.25**u for _, u in slots])
+    shares = raws / raws.sum() * target
+    b1_index = len(slots) - trunc
+    b1_limit = 0.95 / (1.0 - p.alpha)
+    if shares[b1_index] > b1_limit:
+        if trunc == 1:
+            raise DomainError(f"target functional {target!r} needs |b_1| > 0.95 at trunc 1")
+        excess = shares[b1_index] - b1_limit
+        shares[b1_index] = b1_limit
+        shares[b1_index + 1] += excess
+    terms = [(kind, u, share, -1.0 if kind == "analytic" else 1.0) for (kind, u), share in zip(slots, shares.tolist())]
+    return _from_shares(p, trunc, terms)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    mat=st.sampled_from(SCAN_PARAMS),
+    target=st.floats(0.0, 2.0) | st.sampled_from([0.95, 0.999, 1.0, 1.001]),
+    trunc=st.integers(1, 130),
+    seed=st.integers(0, 2**63 - 1),
+)
+def test_random_t_form_equals_its_scalar_draw_body(mat, target, trunc, seed):
+    p = ClassParams(m=mat[0], alpha=mat[1], q=QParam(mat[2]))
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    try:
+        ref = ref_random_t_form(p, target, ref_rng, trunc)
+    except DomainError as exc:
+        with pytest.raises(DomainError, match=re.escape(str(exc))):
+            random_t_form(p, target, rng, trunc=trunc)
+        return
+    f = random_t_form(p, target, rng, trunc=trunc)
+    for got, want in ((f.h, ref.h), (f.g, ref.g)):
+        assert_same(coeff_parts(got), coeff_parts(want))
+    assert rng.random() == ref_rng.random()  # both drew the same number of values

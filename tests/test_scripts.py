@@ -13,7 +13,10 @@ from qharm.classes import MAX_PROOF_STEP_U
 from qharm.verify import MAX_TRIALS
 
 ROOT = Path(__file__).resolve().parent.parent
-MAX_LATTICE_SIDE = runpy.run_path(str(ROOT / "scripts" / "proof_step_map.py"))["MAX_LATTICE_SIDE"]
+STEP_MAP = runpy.run_path(str(ROOT / "scripts" / "proof_step_map.py"))
+MAX_LATTICE_SIDE = STEP_MAP["MAX_LATTICE_SIDE"]
+MAX_WEIGHT_ENTRIES = STEP_MAP["MAX_WEIGHT_ENTRIES"]
+TARGETS = runpy.run_path(str(ROOT / "scripts" / "boundary_sweep.py"))["TARGETS"]
 
 
 def run_script(name, *args, stdout=subprocess.PIPE, unbuffered=False):
@@ -86,6 +89,36 @@ def test_scripts_refuse_bad_input_with_one_error_line(tmp_path, name, args, miss
     proc = run_script(name, *args, "--out", str(out))
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "name, args, message",
+    [
+        (
+            "proof_step_map.py",
+            ["--m-max", "1000", "--q-steps", "1000", "--u-max", str(MAX_PROOF_STEP_U)],
+            f"weight entries (--m-max + 1) * --q-steps * --u-max {1001 * 1000 * MAX_PROOF_STEP_U}",
+        ),
+        (
+            "proof_step_map.py",
+            ["--m-max", "0", "--q-steps", str(MAX_WEIGHT_ENTRIES // MAX_PROOF_STEP_U + 1), "--u-max", str(MAX_PROOF_STEP_U)],
+            f"weight entries (--m-max + 1) * --q-steps * --u-max {MAX_WEIGHT_ENTRIES + MAX_PROOF_STEP_U}",
+        ),
+        (
+            "boundary_sweep.py",
+            ["--seed", "1", "--per-target", str(MAX_TRIALS // len(TARGETS) + 1)],
+            f"drawn functions --per-target * {len(TARGETS)} targets {(MAX_TRIALS // len(TARGETS) + 1) * len(TARGETS)}",
+        ),
+    ],
+)
+def test_scripts_refuse_a_run_beyond_their_total_work_limit(tmp_path, name, args, message):
+    # each flag is within its own limit; the work they ask for together is not
+    out = tmp_path / "x.csv"
+    proc = run_script(name, *args, "--out", str(out))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith(f"error: {message}") and proc.stderr.count("\n") == 1, proc.stderr
+    assert " exceeds the limit " in proc.stderr
     assert not out.exists()
 
 

@@ -435,3 +435,17 @@ def test_json_schema_errors_name_field(doc, field):
     with pytest.raises(SchemaError) as exc:
         harmonic_from_json(doc)
     assert exc.value.field == field
+
+
+def test_nonfinite_errors_name_the_first_bad_entry():
+    # finiteness is checked over the whole list at once; the message names the first bad entry
+    with pytest.raises(ValueError) as exc:
+        AnalyticSeries([1.0, 2.0, float("nan"), float("inf")])
+    assert str(exc.value) == "coefficient at power 3 is not finite: (nan+0j)"
+    with pytest.raises(ValueError) as exc:
+        PowerSeries([complex(0, float("inf")), float("nan")])
+    assert str(exc.value) == "coefficient at power 0 is not finite: infj"
+    doc = {"trunc": 4, "h": [[1, 0], [0, 0], [float("nan"), 0], [0, float("-inf")]], "g": []}
+    with pytest.raises(SchemaError) as exc:
+        harmonic_from_json(doc)
+    assert str(exc.value) == "h[2]: coefficient is not finite: [nan, 0]"
