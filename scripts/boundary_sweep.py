@@ -13,7 +13,6 @@ Usage:
         --per-target 25 --seed 7 --out boundary_sweep.csv
 """
 
-import csv
 import sys
 
 import numpy as np
@@ -44,25 +43,15 @@ def main() -> int:
     ap.add_argument("--per-target", type=int, default=25)
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--out", default="boundary_sweep.csv")
-    try:
-        args = ap.parse_args()
-        in_range(args.per_target, 1, None, "--per-target")
-        in_range(args.per_target * len(TARGETS), 1, MAX_TRIALS, f"drawn functions --per-target * {len(TARGETS)} targets")
-        in_range(args.seed, 0, None, "--seed")
-        rows = sweep(args)
-        with cli.writing(args.out) as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-            writer.writeheader()
-            writer.writerows(rows)
-        cli.write_stdout(f"wrote {args.out}\n")
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return 0
+    ap.set_defaults(handler=sweep)
+    return cli.drive(ap, sys.argv[1:], cli.write_csv)
 
 
-def sweep(args) -> list[dict]:
+def sweep(args) -> tuple[list[dict], bool]:
     """One CSV row per target: the worst margins over its drawn functions."""
+    in_range(args.per_target, 1, None, "--per-target")
+    in_range(args.per_target * len(TARGETS), 1, MAX_TRIALS, f"drawn functions --per-target * {len(TARGETS)} targets")
+    in_range(args.seed, 0, None, "--seed")
     p = ClassParams(m=args.m, alpha=args.alpha, q=QParam(args.q))
     grid = DiskGrid()
     rows = []
@@ -76,24 +65,24 @@ def sweep(args) -> list[dict]:
             worst_sp = min(worst_sp, sense_preserving_margin(f, grid).min_margin)
             worst_inj = min(worst_inj, injectivity_sample_check(f, grid, 128, seed=i).min_margin)
             probe = necessity_probe(f, p)
-            fail_radii.append(probe.first_failure if probe.first_failure is not None else float("nan"))
+            if probe.first_failure is not None:
+                fail_radii.append(probe.first_failure)
             assert abs(coeff_functional(f, p) - target) <= 1e-9 * max(1.0, target)
-        finite = [r for r in fail_radii if r == r]
         rows.append(
             {
                 "target": target,
                 "worst_re_margin": worst_re,
                 "worst_sense_margin": worst_sp,
                 "worst_injectivity_margin": worst_inj,
-                "probe_failures": len(finite),
-                "earliest_failure_radius": min(finite) if finite else "",
+                "probe_failures": len(fail_radii),
+                "earliest_failure_radius": min(fail_radii, default=""),
             }
         )
         cli.write_stdout(
             f"target {target:>6}: re {worst_re:+.3e}  sense {worst_sp:+.3e}  "
-            f"inj {worst_inj:+.3e}  probe failures {len(finite)}/{args.per_target}\n"
+            f"inj {worst_inj:+.3e}  probe failures {len(fail_radii)}/{args.per_target}\n"
         )
-    return rows
+    return rows, True
 
 
 if __name__ == "__main__":

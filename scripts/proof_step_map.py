@@ -16,7 +16,6 @@ Usage:
     python3 scripts/proof_step_map.py --alpha 0 --u-max 64 --out step_map.csv
 """
 
-import csv
 import sys
 
 from qharm import ClassParams, QParam, proof_step_violations
@@ -37,26 +36,16 @@ def main() -> int:
     ap.add_argument("--m-max", type=int, default=6)
     ap.add_argument("--q-steps", type=int, default=9)
     ap.add_argument("--out", default="step_map.csv")
-    try:
-        args = ap.parse_args()
-        in_range(args.m_max, 0, MAX_LATTICE_SIDE, "--m-max")
-        in_range(args.q_steps, 1, MAX_LATTICE_SIDE, "--q-steps")
-        in_range(args.u_max, 0, MAX_PROOF_STEP_U, "max_u")
-        in_range((args.m_max + 1) * args.q_steps * args.u_max, 0, MAX_WEIGHT_ENTRIES, "weight entries (--m-max + 1) * --q-steps * --u-max")
-        rows = step_map(args)
-        with cli.writing(args.out) as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-            writer.writeheader()
-            writer.writerows(rows)
-        cli.write_stdout(f"wrote {args.out}\n")
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return 0
+    ap.set_defaults(handler=step_map)
+    return cli.drive(ap, sys.argv[1:], cli.write_csv)
 
 
-def step_map(args) -> list[dict]:
+def step_map(args) -> tuple[list[dict], bool]:
     """One CSV row per order m: the largest violating power at each q."""
+    in_range(args.m_max, 0, MAX_LATTICE_SIDE, "--m-max")
+    in_range(args.q_steps, 1, MAX_LATTICE_SIDE, "--q-steps")
+    in_range(args.u_max, 0, MAX_PROOF_STEP_U, "max_u")
+    in_range((args.m_max + 1) * args.q_steps * args.u_max, 0, MAX_WEIGHT_ENTRIES, "weight entries (--m-max + 1) * --q-steps * --u-max")
     qs = [round((k + 1) / (args.q_steps + 1), 6) for k in range(args.q_steps)]
     rows = []
     for m in range(args.m_max + 1):
@@ -66,7 +55,7 @@ def step_map(args) -> list[dict]:
             row[f"q={q}"] = max(violations) if violations else 0
         rows.append(row)
         cli.write_stdout(f"{row}\n")
-    return rows
+    return rows, True
 
 
 if __name__ == "__main__":

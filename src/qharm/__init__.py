@@ -22,7 +22,6 @@ from .series import (
     hadamard,
     harmonic_from_json,
     harmonic_to_json,
-    is_t_form,
 )
 from .salagean import (
     OperatorParams,
@@ -89,7 +88,6 @@ __all__ = [
     "harmonic_from_json",
     "harmonic_to_json",
     "injectivity_sample_check",
-    "is_t_form",
     "margin_rows",
     "member_t_iff",
     "necessity_probe",

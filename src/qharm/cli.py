@@ -2,9 +2,10 @@
 
 Subcommands map one-to-one onto library operations: qint, dq, salagean,
 transform, check, extremal, combine, witness, growth, verify, probe, scan.
-Each handler returns ``(payload, passed)``; run() writes the payload as
-JSON to stdout, or to the --out file, and maps the verdict to the exit
-code.  verify writes its --csv grid dump itself, before the report.
+Each handler returns ``(payload, passed)``.  drive(), the one exit contract
+of qharm and the experiment scripts, writes the payload (as JSON to stdout or
+--out here, through write_csv() in the scripts) and maps the verdict or error
+to the exit code.  verify writes its --csv grid dump itself, before the report.
 
 Exit codes: 0 all checks passed / operation succeeded; 1 a verification
 check failed (valid run, negative result); 2 usage or parse error,
@@ -110,6 +111,17 @@ def _emit(payload, out: str | None) -> None:
         write_stdout(text)
 
 
+def write_csv(rows: list[dict], out: str) -> None:
+    """Write ``rows`` to ``out`` as CSV (CRLF line ends), then print ``wrote OUT``."""
+    import csv
+
+    with writing(out) as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+    write_stdout(f"wrote {out}\n")
+
+
 def _parse_radii(text: str | None) -> tuple[float, ...] | None:
     if text is None:
         return None
@@ -199,11 +211,9 @@ def _cmd_combine(args):
     p = _class_params(args)
     terms = []
     for item in args.point:
-        parts = item.split(":")
-        if len(parts) != 3:
-            raise UsageError(f"--point: expected U:KIND:WEIGHT, got {item!r}")
         try:
-            terms.append((int(parts[0]), parts[1], float(parts[2])))
+            u, kind, weight = item.split(":")
+            terms.append((int(u), kind, float(weight)))
         except ValueError:
             raise UsageError(f"--point: expected U:KIND:WEIGHT, got {item!r}") from None
     return harmonic_to_json(convex_combination(terms, p)), True
@@ -384,13 +394,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run(argv: list[str]) -> int:
-    """Parse and execute; returns the process exit status instead of
-    raising SystemExit, so it can be driven in-process."""
+def drive(parser: argparse.ArgumentParser, argv: list[str], emit) -> int:
+    """Parse ``argv``, run its ``handler`` and ``emit(payload, args.out)``;
+    return the exit status instead of raising SystemExit."""
     try:
-        args = build_parser().parse_args(argv)
+        args = parser.parse_args(argv)
         payload, passed = args.handler(args)
-        _emit(payload, getattr(args, "out", None))
+        emit(payload, getattr(args, "out", None))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     except SchemaError as exc:
@@ -400,6 +410,11 @@ def run(argv: list[str]) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return EXIT_OK if passed else EXIT_CHECK_FAILED
+
+
+def run(argv: list[str]) -> int:
+    """Parse and execute one qharm command line; returns the exit status."""
+    return drive(build_parser(), argv, _emit)
 
 
 def exit_with(code: int) -> None:

@@ -234,12 +234,6 @@ def classical_derivative(s: AnalyticSeries) -> PowerSeries:
     return PowerSeries(tuple(u * c for u, c in enumerate(s.coeffs, start=1)))
 
 
-def is_t_form(f: HarmonicFunction) -> bool:
-    """True iff every h coefficient beyond the first is real and <= 0 and
-    every g coefficient is real and >= 0 (exact zero-imaginary test)."""
-    return f.t_form
-
-
 # --- JSON wire format -------------------------------------------------------
 #
 # {"trunc": N, "h": [[re, im], ...], "g": [[re, im], ...]} with index 0 of

@@ -715,6 +715,8 @@ def test_sizes_below_their_minimum_are_usage_errors(tmp_path, capsys, argv, mess
         (["verify", "--in", "{id}"], "-1", "QHARM_TOL: must be a finite non-negative real, got '-1'"),
         (["witness", "--x", "2"], None, "--x: expected U=COMPLEX, got '2'"),
         (["combine", "--point", "2:analytic:x"], None, "--point: expected U:KIND:WEIGHT, got '2:analytic:x'"),
+        (["combine", "--point", "2:analytic"], None, "--point: expected U:KIND:WEIGHT, got '2:analytic'"),
+        (["combine", "--point", "2:analytic:0.5:x"], None, "--point: expected U:KIND:WEIGHT, got '2:analytic:0.5:x'"),
     ],
 )
 def test_unparseable_arguments_are_one_line_usage_errors(tmp_path, capsys, monkeypatch, argv, env, message):
@@ -735,6 +737,65 @@ def test_grid_size_beyond_its_limit_is_usage_error(tmp_path, capsys):
 def test_qint_at_its_limit(capsys):
     assert run(["qint", "--q", "0.5", "--u", str(MAX_JSON_TRUNC)]) == 0
     assert float(capsys.readouterr().out) == 2.0
+
+
+# --- one driver for qharm and the experiment scripts ----------------------------
+
+
+def drive_stub(handler, argv=(), emit=None):
+    """cli.drive over a one-flag parser whose handler is ``handler``; returns
+    the exit status and the emitter's calls."""
+    parser = cli.Parser(prog="stub")
+    parser.add_argument("--out", default="stub.out")
+    parser.set_defaults(handler=handler)
+    calls = []
+    code = cli.drive(parser, list(argv), emit or (lambda payload, out: calls.append((payload, out))))
+    return code, calls
+
+
+def raising(exc):
+    def handler(args):
+        raise exc
+
+    return handler
+
+
+@pytest.mark.parametrize("passed, code", [(True, 0), (False, 1)])
+def test_drive_maps_the_verdict_and_emits_once(capsys, passed, code):
+    assert drive_stub(lambda args: ({"k": 1}, passed), ["--out", "o.json"]) == (code, [({"k": 1}, "o.json")])
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "exc, message",
+    [
+        (ValueError("x"), "error: x\n"),
+        (series.SchemaError("h[0]", "m"), "error: invalid series JSON: field h[0]: m\n"),
+    ],
+)
+def test_drive_turns_a_handler_error_into_one_line_and_exit_two(capsys, exc, message):
+    assert drive_stub(raising(exc)) == (2, [])
+    assert capsys.readouterr().err == message
+
+
+def test_drive_reports_an_emitter_write_failure_as_exit_two(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.csv"
+    assert drive_stub(lambda args: ([{"a": 1}], True), ["--out", str(out)], emit=cli.write_csv) == (2, [])
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: cannot write {out}: ")
+
+
+@pytest.mark.parametrize("argv, code", [(["--bogus"], 2), (["--help"], 0)])
+def test_drive_maps_parser_exits(capsys, argv, code):
+    assert drive_stub(raising(AssertionError("handler must not run")), argv) == (code, [])
+    capsys.readouterr()
+
+
+def test_write_csv_writes_crlf_rows_then_reports_the_path(tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    cli.write_csv([{"a": 1, "b": ""}, {"a": 2.5, "b": "x"}], str(out))
+    assert out.read_bytes() == b"a,b\r\n1,\r\n2.5,x\r\n"
+    assert capsys.readouterr().out == f"wrote {out}\n"
 
 
 # --- the exit contract over every integer flag -------------------------------------

@@ -38,10 +38,18 @@ def csv_header(path):
         return next(csv.reader(fh))
 
 
+def assert_csv_written(proc, out):
+    # the emitter's bytes: csv's CRLF line ends, then one "wrote PATH" line
+    assert proc.stdout.splitlines()[-1] == f"wrote {out}"
+    lines = out.read_bytes().splitlines(keepends=True)
+    assert lines and all(line.endswith(b"\r\n") for line in lines)
+
+
 def test_boundary_sweep_runs(tmp_path):
     out = tmp_path / "sweep.csv"
     proc = run_script("boundary_sweep.py", "--per-target", "1", "--seed", "7", "--out", str(out))
     assert proc.returncode == 0, proc.stderr
+    assert_csv_written(proc, out)
     assert csv_header(out) == [
         "target",
         "worst_re_margin",
@@ -56,6 +64,7 @@ def test_proof_step_map_runs(tmp_path):
     out = tmp_path / "map.csv"
     proc = run_script("proof_step_map.py", "--u-max", "8", "--m-max", "1", "--q-steps", "2", "--out", str(out))
     assert proc.returncode == 0, proc.stderr
+    assert_csv_written(proc, out)
     assert csv_header(out) == ["m", "q=0.333333", "q=0.666667"]
 
 

@@ -26,7 +26,6 @@ from qharm import (
     hadamard,
     harmonic_from_json,
     harmonic_to_json,
-    is_t_form,
     random_t_form,
     salagean_harmonic,
     sharpness_witness,
@@ -296,19 +295,19 @@ def test_is_t_form_matching_signs():
     f = HarmonicFunction(
         AnalyticSeries([1.0, -0.1], trunc=4), AnalyticSeries([0.2], trunc=4)
     )
-    assert is_t_form(f) and f.t_form
+    assert f.t_form
     assert HarmonicFunction(AnalyticSeries.identity(4)).t_form
 
 
 def test_is_t_form_positive_a_excluded():
     f = HarmonicFunction(AnalyticSeries([1.0, 0.1], trunc=4))
-    assert not is_t_form(f) and not f.t_form
+    assert not f.t_form
     assert not HarmonicFunction(AnalyticSeries.identity(4), AnalyticSeries([-0.25], trunc=4)).t_form
 
 
 def test_is_t_form_nonreal_excluded():
     f = HarmonicFunction(AnalyticSeries([1.0, -0.1j], trunc=4))
-    assert not is_t_form(f) and not f.t_form
+    assert not f.t_form
 
 
 # --- JSON wire format ------------------------------------------------------------
@@ -388,7 +387,7 @@ def test_json_round_trip_preserves_equality_and_t_form(f):
     assert f2 == f and hash(f2) == hash(f)
     signs = all(c.imag == 0.0 and c.real <= 0.0 for c in f.h.coeffs[1:])
     signs = signs and all(c.imag == 0.0 and c.real >= 0.0 for c in f.g.coeffs)
-    assert f2.t_form == f.t_form == is_t_form(f) == signs
+    assert f2.t_form == f.t_form == signs
     assert repr(f2) == repr(f)
 
 
