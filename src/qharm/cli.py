@@ -5,13 +5,18 @@ transform, check, extremal, combine, witness, growth, verify, probe, scan.
 Each handler returns ``(payload, passed)``.  drive(), the one exit contract
 of qharm and the experiment scripts, writes the payload (as JSON to stdout or
 --out here, through write_csv() in the scripts) and maps the verdict or error
-to the exit code.  verify writes its --csv grid dump itself, before the report.
+to the exit code.  verify writes its --csv grid dump itself, before the report,
+through qharm.verify's block writer, which formats each distinct float of a
+block of rows once.
 
 Exit codes: 0 all checks passed / operation succeeded; 1 a verification
 check failed (valid run, negative result); 2 usage or parse error,
 including malformed series JSON (the diagnostic names the offending
 field), and any failure to write a result (--out, --csv, or a closed
-stdout such as ``qharm probe ... | head -1``).  The environment variable
+stdout such as ``qharm probe ... | head -1``); 3 a crash, any other
+exception escaping a handler or the emitter, whose traceback goes to
+stderr (a bug, never a verdict; an interrupt still ends the process the
+usual way).  The environment variable
 QHARM_TOL overrides the default check tolerance of 1e-9 for verify and
 scan, the two subcommands that sample the disc; they read it on every
 run, and an unparseable value is a usage error there.  The other
@@ -50,6 +55,7 @@ from .series import MAX_JSON_TRUNC, SchemaError, harmonic_from_json, harmonic_to
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
+EXIT_CRASH = 3
 
 
 class UsageError(ValueError):
@@ -396,7 +402,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def drive(parser: argparse.ArgumentParser, argv: list[str], emit) -> int:
     """Parse ``argv``, run its ``handler`` and ``emit(payload, args.out)``;
-    return the exit status instead of raising SystemExit."""
+    return the exit status instead of raising SystemExit.  Any exception
+    other than a ValueError (exit 2) prints its traceback and returns
+    EXIT_CRASH; KeyboardInterrupt is not caught."""
     try:
         args = parser.parse_args(argv)
         payload, passed = args.handler(args)
@@ -409,6 +417,12 @@ def drive(parser: argparse.ArgumentParser, argv: list[str], emit) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception:
+        # Exit 1 means a check failed, so a bug must not end with it.
+        import traceback
+
+        traceback.print_exc()
+        return EXIT_CRASH
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 

@@ -14,6 +14,9 @@ checks take one absolute tolerance on their sampled margins
 the checks of ``qharm verify`` and its margin table with each margin array
 computed once and f evaluated once per point set: injectivity reads the
 growth check's grid values, or evaluates both pair ends in one pass.
+The CSV writer formats each distinct float of a block of the margin table
+once (repr depends only on a float's bits, so the bytes are those of a
+repr per cell), and holds one block of strings at a time.
 """
 
 from __future__ import annotations
@@ -38,6 +41,10 @@ MAX_ANGULAR_COUNT = 2**16
 MAX_GRID_POINTS = 2**20
 MAX_PAIR_BUDGET = 2**20
 MAX_TRIALS = 10**5
+
+# Rows of the margin table formatted per block by _write_csv: the default
+# grid is one block, and the strings held at a time stay bounded.
+_CSV_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -378,10 +385,13 @@ def margin_rows(
     p: ClassParams,
     grid: DiskGrid,
 ) -> tuple[list[str], list[list[float]]]:
-    """Per-point margin table: one row per grid point with the pointwise
-    margins of the active checks.  Growth margins are included when f is a
-    t_form member (both one-sided margins, lower then upper)."""
-    return _table(grid, *_margin_columns(f, p, grid)[:2])
+    """Per-point margin table: one row per grid point, a list of floats
+    (re, im, then the pointwise margins of the active checks).  Growth
+    margins are included when f is a t_form member (both one-sided
+    margins, lower then upper).  The CSV writer reads the same table as
+    an array, without building these lists."""
+    header, table = _table(grid, *_margin_columns(f, p, grid)[:2])
+    return header, table.tolist()
 
 
 def _margin_columns(
@@ -398,20 +408,29 @@ def _margin_columns(
     return [*header, "growth_lower_margin", "growth_upper_margin"], [*columns, lower_m, upper_m], fz
 
 
-def _table(grid: DiskGrid, header: list[str], columns: list[np.ndarray]) -> tuple[list[str], list[list[float]]]:
+def _table(grid: DiskGrid, header: list[str], columns: list[np.ndarray]) -> tuple[list[str], np.ndarray]:
+    """The margin table as a C-contiguous float64 array, one row per grid
+    point (re, im, then the columns), with its header."""
     z = grid.points()
-    return ["re", "im", *header], np.column_stack([np.real(z), np.imag(z), *columns]).tolist()
+    return ["re", "im", *header], np.column_stack([np.real(z), np.imag(z), *columns])
 
 
 def write_margin_csv(stream, f: HarmonicFunction, p: ClassParams, grid: DiskGrid) -> None:
     """CSV dump of margin_rows: plain decimal floats, comma separated."""
-    _write_csv(stream, *margin_rows(f, p, grid))
+    _write_csv(stream, *_table(grid, *_margin_columns(f, p, grid)[:2]))
 
 
-def _write_csv(stream, header: list[str], rows: list[list[float]]) -> None:
+def _write_csv(stream, header: list[str], table: np.ndarray) -> None:
+    """Write the header, then each row of table as the reprs of its floats.
+    Each block of rows formats each distinct bit pattern once: keyed on
+    bits, not on float equality, 0.0 and -0.0 stay apart."""
     stream.write(",".join(header) + "\n")
-    for row in rows:
-        stream.write(",".join(map(repr, row)) + "\n")
+    width = table.shape[1]
+    for start in range(0, len(table), _CSV_BLOCK_ROWS):
+        bits, inverse = np.unique(table[start : start + _CSV_BLOCK_ROWS].view(np.uint64), return_inverse=True)
+        text = list(map(repr, bits.view(np.float64).tolist()))
+        cells = iter([text[i] for i in inverse.ravel().tolist()])
+        stream.write("".join([",".join(row) + "\n" for row in zip(*[cells] * width)]))
 
 
 # --- the verify run ------------------------------------------------------------

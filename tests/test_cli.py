@@ -791,6 +791,20 @@ def test_drive_maps_parser_exits(capsys, argv, code):
     capsys.readouterr()
 
 
+def test_a_crash_in_a_handler_is_exit_three_with_its_traceback(capsys):
+    # exit 1 is reserved for a failed check; a bug must not end with it
+    with mock.patch.object(cli, "q_integer", side_effect=RuntimeError("boom")):
+        assert run(["qint", "--u", "3", "--q", "0.5"]) == cli.EXIT_CRASH == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("Traceback (most recent call last):") and err.endswith("RuntimeError: boom\n")
+
+
+def test_drive_lets_an_interrupt_through():
+    with pytest.raises(KeyboardInterrupt):
+        drive_stub(raising(KeyboardInterrupt()))
+
+
 def test_write_csv_writes_crlf_rows_then_reports_the_path(tmp_path, capsys):
     out = tmp_path / "t.csv"
     cli.write_csv([{"a": 1, "b": ""}, {"a": 2.5, "b": "x"}], str(out))

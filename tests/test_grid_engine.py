@@ -7,8 +7,9 @@ formulas.  The library skips high-order +0+0j coefficients, caches the grid
 points, and evaluates f for the injectivity pairs either once on both pair
 ends or not at all, reading the grid values of the growth margins; its
 reports and margin tables must equal the reference bit for bit, zero signs
-included, and so must the CSV text and the reports and table of
-disc_checks, which share each margin array between them.  Likewise the scan
+included, and so must the CSV text, whose writer formats each distinct
+float of a block once, and the reports and table of disc_checks, which
+share each margin array between them.  Likewise the scan
 builds its candidates at their highest drawn power and stops each trial at
 its first failed check, and its reports must equal those of candidates
 padded to DEFAULT_TRUNC with every check run.  The library's Horner updates
@@ -255,6 +256,17 @@ def test_engine_matches_reference_bitwise(f, p, grid, pair_budget, seed):
     reports = verify.disc_checks(f, p, grid, pair_budget, seed=seed, tolerance=tol, csv=lambda: contextlib.nullcontext(buf))
     assert buf.getvalue() == text
     assert_same([r.to_dict() for r in reports], expected)
+
+
+def test_margin_csv_spanning_two_blocks_matches_reference():
+    # 8,192 rows: the writer formats the table in blocks of at most 4,096 rows
+    p = ClassParams(m=3, alpha=0.25, q=QParam(0.9))
+    f = random_t_form(p, 0.9, np.random.default_rng(7), trunc=16)
+    grid = DiskGrid(radii=(0.5, 0.9), angular_count=4096)
+    assert grid.size > verify._CSV_BLOCK_ROWS
+    buf = io.StringIO()
+    write_margin_csv(buf, f, p, grid)
+    assert buf.getvalue() == ref_csv(f, p, grid)
 
 
 @given(grid=grids)

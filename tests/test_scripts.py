@@ -6,6 +6,7 @@ import runpy
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -43,6 +44,16 @@ def assert_csv_written(proc, out):
     assert proc.stdout.splitlines()[-1] == f"wrote {out}"
     lines = out.read_bytes().splitlines(keepends=True)
     assert lines and all(line.endswith(b"\r\n") for line in lines)
+
+
+def test_a_crash_in_a_script_is_exit_three_with_its_traceback(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["proof_step_map.py", "--u-max", "4", "--out", str(tmp_path / "m.csv")])
+    main = STEP_MAP["main"]  # run_path returns a copy of the globals main reads
+    with mock.patch.dict(main.__globals__, proof_step_violations=mock.Mock(side_effect=RuntimeError("boom"))):
+        assert main() == 3
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback (most recent call last):") and err.endswith("RuntimeError: boom\n")
+    assert not (tmp_path / "m.csv").exists()
 
 
 def test_boundary_sweep_runs(tmp_path):

@@ -484,6 +484,29 @@ def test_margin_csv_skips_growth_for_non_member():
     assert len(rows) == 4
 
 
+def test_csv_writer_equals_repr_per_cell():
+    # The writer formats each distinct bit pattern of a block once.  Both
+    # zeros, NaNs of either sign, infinities, subnormals and runs of one
+    # value must each come out as their own repr, across block boundaries.
+    specials = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072e-308, 1e-310, 0.1, -0.1]
+    rng = np.random.default_rng(17)
+    rows = 2 * verify._CSV_BLOCK_ROWS + 7
+    pool = np.concatenate([specials, rng.standard_normal(64), rng.standard_normal(8) * 1e300])
+    table = pool[rng.integers(0, pool.size, size=(rows, 6))]
+    table[100:900, 2] = -0.0  # a run within one block
+    table[verify._CSV_BLOCK_ROWS - 50 : verify._CSV_BLOCK_ROWS + 50, 3] = 0.0  # a run across a boundary
+    table[::7, 4] = np.where(np.arange(table[::7].shape[0]) % 2, 0.0, -0.0)
+    header = ["re", "im", "a", "b", "c", "d"]
+    buf = io.StringIO()
+    verify._write_csv(buf, header, table)
+    lines = buf.getvalue().split("\n")
+    assert lines[0] == ",".join(header) and lines[-1] == ""
+    expected = [",".join(map(repr, row)) for row in table.tolist()]
+    assert len(lines) == rows + 2
+    for got, want in zip(lines[1:-1], expected):
+        assert got == want
+
+
 def test_removed_tolerance_and_generator_keywords_are_type_errors():
     # MEMBERSHIP_TOL, the scan's DiskGrid and the generator's envelope are
     # fixed
