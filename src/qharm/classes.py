@@ -24,9 +24,9 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .qcore import DEFAULT_TOLERANCE, MEMBERSHIP_TOL, DomainError, QParam, weights  # noqa: F401 (re-exported)
-from .qcore import MAX_JSON_TRUNC, MAX_PROOF_STEP_U, in_range, radius_sequence
+from .qcore import MAX_JSON_TRUNC, MAX_PROOF_STEP_U, in_interval, in_range, radius_sequence
 from .salagean import OperatorParams
-from .series import DEFAULT_TRUNC, AnalyticSeries, HarmonicFunction
+from .series import DEFAULT_TRUNC, AnalyticSeries, HarmonicFunction, _modulus
 
 
 @dataclass(frozen=True)
@@ -39,12 +39,8 @@ class ClassParams:
     q: QParam
 
     def __post_init__(self) -> None:
-        m = in_range(self.m, 0, None, "m")
-        alpha = float(self.alpha)
-        if not 0.0 <= alpha < 1.0:
-            raise DomainError(f"alpha must lie in [0, 1), got {self.alpha!r}")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "m", in_range(self.m, 0, None, "m"))
+        object.__setattr__(self, "alpha", in_interval(self.alpha, 0, 1, "alpha", open_high=True))
 
     def operator_params(self) -> OperatorParams:
         return OperatorParams(self.m, self.q)
@@ -70,13 +66,26 @@ def _functional_terms(f: HarmonicFunction, p: ClassParams) -> list[tuple[int, fl
     nonzero = [(u, c) for u, c in enumerate(f.h.coeffs, start=1) if u >= 2 and c != 0]
     nonzero += [(u, c) for u, c in enumerate(f.g.coeffs, start=1) if c != 0]
     w = weights(max((u for u, _ in nonzero), default=1), p.q, p.m)
-    return [(u, w[u - 1], abs(c)) for u, c in nonzero]
+    try:
+        return [(u, w[u - 1], abs(c)) for u, c in nonzero]
+    except OverflowError:
+        raise DomainError("the modulus of a coefficient overflows a float") from None
+
+
+def _fsum(terms: Iterable[float]) -> float:
+    """math.fsum of non-negative terms; inf, not OverflowError, where a
+    partial sum overflows a float."""
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        return math.inf
 
 
 def coeff_functional(f: HarmonicFunction, p: ClassParams) -> float:
     """The normalized coefficient sum; membership threshold is 1."""
     one_minus = 1.0 - p.alpha
-    return math.fsum([w / one_minus * mag for _, w, mag in _functional_terms(f, p)])
+    total = _fsum([w / one_minus * mag for _, w, mag in _functional_terms(f, p)])
+    return in_interval(total, 0, math.inf, "the coefficient functional")
 
 
 def satisfies_sufficient(f: HarmonicFunction, p: ClassParams) -> bool:
@@ -154,7 +163,8 @@ def necessity_probe(
     triples = _functional_terms(f, p)
 
     def margin_at(r: float) -> float:
-        return 1.0 + math.fsum(-w * mag * r ** (u - 1) for u, w, mag in triples) - p.alpha
+        axis_sum = _fsum(w * mag * r ** (u - 1) for u, w, mag in triples)
+        return 1.0 - in_interval(axis_sum, 0, math.inf, "the axis sum") - p.alpha
 
     entries = tuple((r, margin_at(r)) for r in rs)
     first_failure = next((r for r, m in entries if m < -MEMBERSHIP_TOL), None)
@@ -220,7 +230,7 @@ def _from_shares(p: ClassParams, n: int, terms: Sequence[tuple[str, int, float, 
 
 
 def _check_unit_sum(moduli: list[float], what: str) -> None:
-    total = math.fsum(moduli)
+    total = _fsum(moduli)
     if not abs(total - 1.0) <= MEMBERSHIP_TOL:
         raise DomainError(f"{what} must sum to 1 within {MEMBERSHIP_TOL}, got {total!r}")
 
@@ -268,10 +278,7 @@ def convex_combination(
     terms = list(terms)
     if not terms:
         raise DomainError("at least one extreme point is required")
-    masses = [float(w) for _, _, w in terms]
-    for w in masses:
-        if w < 0.0 or not math.isfinite(w):
-            raise DomainError(f"weights must be finite and non-negative, got {w!r}")
+    masses = [in_interval(w, 0, math.inf, "weight") for _, _, w in terms]
     _check_unit_sum(masses, "weights")
     n = _series_length(max([trunc, *(u for u, _, _ in terms)]))
     # The identity coefficient is the weight total, which is 1 by contract;
@@ -298,7 +305,7 @@ def sharpness_witness(
     """
     xs = [complex(v) for v in x]
     ys = [complex(v) for v in y]
-    _check_unit_sum([abs(v) for v in xs + ys], "weight moduli")
+    _check_unit_sum([_modulus(v) for v in xs + ys], "weight moduli")
     n = _series_length(max(trunc, len(xs) + 1, len(ys)))
     terms = [("analytic", u, 1.0, v) for u, v in enumerate(xs, start=2)]
     terms += [("coanalytic", u, 1.0, v) for u, v in enumerate(ys, start=1)]
@@ -323,12 +330,8 @@ def growth_bounds(b1_mag: float, r: float, p: ClassParams) -> GrowthBounds:
     MEMBERSHIP_TOL, and the excess then counts as zero in the r**2 term.
     Beyond that the bounds may invert and construction is refused.
     """
-    b1 = float(b1_mag)
-    r = float(r)
-    if not 0.0 <= b1 <= 1.0:
-        raise DomainError(f"b1 magnitude must lie in [0, 1], got {b1_mag!r}")
-    if not 0.0 <= r < 1.0:
-        raise DomainError(f"radius must lie in [0, 1), got {r!r}")
+    b1 = in_interval(b1_mag, 0, 1, "b1 magnitude")
+    r = in_interval(r, 0, 1, "radius", open_high=True)
     one_minus = 1.0 - p.alpha
     if b1 > one_minus * (1.0 + MEMBERSHIP_TOL):
         raise DomainError(
@@ -345,9 +348,7 @@ def growth_bounds(b1_mag: float, r: float, p: ClassParams) -> GrowthBounds:
 def _witness_terms(b1_mag: float, p: ClassParams, trunc: int) -> tuple[float, float, int]:
     """(b1, r**2 coefficient, series length) of a growth witness, which
     needs powers 1 and 2, so 2 <= trunc <= MAX_JSON_TRUNC."""
-    b1 = float(b1_mag)
-    if not 0.0 <= b1 <= 1.0 - p.alpha:
-        raise DomainError(f"witness requires 0 <= |b_1| <= 1 - alpha, got {b1_mag!r}")
+    b1 = in_interval(b1_mag, 0, 1.0 - p.alpha, "growth witness |b_1|")
     n = in_range(trunc, 2, MAX_JSON_TRUNC, "series length")
     return b1, _r2_coefficient(b1, p), n
 

@@ -38,7 +38,7 @@ import math
 import os
 import sys
 
-from .qcore import DEFAULT_TOLERANCE, QParam, in_range, q_integer, q_integer_pow
+from .qcore import DEFAULT_TOLERANCE, QParam, in_interval, in_range, q_integer, q_integer_pow
 from .classes import (
     ClassParams,
     coeff_functional,
@@ -70,9 +70,7 @@ def _tolerance() -> float:
         val = float(raw)
     except ValueError:
         raise UsageError(f"QHARM_TOL: not a real number: {raw!r}") from None
-    if not (math.isfinite(val) and val >= 0.0):
-        raise UsageError(f"QHARM_TOL: must be a finite non-negative real, got {raw!r}")
-    return val
+    return in_interval(val, 0, math.inf, "QHARM_TOL")
 
 
 def _input(args):

@@ -12,6 +12,7 @@ call concurrently.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from typing import Iterable
@@ -51,15 +52,28 @@ def in_range(n: int, low: int, limit: int | None, what: str) -> int:
     return n
 
 
+def in_interval(
+    x: float, low: float, high: float, what: str, *, open_low: bool = False, open_high: bool = False
+) -> float:
+    """``x`` as a float, refused with DomainError unless it is finite and
+    lies between ``low`` and ``high``, each end included unless marked
+    open.  Every real parameter is checked here; the message names the
+    interval, an infinite end printing as open: "r must lie in [0, inf)"."""
+    x = float(x)
+    if (low < x if open_low else low <= x) and (x < high if open_high else x <= high) and math.isfinite(x):
+        return x
+    left = "(" if open_low or low == -math.inf else "["
+    right = ")" if open_high or high == math.inf else "]"
+    ends = ", ".join(repr(float(end)).removesuffix(".0") for end in (low, high))
+    raise DomainError(f"{what} must lie in {left}{ends}{right}, got {x!r}")
+
+
 def radius_sequence(radii: Iterable[float], what: str) -> tuple[float, ...]:
     """``radii`` as a tuple of floats, refused with DomainError unless it
     is non-empty, inside (0, 1) and strictly increasing."""
-    rs = tuple(float(r) for r in radii)
+    rs = tuple(in_interval(r, 0, 1, what, open_low=True, open_high=True) for r in radii)
     if not rs:
         raise DomainError(f"{what} must be non-empty")
-    for r in rs:
-        if not 0.0 < r < 1.0:
-            raise DomainError(f"{what} must lie in (0, 1), got {r!r}")
     if any(b <= a for a, b in zip(rs, rs[1:])):
         raise DomainError(f"{what} must be strictly increasing, got {rs!r}")
     return rs
@@ -77,10 +91,7 @@ class QParam:
     q: float
 
     def __post_init__(self) -> None:
-        q = float(self.q)
-        if not 0.0 < q < 1.0:
-            raise DomainError(f"q must satisfy 0 < q < 1, got {self.q!r}")
-        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "q", in_interval(self.q, 0, 1, "q", open_low=True, open_high=True))
 
     def __float__(self) -> float:
         return self.q

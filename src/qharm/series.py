@@ -22,10 +22,18 @@ import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from .qcore import MAX_JSON_TRUNC, DomainError, in_range
+from .qcore import MAX_JSON_TRUNC, in_interval, in_range
 
 DEFAULT_TRUNC = 32
 _real, _imag = operator.attrgetter("real"), operator.attrgetter("imag")
+
+
+def _modulus(c: complex) -> float:
+    """abs(c), or inf where the modulus overflows a float and abs raises."""
+    try:
+        return abs(c)
+    except OverflowError:
+        return math.inf
 
 
 class SchemaError(ValueError):
@@ -139,8 +147,7 @@ class HarmonicFunction:
             g = AnalyticSeries(g.coeffs, trunc=trunc)
         if h.coeffs[0] != 1:
             raise ValueError(f"h must be normalized with coefficient 1 at z, got {h.coeffs[0]!r}")
-        if abs(g.coeffs[0]) > 1.0:
-            raise DomainError(f"|b_1| must not exceed 1, got {abs(g.coeffs[0])!r}")
+        in_interval(_modulus(g.coeffs[0]), 0, 1, "|b_1|")
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "t_form", _t_structure(h, g))
@@ -167,9 +174,7 @@ class HarmonicFunction:
         h[0] = 1.0
         for part, sign, terms in ((h, -1.0, a), (g, 1.0, b)):
             for u, mag in terms:
-                if not (mag >= 0.0):
-                    raise DomainError(f"magnitude for power {u} must be >= 0, got {mag!r}")
-                part[u - 1] = sign * float(mag)
+                part[u - 1] = sign * in_interval(mag, 0, math.inf, f"magnitude for power {u}")
         return cls(AnalyticSeries(h, trunc=trunc), AnalyticSeries(g, trunc=trunc))
 
 
@@ -291,6 +296,6 @@ def harmonic_from_json(obj: object) -> HarmonicFunction:
     g_coeffs = _parse_pairs(obj["g"], "g", trunc)
     if not h_coeffs or h_coeffs[0] != 1:
         raise SchemaError("h[0]", "must be [1, 0] (normalization of the analytic part)")
-    if g_coeffs and abs(g_coeffs[0]) > 1.0:
-        raise SchemaError("g[0]", f"|b_1| must not exceed 1, got modulus {abs(g_coeffs[0])!r}")
+    if g_coeffs and (b1 := _modulus(g_coeffs[0])) > 1.0:
+        raise SchemaError("g[0]", f"|b_1| must not exceed 1, got modulus {b1!r}")
     return HarmonicFunction(AnalyticSeries(h_coeffs, trunc=trunc), AnalyticSeries(g_coeffs, trunc=trunc))

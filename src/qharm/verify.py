@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .qcore import DEFAULT_TOLERANCE, MAX_JSON_TRUNC, DomainError, in_range, radius_sequence
+from .qcore import DEFAULT_TOLERANCE, MAX_JSON_TRUNC, DomainError, in_interval, in_range, radius_sequence
 from .classes import ClassParams, _from_shares, coeff_functional, growth_bounds, member_t_iff, proof_step_violations
 from .classes import DEFAULT_PROBE_RADII, ProbeReport, necessity_probe  # noqa: F401 (re-exported)
 from .salagean import class_transform
@@ -145,10 +145,13 @@ def _min_report(
     *,
     strict: bool = False,
 ) -> VerificationReport:
+    tolerance = in_interval(tolerance, 0, math.inf, "tolerance")
     i = int(np.argmin(margins))  # first minimum = lexicographic tie-break
     worst = float(margins[i])
+    if not math.isfinite(worst):  # argmin finds a NaN first
+        raise DomainError(f"the worst {name} margin is not finite, got {worst!r}")
     passed = worst > tolerance if strict else worst >= -tolerance
-    return VerificationReport(name, worst, complex(where[i]), passed, int(margins.size), float(tolerance))
+    return VerificationReport(name, worst, complex(where[i]), passed, int(margins.size), tolerance)
 
 
 def re_condition_margin(
@@ -259,9 +262,7 @@ def random_t_form(
     trunc 1 there is no such slot, and a target needing one is refused.
     The jitter is one rng.random(len(slots)) call, the same as a draw per slot.
     """
-    target = float(target_functional)
-    if not (target >= 0.0 and math.isfinite(target)):
-        raise DomainError(f"target functional must be finite and >= 0, got {target_functional!r}")
+    target = in_interval(target_functional, 0, math.inf, "target functional")
     trunc = in_range(trunc, 1, MAX_JSON_TRUNC, "trunc")
     slots = [("analytic", u) for u in range(2, trunc + 1)] + [("coanalytic", u) for u in range(1, trunc + 1)]
     jitter = rng.random(len(slots)).tolist()
@@ -357,6 +358,7 @@ def counterexample_scan(
     trials = in_range(trials, 1, MAX_TRIALS, "trials")
     pair_budget = in_range(pair_budget, 1, MAX_PAIR_BUDGET, "pair_budget")
     seed = in_range(seed, 0, None, "seed")
+    tolerance = in_interval(tolerance, 0, math.inf, "tolerance")
     grid = DiskGrid()
     flagged = []
     for trial in range(trials):
@@ -452,16 +454,18 @@ def disc_checks(
     reports and the margin table; injectivity reads f from the growth
     margins when there are some.  csv, if given, is called after the
     checks and returns a context manager yielding the stream for the
-    write_margin_csv table, so a run whose checks raise opens nothing."""
+    write_margin_csv table, so a run whose checks raise opens nothing,
+    and a margin that is not finite raises without numpy's warnings."""
     z = grid.points()
-    header, columns, fz = _margin_columns(f, p, grid)
-    reports = [
-        _min_report("re_condition", columns[0], z, tolerance),
-        _min_report("sense_preserving", columns[1], z, tolerance),
-        _injectivity_report(f, z, pair_budget, seed, tolerance, fz),
-    ]
-    if fz is not None:
-        reports.append(_growth_report(columns[2:], z, tolerance))
+    with np.errstate(all="ignore"):
+        header, columns, fz = _margin_columns(f, p, grid)
+        reports = [
+            _min_report("re_condition", columns[0], z, tolerance),
+            _min_report("sense_preserving", columns[1], z, tolerance),
+            _injectivity_report(f, z, pair_budget, seed, tolerance, fz),
+        ]
+        if fz is not None:
+            reports.append(_growth_report(columns[2:], z, tolerance))
     if csv is not None:
         with csv() as stream:
             _write_csv(stream, *_table(grid, header, columns))

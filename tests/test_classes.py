@@ -1,5 +1,6 @@
 import math
 import operator
+import re
 from unittest import mock
 
 import numpy as np
@@ -30,7 +31,7 @@ from qharm import (
 from qharm import classes, verify
 from qharm.classes import _series_length
 from qharm.qcore import weights
-from qharm.series import MAX_JSON_TRUNC
+from qharm.series import MAX_JSON_TRUNC, SchemaError, harmonic_from_json
 
 
 def params(m=0, alpha=0.0, q=0.5):
@@ -241,6 +242,118 @@ def test_witness_rejects_bad_weight_sum():
 def test_witness_refuses_non_finite_weight_moduli(weight):
     with pytest.raises(DomainError, match="weight moduli must sum to 1"):
         sharpness_witness([weight], [], params())
+
+
+# --- real parameters and overflowing sums ---------------------------------------------
+
+INF = math.inf
+NAN = math.nan
+# each hand-written real check of the parent, as the predicate it accepted
+REAL_CHECKS = {
+    "q": (lambda x: QParam(x), lambda x: 0.0 < x < 1.0),
+    "alpha": (lambda x: params(0, x, 0.5), lambda x: 0.0 <= x < 1.0),
+    "b1 magnitude": (lambda x: growth_bounds(x, 0.5, params()), lambda x: 0.0 <= x <= 1.0),
+    "radius": (lambda x: growth_bounds(0.0, x, params()), lambda x: 0.0 <= x < 1.0),
+    "growth witness |b_1|": (lambda x: growth_witness_upper(x, params(0, 0.25)), lambda x: 0.0 <= x <= 0.75),
+    "weight": (
+        lambda x: convex_combination([(1, "analytic", 1.0), (2, "analytic", x)], params()),
+        lambda x: x >= 0.0 and math.isfinite(x),
+    ),
+    "target functional": (
+        lambda x: verify.random_t_form(params(), x, np.random.default_rng(0), trunc=4),
+        lambda x: x >= 0.0 and math.isfinite(x),
+    ),
+}
+EDGE_FLOATS = st.sampled_from([NAN, INF, -INF, -0.0, 0.0, 5e-324, 0.5, 0.75, 1.0, 1e308, -5e-324])
+
+
+@settings(max_examples=300, deadline=None)
+@given(what=st.sampled_from(sorted(REAL_CHECKS)), x=EDGE_FLOATS | st.floats())
+def test_real_checks_accept_what_they_accepted(what, x):
+    build, accepted = REAL_CHECKS[what]
+    try:
+        build(x)
+        refused = False
+    except DomainError as exc:
+        refused = str(exc).startswith(f"{what} must lie in ")
+    assert refused == (not accepted(x)), (what, x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=EDGE_FLOATS | st.floats())
+def test_magnitudes_and_b1_refuse_what_they_refused(x):
+    # the parent refused an infinite magnitude later, as a coefficient that is not finite
+    h = AnalyticSeries.identity(4)
+    for build, accepted in (
+        (lambda: HarmonicFunction.from_t_magnitudes({2: x}, {}, trunc=4), x >= 0.0 and x != INF),
+        (lambda: HarmonicFunction.from_t_magnitudes({}, {3: x}, trunc=4), x >= 0.0 and x != INF),
+        (lambda: HarmonicFunction(h, AnalyticSeries([x], trunc=4)), abs(x) <= 1.0),
+    ):
+        try:
+            build()
+            refused = False
+        except ValueError:
+            refused = True
+        assert refused == (not accepted), x
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: params(0, 1.0, 0.5), "alpha must lie in [0, 1), got 1.0"),
+        (lambda: QParam(0.0), "q must lie in (0, 1), got 0.0"),
+        (lambda: growth_bounds(1.5, 0.5, params()), "b1 magnitude must lie in [0, 1], got 1.5"),
+        (lambda: growth_bounds(0.0, NAN, params()), "radius must lie in [0, 1), got nan"),
+        (lambda: growth_witness_upper(0.8, params(0, 0.25)), "growth witness |b_1| must lie in [0, 0.75], got 0.8"),
+        (lambda: growth_witness_lower(-0.1, params()), "growth witness |b_1| must lie in [0, 1], got -0.1"),
+        (lambda: convex_combination([(2, "analytic", -0.5), (3, "analytic", 1.5)], params()), "weight must lie in [0, inf), got -0.5"),
+        (lambda: HarmonicFunction(AnalyticSeries.identity(4), AnalyticSeries([1.5])), "|b_1| must lie in [0, 1], got 1.5"),
+        (lambda: HarmonicFunction.from_t_magnitudes({2: -0.1}, {}), "magnitude for power 2 must lie in [0, inf), got -0.1"),
+        (lambda: HarmonicFunction.from_t_magnitudes({}, {3: INF}), "magnitude for power 3 must lie in [0, inf), got inf"),
+    ],
+)
+def test_real_parameters_share_one_message(build, message):
+    with pytest.raises(DomainError, match="^" + re.escape(message) + "$"):
+        build()
+
+
+HUGE = 1.7e308  # two of these overflow an fsum
+
+
+def test_overflowing_sums_are_domain_errors():
+    f = pair([HUGE, HUGE], [])
+    with pytest.raises(DomainError, match=r"^the coefficient functional must lie in \[0, inf\), got inf$"):
+        coeff_functional(f, params())
+    t = pair([-HUGE, -HUGE], [])
+    with pytest.raises(DomainError, match=r"^the coefficient functional must lie in \[0, inf\), got inf$"):
+        coeff_functional(t, params(0, 0.5))  # a term overflows, not the sum
+    with pytest.raises(DomainError, match=r"^the axis sum must lie in \[0, inf\), got inf$"):
+        classes.necessity_probe(t, params(0, 0.5))
+    with pytest.raises(DomainError, match=r"^the axis sum must lie in \[0, inf\), got inf$"):
+        classes.necessity_probe(t, params(3, 0.5, 0.9))
+    with pytest.raises(DomainError, match=r"^weights must sum to 1 within 1e-12, got inf$"):
+        convex_combination([(2, "analytic", 1e308), (3, "analytic", 1e308)], params())
+    with pytest.raises(DomainError, match=r"^weight moduli must sum to 1 within 1e-12, got inf$"):
+        sharpness_witness([1e308, 1e308], [], params())
+
+
+def test_moduli_beyond_the_float_range_are_domain_errors():
+    # abs of such a complex raises OverflowError, which would escape as a crash
+    huge = complex(HUGE, HUGE)
+    with pytest.raises(DomainError, match=r"^the modulus of a coefficient overflows a float$"):
+        coeff_functional(pair([huge], []), params())
+    with pytest.raises(DomainError, match=r"^weight moduli must sum to 1 within 1e-12, got inf$"):
+        sharpness_witness([huge], [], params())
+    with pytest.raises(DomainError, match=r"^\|b_1\| must lie in \[0, 1\], got inf$"):
+        HarmonicFunction(AnalyticSeries.identity(4), AnalyticSeries([huge]))
+    with pytest.raises(SchemaError, match=r"^g\[0\]: \|b_1\| must not exceed 1, got modulus inf$"):
+        harmonic_from_json({"trunc": 4, "h": [[1, 0]], "g": [[HUGE, HUGE]]})
+
+
+def test_sums_below_overflow_keep_their_values():
+    f = pair([-4e307, -4e307], [])
+    assert coeff_functional(f, params()) == 8e307
+    assert classes.necessity_probe(f, params(), [0.5]).limit_margin == 1.0 - 8e307
 
 
 # --- growth bounds --------------------------------------------------------------------

@@ -1,13 +1,15 @@
 import contextlib
 import io
 import json
+import operator
 import os
 import subprocess
 import sys
+import warnings
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qharm import (
     AnalyticSeries,
@@ -712,7 +714,7 @@ def test_sizes_below_their_minimum_are_usage_errors(tmp_path, capsys, argv, mess
     "argv,env,message",
     [
         (["verify", "--in", "{id}", "--radii", "0.5,x"], None, "--radii: expected comma-separated reals, got '0.5,x'"),
-        (["verify", "--in", "{id}"], "-1", "QHARM_TOL: must be a finite non-negative real, got '-1'"),
+        (["verify", "--in", "{id}"], "-1", "QHARM_TOL must lie in [0, inf), got -1.0"),
         (["witness", "--x", "2"], None, "--x: expected U=COMPLEX, got '2'"),
         (["combine", "--point", "2:analytic:x"], None, "--point: expected U:KIND:WEIGHT, got '2:analytic:x'"),
         (["combine", "--point", "2:analytic"], None, "--point: expected U:KIND:WEIGHT, got '2:analytic'"),
@@ -879,3 +881,122 @@ def test_every_integer_flag_keeps_the_exit_contract(member_path, argv):
     else:
         assert code == 0 or (code == 1 and argv[0] in ("check", "verify", "probe")), argv
         assert lines == [], argv
+
+
+# --- the exit contract over every real flag ------------------------------------------
+
+REAL_VALUES = ["0.5", "0", "-0.0", "5e-324", "1", "1e308", "nan", "inf", "-inf"]
+# subcommand -> (its other arguments, its real flags); QHARM_TOL is drawn for every one
+REAL_FLAGS = {
+    "qint": (["--u", "3"], ["--q"]),
+    "dq": (["--in", "{series}"], ["--q"]),
+    "salagean": (["--in", "{series}"], ["--q"]),
+    "transform": (["--in", "{series}"], ["--q"]),
+    "check": (["--in", "{series}"], ["--alpha", "--q"]),
+    "extremal": (["--u", "2", "--kind", "coanalytic"], ["--alpha", "--q"]),
+    "combine": ([], ["--alpha", "--q", "--point"]),
+    "witness": ([], ["--alpha", "--q", "--x", "--y"]),
+    "growth": ([], ["--alpha", "--q", "--b1", "--r"]),
+    "verify": (["--in", "{series}"], ["--alpha", "--q", "--radii"]),
+    "probe": (["--in", "{series}"], ["--alpha", "--q", "--radii"]),
+    "scan": (["--trials", "2", "--seed", "0"], ["--alpha", "--q"]),
+}
+# repeatable flags whose value holds a real among other fields: the forms of their items
+LIST_FORMS = {"--point": ["2:analytic:{v}", "3:coanalytic:{v}"], "--x": ["2={v}", "3={v}j"], "--y": ["1={v}j", "2={v}"]}
+
+
+def test_real_flags_cover_every_subcommand():
+    subparsers = build_parser()._subparsers._group_actions[0].choices
+    assert set(REAL_FLAGS) == set(subparsers)
+    for name, sub in subparsers.items():
+        options = {a.option_strings[0]: a.type for a in sub._actions if a.option_strings}
+        real = {flag for flag, kind in options.items() if kind is float or flag in LIST_FORMS or flag == "--radii"}
+        assert real == set(REAL_FLAGS[name][1]), name
+
+
+@st.composite
+def real_flag_case(draw):
+    """(argv, QHARM_TOL or None, series document): a subcommand with each
+    real flag omitted or set to an edge value, as --flag=value, and a
+    series whose coefficients may reach +-1.7e308."""
+    command = draw(st.sampled_from(sorted(REAL_FLAGS)))
+    fixed, flags = REAL_FLAGS[command]
+    argv = [command, *fixed]
+    if command not in ("qint", "dq"):
+        argv.append("--m=" + draw(st.sampled_from(["0", "3"])))
+    value = st.sampled_from(REAL_VALUES)
+    for flag in flags:
+        if flag in LIST_FORMS:
+            forms = LIST_FORMS[flag]
+            for form in forms[: draw(st.integers(0, len(forms)))]:
+                argv.append(f"{flag}=" + form.format(v=draw(value)))
+        elif flag == "--radii":
+            if draw(st.booleans()):
+                argv.append("--radii=" + ",".join(draw(st.lists(value, min_size=1, max_size=2))))
+        elif draw(st.integers(0, 9)) < 9:  # omitted one time in ten
+            # alpha and q take an edge value one time in four, so that most runs get past them
+            usual = flag in ("--alpha", "--q") and draw(st.integers(0, 3)) < 3
+            argv.append(f"{flag}=" + ("0.5" if usual else draw(value)))
+    if command == "verify" and draw(st.booleans()):
+        argv.append("--csv={csv}")
+    big = draw(st.booleans())
+    mag = st.sampled_from([0, 0.1, 0.2] + [4e307, 1.7e308] * big)
+    t_form = draw(st.booleans())  # then h's tail is <= 0, g is >= 0, and both are real
+    signed = mag if t_form else st.builds(operator.mul, mag, st.sampled_from([1, -1]))
+    imag = st.just(0) if t_form else signed
+    h = [[-draw(signed), draw(imag)] for _ in range(draw(st.integers(0, 3)))]
+    g = [[draw(signed), draw(imag)] for _ in range(draw(st.integers(0, 4)))]
+    doc = {"trunc": 4, "h": [[1, 0], *h], "g": g}
+    return argv, draw(st.none() | value), doc
+
+
+FS = {"trunc": 4, "h": [[1, 0], [1.7e308, 0], [1.7e308, 0]], "g": []}
+FST = {"trunc": 4, "h": [[1, 0], [-1.7e308, 0], [-1.7e308, 0]], "g": []}
+OVF = {"trunc": 4, "h": [[1, 0], [4e307, 0], [4e307, 0]], "g": [[0, 0], [4e307, 0], [4e307, 0]]}
+CLS = ["--m", "0", "--alpha", "0", "--q", "0.5"]
+
+
+def refuse_constant(name):
+    raise AssertionError(f"not JSON: {name}")
+
+
+@pytest.fixture(scope="module")
+def real_flag_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("real")
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=real_flag_case())
+@example(case=(["check", "--in", "{series}", *CLS], None, FS))
+@example(case=(["probe", "--in", "{series}", "--m", "0", "--alpha", "0.5", "--q", "0.5"], None, FST))
+@example(case=(["combine", "--point", "2:analytic:1e308", "--point", "3:analytic:1e308", *CLS], None, OVF))
+@example(case=(["witness", "--x", "2=1e308", "--x", "3=1e308", *CLS], None, OVF))
+@example(case=(["check", "--in", "{series}", "--m", "0", "--alpha", "0.5", "--q", "0.5"], None, FST))
+@example(case=(["probe", "--in", "{series}", "--m", "3", "--alpha", "0.5", "--q", "0.9"], None, FST))
+@example(case=(["verify", "--in", "{series}", *CLS, "--csv", "{csv}"], None, OVF))
+@example(case=(["check", "--in", "{series}", *CLS], None, {"trunc": 4, "h": [[1, 0], [1.7e308, 1.7e308]], "g": []}))
+def test_every_real_flag_keeps_the_exit_contract(real_flag_dir, case):
+    # no exception escapes, exit 2 is one error line, exit 1 is a failed check,
+    # and every result is JSON without NaN or Infinity
+    argv, tol, doc = case
+    series, csv = real_flag_dir / "s.json", real_flag_dir / "n.csv"
+    series.write_text(json.dumps(doc))
+    csv.unlink(missing_ok=True)
+    argv = [a.format(series=series, csv=csv) for a in argv]
+    env = {} if tol is None else {"QHARM_TOL": tol}
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, env), warnings.catch_warnings(record=True) as caught:
+        if tol is None:
+            os.environ.pop("QHARM_TOL", None)
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+    lines = err.getvalue().splitlines() + [str(w.message) for w in caught]
+    if code == 2:
+        errors = [line for line in lines if "error: " in line]
+        assert len(errors) == 1 and errors == lines[-1:], (argv, tol, lines)
+        assert out.getvalue() == "" and not csv.exists(), (argv, tol)
+    else:
+        assert code == 0 or (code == 1 and argv[0] in ("check", "verify", "probe")), (argv, tol, code, lines)
+        assert lines == [], (argv, tol, lines)
+        json.loads(out.getvalue(), parse_constant=refuse_constant)

@@ -1,8 +1,11 @@
+import math
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
 from qharm import DomainError, QParam, q_integer, q_integer_pow
-from qharm.qcore import MAX_PROOF_STEP_U, in_range, weights
+from qharm.qcore import MAX_PROOF_STEP_U, in_interval, in_range, radius_sequence, weights
 
 # q values away from the endpoints; the endpoints themselves are covered by
 # dedicated limit tests.
@@ -187,6 +190,40 @@ def test_in_range_is_the_one_integer_range_rule():
         in_range(2.0, 1, 3, "n")
     with pytest.raises(DomainError, match=r"^m must be >= 0, got -1$"):
         weights(3, QParam(0.5), -1)
+
+
+@pytest.mark.parametrize(
+    "x, low, high, opens, message",
+    [
+        (1.0, 0, 1, {"open_high": True}, "r must lie in [0, 1), got 1.0"),
+        (0, 0, 1, {"open_low": True, "open_high": True}, "r must lie in (0, 1), got 0.0"),
+        (-1e-300, 0, 1, {}, "r must lie in [0, 1], got -1e-300"),
+        (0.8, 0, 0.75, {}, "r must lie in [0, 0.75], got 0.8"),
+        (-1, 0, math.inf, {}, "r must lie in [0, inf), got -1.0"),
+        (math.inf, 0, math.inf, {}, "r must lie in [0, inf), got inf"),
+        (math.nan, 0, math.inf, {}, "r must lie in [0, inf), got nan"),
+        (-math.inf, -math.inf, 1, {}, "r must lie in (-inf, 1], got -inf"),
+    ],
+)
+def test_in_interval_refuses_with_the_interval_in_its_message(x, low, high, opens, message):
+    # an infinite end prints as open, and an infinite x is refused even there
+    with pytest.raises(DomainError, match="^" + re.escape(message) + "$"):
+        in_interval(x, low, high, "r", **opens)
+
+
+def test_in_interval_is_the_one_real_range_rule():
+    assert in_interval(0, 0, 1, "r") == 0.0 and type(in_interval(0, 0, 1, "r")) is float
+    assert in_interval(1, 0, 1, "r") == 1.0
+    assert math.copysign(1.0, in_interval(-0.0, 0, math.inf, "r")) == -1.0
+    assert in_interval(5e-324, 0, 1, "r", open_low=True) == 5e-324
+    assert in_interval(1e308, 0, math.inf, "r") == 1e308
+    with pytest.raises(ValueError, match="could not convert"):
+        in_interval("x", 0, 1, "r")
+    # QParam and radius_sequence say it in the same words
+    with pytest.raises(DomainError, match=r"^q must lie in \(0, 1\), got 1.0$"):
+        QParam(1)
+    with pytest.raises(DomainError, match=r"^radii must lie in \(0, 1\), got 0.0$"):
+        radius_sequence([0.0], "radii")
 
 
 @pytest.mark.parametrize("n", [MAX_PROOF_STEP_U + 1, 10**12])

@@ -527,6 +527,53 @@ def test_removed_tolerance_and_generator_keywords_are_type_errors():
             call()
 
 
+# --- the tolerance and non-finite margins ----------------------------------------------
+
+@pytest.mark.parametrize("tolerance", [float("nan"), -1.0, float("inf")])
+def test_every_tolerance_keyword_lies_in_zero_to_inf(tolerance):
+    # the parent failed the identity's Re check (margin 0.5) at nan and -1,
+    # and passed the violator z - 1.5z**2 at inf
+    p, grid = params(0, 0.5, 0.5), DiskGrid()
+    violator = pair([-1.5], [], trunc=4)
+    calls = [
+        lambda: re_condition_margin(IDENTITY, p, grid, tolerance=tolerance),
+        lambda: re_condition_margin(violator, params(), grid, tolerance=tolerance),
+        lambda: sense_preserving_margin(IDENTITY, grid, tolerance=tolerance),
+        lambda: injectivity_sample_check(IDENTITY, grid, 8, tolerance=tolerance),
+        lambda: growth_bound_check(IDENTITY, p, grid, tolerance=tolerance),
+        lambda: verify.disc_checks(IDENTITY, p, grid, 8, tolerance=tolerance),
+        lambda: counterexample_scan(p, 1, 0, tolerance=tolerance),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError, match=r"^tolerance must lie in \[0, inf\), got "):
+            call()
+
+
+def test_the_scan_checks_its_tolerance_before_its_first_trial():
+    with mock.patch.object(verify, "_random_gap_candidate", side_effect=AssertionError("a trial ran")):
+        with pytest.raises(DomainError, match="^tolerance must lie in"):
+            counterexample_scan(params(), 1, 0, tolerance=-1.0)
+
+
+def test_random_t_form_target_message():
+    with pytest.raises(DomainError, match=r"^target functional must lie in \[0, inf\), got inf$"):
+        random_t_form(params(), float("inf"), np.random.default_rng(1))
+
+
+OVERFLOWING = pair([4e307, 4e307], [0.0, 4e307, 4e307], trunc=4)
+
+
+def test_a_margin_that_is_not_finite_is_a_domain_error(recwarn):
+    # sense-preservation subtracts two infinite moduli; the run opens no CSV
+    # and leaves numpy's overflow warnings to the error it raises
+    opened = mock.Mock(side_effect=AssertionError("csv opened"))
+    with pytest.raises(DomainError, match="^the worst sense_preserving margin is not finite, got nan$"):
+        verify.disc_checks(OVERFLOWING, params(), DiskGrid(), 256, csv=opened)
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    with pytest.raises(DomainError, match="^the worst sense_preserving margin is not finite, got nan$"):
+        sense_preserving_margin(OVERFLOWING, DiskGrid())
+
+
 # --- size limits: each is checked before anything is allocated or looped over --
 
 
