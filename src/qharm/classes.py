@@ -66,10 +66,7 @@ def _functional_terms(f: HarmonicFunction, p: ClassParams) -> list[tuple[int, fl
     nonzero = [(u, c) for u, c in enumerate(f.h.coeffs, start=1) if u >= 2 and c != 0]
     nonzero += [(u, c) for u, c in enumerate(f.g.coeffs, start=1) if c != 0]
     w = weights(max((u for u, _ in nonzero), default=1), p.q, p.m)
-    try:
-        return [(u, w[u - 1], abs(c)) for u, c in nonzero]
-    except OverflowError:
-        raise DomainError("the modulus of a coefficient overflows a float") from None
+    return [(u, w[u - 1], _modulus(c)) for u, c in nonzero]
 
 
 def _fsum(terms: Iterable[float]) -> float:
@@ -192,15 +189,12 @@ def proof_step_violations(p: ClassParams, *, max_u: int = DEFAULT_TRUNC) -> tupl
     return tuple(u for u in range(2, max_u + 1) if u * (1.0 - p.alpha) > w[u - 1])
 
 
-def _series_length(n: int) -> int:
-    return in_range(n, 1, MAX_JSON_TRUNC, "series length")
-
-
 _UNPLACED = 0j  # fill of a slot no term reached; each computed coefficient is a new object
 
 
-def _from_shares(p: ClassParams, n: int, terms: Sequence[tuple[str, int, float, complex]]) -> HarmonicFunction:
-    """The length-n function that every construction of the family builds.
+def _from_shares(p: ClassParams, trunc: int, terms: Sequence[tuple[str, int, float, complex]]) -> HarmonicFunction:
+    """The function that every construction of the family builds, with
+    series length max(trunc, highest u of the terms) <= MAX_JSON_TRUNC.
 
     A (kind, u, share, phase) term puts share * (1 - alpha) / [u]_q**m *
     phase, evaluated left to right, at power u of h ("analytic") or g
@@ -209,6 +203,7 @@ def _from_shares(p: ClassParams, n: int, terms: Sequence[tuple[str, int, float, 
     mass at power 1 stays on the identity, whose coefficient is exactly 1.
     Zero shares place nothing and do not size the weight table.
     """
+    n = in_range(max([trunc, *(u for _, u, _, _ in terms)]), 1, MAX_JSON_TRUNC, "series length")
     in_range(min((u for _, u, _, _ in terms), default=1), 1, None, "u")
     top = max([1, *(u for _, u, share, _ in terms if share != 0)])
     w = weights(top, p.q, p.m)
@@ -258,8 +253,7 @@ def extreme_point(
     """
     if coanalytic_sign not in (-1, 1):
         raise DomainError(f"coanalytic_sign must be -1 or +1, got {coanalytic_sign!r}")
-    n = _series_length(max(trunc, u))
-    return _from_shares(p, n, [(kind, u, 1.0, -1.0 if kind == "analytic" else coanalytic_sign)])
+    return _from_shares(p, trunc, [(kind, u, 1.0, -1.0 if kind == "analytic" else coanalytic_sign)])
 
 
 def convex_combination(
@@ -280,11 +274,10 @@ def convex_combination(
         raise DomainError("at least one extreme point is required")
     masses = [in_interval(w, 0, math.inf, "weight") for _, _, w in terms]
     _check_unit_sum(masses, "weights")
-    n = _series_length(max([trunc, *(u for u, _, _ in terms)]))
     # The identity coefficient is the weight total, which is 1 by contract;
     # it is stored as exactly 1 rather than the rounded float sum.
     shares = [(kind, u, w, -1.0 if kind == "analytic" else 1.0) for (u, kind, _), w in zip(terms, masses)]
-    return _from_shares(p, n, shares)
+    return _from_shares(p, trunc, shares)
 
 
 def sharpness_witness(
@@ -306,10 +299,9 @@ def sharpness_witness(
     xs = [complex(v) for v in x]
     ys = [complex(v) for v in y]
     _check_unit_sum([_modulus(v) for v in xs + ys], "weight moduli")
-    n = _series_length(max(trunc, len(xs) + 1, len(ys)))
     terms = [("analytic", u, 1.0, v) for u, v in enumerate(xs, start=2)]
     terms += [("coanalytic", u, 1.0, v) for u, v in enumerate(ys, start=1)]
-    return _from_shares(p, n, terms)
+    return _from_shares(p, trunc, terms)
 
 
 def _r2_coefficient(b1: float, p: ClassParams) -> float:

@@ -14,7 +14,9 @@ checks take one absolute tolerance on their sampled margins
 the checks of ``qharm verify`` and its margin table with each margin array
 computed once and f evaluated once per point set: injectivity reads the
 growth check's grid values, or evaluates both pair ends in one pass.
-The CSV writer formats each distinct float of a block of the margin table
+The margin table is one map from column name to array in CSV order (re,
+im, the margins): the reports read their columns by name, the header is
+its names.  The CSV writer formats each distinct float of a block of it
 once (repr depends only on a float's bits, so the bytes are those of a
 repr per cell), and holds one block of strings at a time.
 """
@@ -52,7 +54,8 @@ class DiskGrid:
     """Sampling specification: circles at the given radii with equispaced
     angles.  With include_positive_axis the first angle on each circle is
     0 (the point z = r exactly); otherwise angles are offset by half a
-    step so the axis is avoided."""
+    step so the axis is avoided.  A grid whose points are not pairwise
+    distinct is refused: the injectivity ratio divides by their distance."""
 
     radii: tuple[float, ...] = DEFAULT_RADII
     angular_count: int = DEFAULT_ANGULAR_COUNT
@@ -62,6 +65,7 @@ class DiskGrid:
         radii = radius_sequence(self.radii, "radii")
         k = in_range(self.angular_count, 4, MAX_ANGULAR_COUNT, "angular_count")
         in_range(len(radii) * k, 1, MAX_GRID_POINTS, "grid size")
+        _grid_points(radii, k, self.include_positive_axis)
         object.__setattr__(self, "radii", radii)
         object.__setattr__(self, "angular_count", k)
 
@@ -81,6 +85,11 @@ def _grid_points(radii: tuple[float, ...], k: int, include_positive_axis: bool) 
     theta = 2.0 * np.pi * (np.arange(k) + offset) / k
     ring = np.exp(1j * theta)
     z = np.concatenate([r * ring for r in radii])
+    order = np.lexsort((z.imag, z.real))  # coincident points end up adjacent
+    same = z[order[1:]] == z[order[:-1]]
+    if same.any():
+        r = radii[min(order[1:][same].min(), order[:-1][same].min()) // k]
+        raise DomainError(f"grid points must be pairwise distinct, but one at radius {r!r} coincides with another")
     z.flags.writeable = False
     return z
 
@@ -229,11 +238,10 @@ def growth_bound_check(
     """
     if not member_t_iff(f, p):
         raise DomainError("growth bounds hold for t_form members; the functional exceeds 1")
-    return _growth_report(_growth_margins(f, p, grid)[:2], grid.points(), tolerance)
+    return _growth_report(*_growth_margins(f, p, grid)[:2], grid.points(), tolerance)
 
 
-def _growth_report(margins: tuple[np.ndarray, np.ndarray], z: np.ndarray, tolerance: float) -> VerificationReport:
-    lower_m, upper_m = margins
+def _growth_report(lower_m: np.ndarray, upper_m: np.ndarray, z: np.ndarray, tolerance: float) -> VerificationReport:
     return _min_report("growth_bounds", np.minimum(upper_m, lower_m), z, tolerance)
 
 
@@ -299,7 +307,7 @@ def _random_gap_candidate(p: ClassParams, rng: np.random.Generator) -> HarmonicF
     for (kind, u), r in zip(slots, raws):
         phase = complex(math.cos(2.0 * math.pi * next(draws)), math.sin(2.0 * math.pi * next(draws)))
         terms.append((kind, u, r / total * target, phase))
-    return _from_shares(p, max(u for _, u in slots), terms)
+    return _from_shares(p, 1, terms)  # as long as its highest power
 
 
 @dataclass(frozen=True)
@@ -392,41 +400,39 @@ def margin_rows(
     margins are included when f is a t_form member (both one-sided
     margins, lower then upper).  The CSV writer reads the same table as
     an array, without building these lists."""
-    header, table = _table(grid, *_margin_columns(f, p, grid)[:2])
-    return header, table.tolist()
+    columns, _ = _margin_columns(f, p, grid)
+    return list(columns), np.column_stack([*columns.values()]).tolist()
 
 
 def _margin_columns(
     f: HarmonicFunction, p: ClassParams, grid: DiskGrid
-) -> tuple[list[str], list[np.ndarray], np.ndarray | None]:
-    """Names and arrays of the margin columns of margin_rows (all but re,
-    im), and f on the grid if the growth margins evaluated it (else None)."""
+) -> tuple[dict[str, np.ndarray], np.ndarray | None]:
+    """The columns of margin_rows by name, in table order, and f on the grid
+    if the growth margins evaluated it (else None)."""
     z = grid.points()
-    header = ["re_condition_margin", "sense_preserving_margin"]
-    columns = [_re_condition_margins(f, p, z), _sense_preserving_margins(f, z)]
+    columns = {
+        "re": np.real(z),
+        "im": np.imag(z),
+        "re_condition_margin": _re_condition_margins(f, p, z),
+        "sense_preserving_margin": _sense_preserving_margins(f, z),
+    }
     if not (f.t_form and member_t_iff(f, p)):
-        return header, columns, None
-    lower_m, upper_m, fz = _growth_margins(f, p, grid)
-    return [*header, "growth_lower_margin", "growth_upper_margin"], [*columns, lower_m, upper_m], fz
-
-
-def _table(grid: DiskGrid, header: list[str], columns: list[np.ndarray]) -> tuple[list[str], np.ndarray]:
-    """The margin table as a C-contiguous float64 array, one row per grid
-    point (re, im, then the columns), with its header."""
-    z = grid.points()
-    return ["re", "im", *header], np.column_stack([np.real(z), np.imag(z), *columns])
+        return columns, None
+    columns["growth_lower_margin"], columns["growth_upper_margin"], fz = _growth_margins(f, p, grid)
+    return columns, fz
 
 
 def write_margin_csv(stream, f: HarmonicFunction, p: ClassParams, grid: DiskGrid) -> None:
     """CSV dump of margin_rows: plain decimal floats, comma separated."""
-    _write_csv(stream, *_table(grid, *_margin_columns(f, p, grid)[:2]))
+    _write_csv(stream, _margin_columns(f, p, grid)[0])
 
 
-def _write_csv(stream, header: list[str], table: np.ndarray) -> None:
-    """Write the header, then each row of table as the reprs of its floats.
-    Each block of rows formats each distinct bit pattern once: keyed on
-    bits, not on float equality, 0.0 and -0.0 stay apart."""
-    stream.write(",".join(header) + "\n")
+def _write_csv(stream, columns: dict[str, np.ndarray]) -> None:
+    """Write the column names, then each row of the stacked columns as the
+    reprs of its floats.  Each block of rows formats each distinct bit
+    pattern once: keyed on bits, not on float equality, 0.0 and -0.0 stay apart."""
+    stream.write(",".join(columns) + "\n")
+    table = np.column_stack([*columns.values()])
     width = table.shape[1]
     for start in range(0, len(table), _CSV_BLOCK_ROWS):
         bits, inverse = np.unique(table[start : start + _CSV_BLOCK_ROWS].view(np.uint64), return_inverse=True)
@@ -458,15 +464,15 @@ def disc_checks(
     and a margin that is not finite raises without numpy's warnings."""
     z = grid.points()
     with np.errstate(all="ignore"):
-        header, columns, fz = _margin_columns(f, p, grid)
+        columns, fz = _margin_columns(f, p, grid)
         reports = [
-            _min_report("re_condition", columns[0], z, tolerance),
-            _min_report("sense_preserving", columns[1], z, tolerance),
+            _min_report("re_condition", columns["re_condition_margin"], z, tolerance),
+            _min_report("sense_preserving", columns["sense_preserving_margin"], z, tolerance),
             _injectivity_report(f, z, pair_budget, seed, tolerance, fz),
         ]
         if fz is not None:
-            reports.append(_growth_report(columns[2:], z, tolerance))
+            reports.append(_growth_report(columns["growth_lower_margin"], columns["growth_upper_margin"], z, tolerance))
     if csv is not None:
         with csv() as stream:
-            _write_csv(stream, *_table(grid, header, columns))
+            _write_csv(stream, columns)
     return reports

@@ -13,6 +13,7 @@ from qharm import (
     AnalyticSeries,
     ClassParams,
     DomainError,
+    GrowthBounds,
     HarmonicFunction,
     QParam,
     coeff_functional,
@@ -29,8 +30,7 @@ from qharm import (
     sharpness_witness,
 )
 from qharm import classes, verify
-from qharm.classes import _series_length
-from qharm.qcore import weights
+from qharm.qcore import in_range, weights
 from qharm.series import MAX_JSON_TRUNC, SchemaError, harmonic_from_json
 
 
@@ -139,6 +139,25 @@ def test_extreme_point_coanalytic_default_sign():
     # stored with the minus sign as printed in the hull statement
     assert f.g.coeffs[0] == -0.75
     assert not f.t_form
+
+
+def test_extreme_point_refuses_a_zero_sign():
+    with pytest.raises(DomainError, match=r"^coanalytic_sign must be -1 or \+1, got 0$"):
+        extreme_point(2, "coanalytic", params(), coanalytic_sign=0)
+
+
+def test_the_share_map_sizes_the_series():
+    # max(trunc, highest u), zero shares included, checked before the powers
+    p = params()
+    assert classes._from_shares(p, 4, [("analytic", 6, 0.0, -1.0)]).trunc_degree == 6
+    assert classes._from_shares(p, 8, [("coanalytic", 2, 0.5, 1.0)]).trunc_degree == 8
+    assert classes._from_shares(p, 0, [("coanalytic", 1, 0.5, 1.0)]).trunc_degree == 1
+    with pytest.raises(DomainError, match=r"^series length must be >= 1, got 0$"):
+        classes._from_shares(p, 0, [])
+    with pytest.raises(DomainError, match=rf"^series length {MAX_JSON_TRUNC + 1} exceeds the limit {MAX_JSON_TRUNC}$"):
+        classes._from_shares(p, 1, [("analytic", 0, 1.0, -1.0), ("analytic", MAX_JSON_TRUNC + 1, 1.0, -1.0)])
+    with pytest.raises(DomainError, match=r"^u must be >= 1, got 0$"):
+        classes._from_shares(p, 1, [("analytic", 0, 1.0, -1.0)])
 
 
 def test_extreme_point_coanalytic_positive_variant():
@@ -340,7 +359,7 @@ def test_overflowing_sums_are_domain_errors():
 def test_moduli_beyond_the_float_range_are_domain_errors():
     # abs of such a complex raises OverflowError, which would escape as a crash
     huge = complex(HUGE, HUGE)
-    with pytest.raises(DomainError, match=r"^the modulus of a coefficient overflows a float$"):
+    with pytest.raises(DomainError, match=r"^the coefficient functional must lie in \[0, inf\), got inf$"):
         coeff_functional(pair([huge], []), params())
     with pytest.raises(DomainError, match=r"^weight moduli must sum to 1 within 1e-12, got inf$"):
         sharpness_witness([huge], [], params())
@@ -357,6 +376,11 @@ def test_sums_below_overflow_keep_their_values():
 
 
 # --- growth bounds --------------------------------------------------------------------
+
+
+def test_growth_bounds_refuse_a_lower_bound_above_the_upper():
+    with pytest.raises(ValueError, match=r"^lower bound 1\.0 exceeds upper bound 0\.0$"):
+        GrowthBounds(lower=1.0, upper=0.0, radius=0.5)
 
 
 def test_growth_bounds_basic_values():
@@ -564,7 +588,7 @@ def parent_extreme_point(u, kind, p, *, coanalytic_sign=-1, trunc=DEFAULT_TRUNC)
         raise DomainError(f"kind must be 'analytic' or 'coanalytic', got {kind!r}")
     if coanalytic_sign not in (-1, 1):
         raise DomainError(f"coanalytic_sign must be -1 or +1, got {coanalytic_sign!r}")
-    n = _series_length(max(trunc, u))
+    n = in_range(max(trunc, u), 1, MAX_JSON_TRUNC, "series length")
     mag = (1.0 - p.alpha) / weights(u, p.q, p.m)[-1]
     if kind == "analytic":
         h = [0j] * n
@@ -594,7 +618,7 @@ def parent_convex_combination(terms, p, *, trunc=DEFAULT_TRUNC):
     total = math.fsum(masses)
     if abs(total - 1.0) > MEMBERSHIP_TOL:
         raise DomainError(f"weights must sum to 1 within {MEMBERSHIP_TOL}, got {total!r}")
-    n = _series_length(max([trunc, *(u for u, _, _ in terms)]))
+    n = in_range(max([trunc, *(u for u, _, _ in terms)]), 1, MAX_JSON_TRUNC, "series length")
     wq = weights(max(u for (u, _, _), wf in zip(terms, masses) if wf != 0.0), p.q, p.m)
     h = [0j] * n
     h[0] = 1.0
@@ -617,7 +641,7 @@ def parent_sharpness_witness(x, y, p, *, trunc=DEFAULT_TRUNC):
     total = math.fsum([abs(v) for v in xs] + [abs(v) for v in ys])
     if abs(total - 1.0) > MEMBERSHIP_TOL:
         raise DomainError(f"weight moduli must sum to 1 within {MEMBERSHIP_TOL}, got {total!r}")
-    n = _series_length(max(trunc, len(xs) + 1, len(ys)))
+    n = in_range(max(trunc, len(xs) + 1, len(ys)), 1, MAX_JSON_TRUNC, "series length")
     w = weights(max(len(xs) + 1, len(ys)), p.q, p.m)
     h = [0j] * n
     g = [0j] * n

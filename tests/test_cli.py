@@ -950,6 +950,15 @@ def real_flag_case(draw):
     return argv, draw(st.none() | value), doc
 
 
+def test_a_grid_whose_points_coincide_is_refused_by_its_radius(tmp_path, capsys):
+    path = write_json(tmp_path / "m.json", {"trunc": 4, "h": [[1, 0], [-0.1, 0]], "g": []})
+    assert run(["verify", "--in", path, "--m", "0", "--alpha", "0", "--q", "0.5", "--radii", "5e-324"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    message = "error: grid points must be pairwise distinct, but one at radius 5e-324 coincides with another"
+    assert captured.err.splitlines() == [message]
+
+
 FS = {"trunc": 4, "h": [[1, 0], [1.7e308, 0], [1.7e308, 0]], "g": []}
 FST = {"trunc": 4, "h": [[1, 0], [-1.7e308, 0], [-1.7e308, 0]], "g": []}
 OVF = {"trunc": 4, "h": [[1, 0], [4e307, 0], [4e307, 0]], "g": [[0, 0], [4e307, 0], [4e307, 0]]}

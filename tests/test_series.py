@@ -167,6 +167,17 @@ def test_harmonic_pads_parts_to_common_trunc():
     assert f.h.trunc_degree == f.g.trunc_degree == 6
 
 
+def test_harmonic_pads_a_shorter_g_to_h_keeping_its_values():
+    h = AnalyticSeries([1.0, -0.25, 0.5j], trunc=6)
+    g = AnalyticSeries([0.5, complex(-0.0, 0.125)], trunc=2)
+    f = HarmonicFunction(h, g)
+    assert f.h is h and f.g.trunc_degree == 6
+    assert [(c.real.hex(), c.imag.hex()) for c in f.g.coeffs[:2]] == [(c.real.hex(), c.imag.hex()) for c in g.coeffs]
+    assert f.g.coeffs[2:] == (0j,) * 4
+    z = 0.3 + 0.4j
+    assert eval_harmonic(f, z) == eval_analytic(h, z) + eval_analytic(g, z).conjugate()
+
+
 def test_from_t_magnitudes():
     f = HarmonicFunction.from_t_magnitudes({2: 0.1}, {1: 0.2}, trunc=4)
     assert f.t_form

@@ -68,6 +68,20 @@ def test_grid_validation():
         DiskGrid(radii=())
 
 
+def test_grid_points_must_be_pairwise_distinct():
+    # at a subnormal radius the 256 angles round onto 8 points, and a drawn
+    # pair of equal points would divide 0 by 0 in the injectivity ratio
+    message = r"^grid points must be pairwise distinct, but one at radius 5e-324 coincides with another$"
+    with pytest.raises(DomainError, match=message):
+        DiskGrid(radii=(5e-324,))
+    with pytest.raises(DomainError, match=message):
+        DiskGrid(radii=(5e-324, 1e-323, 0.5))  # the smallest radius with such a point is named
+    with pytest.raises(DomainError, match=r"at radius 1e-323 coincides"):
+        DiskGrid(radii=(1e-323, 0.5), include_positive_axis=False)
+    grid = DiskGrid(radii=(0.5, float(np.nextafter(0.5, 1.0))))  # one ulp apart
+    assert np.unique(grid.points()).size == grid.size == 512
+
+
 def test_grid_points_order_and_axis():
     grid = DiskGrid(radii=(0.5, 0.9), angular_count=4)
     z = grid.points()
@@ -498,7 +512,7 @@ def test_csv_writer_equals_repr_per_cell():
     table[::7, 4] = np.where(np.arange(table[::7].shape[0]) % 2, 0.0, -0.0)
     header = ["re", "im", "a", "b", "c", "d"]
     buf = io.StringIO()
-    verify._write_csv(buf, header, table)
+    verify._write_csv(buf, dict(zip(header, table.T)))
     lines = buf.getvalue().split("\n")
     assert lines[0] == ",".join(header) and lines[-1] == ""
     expected = [",".join(map(repr, row)) for row in table.tolist()]
