@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
+from operator import mul, truediv
 from typing import Iterable, Sequence
 
 from .qcore import DEFAULT_TOLERANCE, MEMBERSHIP_TOL, DomainError, QParam, weights  # noqa: F401 (re-exported)
@@ -60,13 +62,13 @@ class GrowthBounds:
             raise ValueError(f"lower bound {self.lower!r} exceeds upper bound {self.upper!r}")
 
 
-def _functional_terms(f: HarmonicFunction, p: ClassParams) -> list[tuple[int, float, float]]:
-    """(u, [u]_q**m, |c_u|) for each nonzero coefficient in the functional:
-    h from power 2, then g.  The weight table stops at the last such power."""
-    nonzero = [(u, c) for u, c in enumerate(f.h.coeffs, start=1) if u >= 2 and c != 0]
-    nonzero += [(u, c) for u, c in enumerate(f.g.coeffs, start=1) if c != 0]
-    w = weights(max((u for u, _ in nonzero), default=1), p.q, p.m)
-    return [(u, w[u - 1], _modulus(c)) for u, c in nonzero]
+def _functional_terms(f: HarmonicFunction, p: ClassParams) -> tuple[tuple[int, ...], list[float], tuple[float, ...]]:
+    """(u - 1, [u]_q**m, |c_u|), each a sequence over the nonzero
+    coefficients in the functional: h from power 2, then g.  The moduli
+    are f's own, computed once; the weight table stops at the last such power."""
+    exponents, moduli = f._functional_moduli()
+    w = weights(max(exponents, default=0) + 1, p.q, p.m)
+    return exponents, list(map(w.__getitem__, exponents)), moduli
 
 
 def _fsum(terms: Iterable[float]) -> float:
@@ -80,8 +82,8 @@ def _fsum(terms: Iterable[float]) -> float:
 
 def coeff_functional(f: HarmonicFunction, p: ClassParams) -> float:
     """The normalized coefficient sum; membership threshold is 1."""
-    one_minus = 1.0 - p.alpha
-    total = _fsum([w / one_minus * mag for _, w, mag in _functional_terms(f, p)])
+    _, w, moduli = _functional_terms(f, p)
+    total = _fsum(map(mul, map(truediv, w, repeat(1.0 - p.alpha)), moduli))
     return in_interval(total, 0, math.inf, "the coefficient functional")
 
 
@@ -157,10 +159,11 @@ def necessity_probe(
         raise DomainError("the necessity probe applies only to t_form functions")
     rs = radius_sequence(DEFAULT_PROBE_RADII if r_sequence is None else r_sequence, "probe radii")
 
-    triples = _functional_terms(f, p)
+    exponents, w, moduli = _functional_terms(f, p)
+    wm = list(map(mul, w, moduli))
 
     def margin_at(r: float) -> float:
-        axis_sum = _fsum(w * mag * r ** (u - 1) for u, w, mag in triples)
+        axis_sum = _fsum(map(mul, wm, map(pow, repeat(r), exponents)))
         return 1.0 - in_interval(axis_sum, 0, math.inf, "the axis sum") - p.alpha
 
     entries = tuple((r, margin_at(r)) for r in rs)

@@ -7,11 +7,15 @@ bounds all reduce to these scalars, so this module is the numeric bedrock
 of the package.
 
 Everything here is a pure function over immutable values and is safe to
-call concurrently.
+call concurrently.  The one piece of state is the memo of weight tables
+behind ``weights``: a functools.lru_cache, so thread-safe, bounded (at most
+_WEIGHT_MEMO_KEYS tables, none longer than MAX_JSON_TRUNC) and invisible in
+the results, since a table it returns is one the recurrence built.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -34,6 +38,12 @@ MAX_JSON_TRUNC = 4096
 # classes.proof_step_violations: far above MAX_JSON_TRUNC, since the
 # comparison there first fails near u = (1 - q)**-m / (1 - alpha).
 MAX_PROOF_STEP_U = 2**20
+
+# The weight memo keeps the _WEIGHT_MEMO_KEYS tables used last, keyed by
+# (n, q, m, classical).  Tables longer than MAX_JSON_TRUNC
+# (proof_step_violations' long scans) bypass it, so it holds at most
+# 32 * 4096 floats, about 4 MB.
+_WEIGHT_MEMO_KEYS = 32
 
 
 class DomainError(ValueError):
@@ -105,22 +115,31 @@ def weights(n: int, q: QParam, m: int, classical: bool = False) -> tuple[float, 
     full precision as q -> 1- (where (1 - q**u)/(1 - q) cancels).  m = 0
     gives exactly 1.0; a weight too large for a float raises DomainError.
     Weights grow with u, so callers build the table only up to the highest
-    power they use, at most MAX_PROOF_STEP_U.
+    power they use, at most MAX_PROOF_STEP_U.  Tables up to MAX_JSON_TRUNC
+    are memoized; an overflow is not, so it raises again on every call.
     """
     n = in_range(n, 1, MAX_PROOF_STEP_U, "highest power")
     m = in_range(m, 0, None, "m")
+    build = _memo_weight_table if n <= MAX_JSON_TRUNC else _weight_table
+    return build(n, q.q, m, classical)
+
+
+def _weight_table(n: int, q: float, m: int, classical: bool) -> tuple[float, ...]:
+    """weights(n, ...) built from the recurrence, for a checked n and m."""
     try:
         if classical:
             return tuple(float(u**m) for u in range(1, n + 1))
-        qq = q.q
         acc = 0.0
         out = []
         for _ in range(n):
-            acc = 1.0 + qq * acc
+            acc = 1.0 + q * acc
             out.append(acc**m)
         return tuple(out)
     except OverflowError:
-        raise DomainError(f"the weight of u = {n} overflows a float at m = {m}, q = {q.q!r}, classical = {classical}") from None
+        raise DomainError(f"the weight of u = {n} overflows a float at m = {m}, q = {q!r}, classical = {classical}") from None
+
+
+_memo_weight_table = functools.lru_cache(maxsize=_WEIGHT_MEMO_KEYS)(_weight_table)
 
 
 def q_integer(u: int, q: QParam) -> float:

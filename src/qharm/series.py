@@ -12,6 +12,8 @@ operations are pure, so concurrent use and transfer between threads are
 unrestricted.  The three types are frozen dataclasses without
 ``__slots__``: a frozen class with hand-written slots cannot be unpickled
 or copied, since both restore its state through the refused ``__setattr__``.
+A ``HarmonicFunction`` keeps the moduli of its coefficient functional
+once computed; eq, hash, repr, pickle and copy ignore them.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import cmath
 import math
 import operator
 from dataclasses import dataclass, field
+from itertools import chain, compress, starmap
 from typing import Iterable, Mapping
 
 from .qcore import MAX_JSON_TRUNC, in_interval, in_range
@@ -156,6 +159,30 @@ class HarmonicFunction:
     def trunc_degree(self) -> int:
         return self.h.trunc_degree
 
+    _moduli = None  # set once by _functional_moduli
+
+    def _functional_moduli(self) -> tuple[tuple[int, ...], tuple[float, ...]]:
+        """(u - 1 for each power u, |c_u| for each) over the nonzero
+        coefficients of the coefficient functional, h from power 2, then g.
+
+        Computed on first use and kept as ``_moduli``, which eq, hash, repr,
+        pickle and copy ignore.  It is set with object.__setattr__, not by a
+        functools.cached_property, whose write to ``__dict__`` turns the
+        instance's inline attribute values into a dict on CPython 3.11 and
+        so slows every later read of ``f.h`` and ``f.g``."""
+        if self._moduli is None:
+            tail, g = self.h.coeffs[1:], self.g.coeffs
+            exponents = (*compress(range(1, len(tail) + 1), tail), *compress(range(len(g)), g))
+            coeffs = (*filter(None, tail), *filter(None, g))
+            object.__setattr__(self, "_moduli", (exponents, tuple(map(_modulus, coeffs))))
+        return self._moduli
+
+    def __getstate__(self) -> dict:
+        # the fields only, as without the cache: equal values pickle to equal bytes
+        state = dict(self.__dict__)
+        state.pop("_moduli", None)
+        return state
+
     @classmethod
     def from_t_magnitudes(
         cls,
@@ -264,6 +291,21 @@ def _parse_pairs(obj: object, field: str, trunc: int) -> tuple[complex, ...]:
         raise SchemaError(field, f"expected a list of [re, im] pairs, got {type(obj).__name__}")
     if len(obj) > trunc:
         raise SchemaError(field, f"{len(obj)} coefficients exceed trunc = {trunc}")
+    # Fast path: only [re, im] lists of exact ints and floats (no bool),
+    # converted at C level.  Anything else, an int beyond the float range or
+    # a value that is not finite falls through to the loop, which names the entry.
+    if (
+        set(map(type, obj)) <= {list}
+        and set(map(len, obj)) <= {2}
+        and set(map(type, chain.from_iterable(obj))) <= {int, float}
+    ):
+        try:
+            out = tuple(starmap(complex, obj))
+        except OverflowError:
+            pass
+        else:
+            if all(map(cmath.isfinite, out)):
+                return out
     out = []
     for i, entry in enumerate(obj):
         if not (isinstance(entry, list) and len(entry) == 2):

@@ -44,6 +44,15 @@ MAX_GRID_POINTS = 2**20
 MAX_PAIR_BUDGET = 2**20
 MAX_TRIALS = 10**5
 
+# Smallest relative gap between consecutive radii of a DiskGrid: b - a >=
+# MIN_RADIUS_GAP * b.  Horner's rounding of f at |z| = r is at most about
+# 2n * 2**-53 * sum |c_u| r**u, about 9e-13 of it at n = MAX_JSON_TRUNC, so
+# between rings this far apart it moves an injectivity ratio by at most about
+# 4e-6 when sum |c_u| <= 2 (as for members), instead of swamping the
+# distance of rings one ulp apart.  The finest angular step, 2 pi / 2**16, is
+# about 1e-4 of the radius.
+MIN_RADIUS_GAP = 1e-6
+
 # Rows of the margin table formatted per block by _write_csv: the default
 # grid is one block, and the strings held at a time stay bounded.
 _CSV_BLOCK_ROWS = 4096
@@ -55,7 +64,8 @@ class DiskGrid:
     angles.  With include_positive_axis the first angle on each circle is
     0 (the point z = r exactly); otherwise angles are offset by half a
     step so the axis is avoided.  A grid whose points are not pairwise
-    distinct is refused: the injectivity ratio divides by their distance."""
+    distinct, or whose consecutive radii are closer than MIN_RADIUS_GAP of
+    the larger, is refused: the injectivity ratio divides by their distance."""
 
     radii: tuple[float, ...] = DEFAULT_RADII
     angular_count: int = DEFAULT_ANGULAR_COUNT
@@ -65,6 +75,9 @@ class DiskGrid:
         radii = radius_sequence(self.radii, "radii")
         k = in_range(self.angular_count, 4, MAX_ANGULAR_COUNT, "angular_count")
         in_range(len(radii) * k, 1, MAX_GRID_POINTS, "grid size")
+        for a, b in zip(radii, radii[1:]):
+            if b - a < MIN_RADIUS_GAP * b:
+                raise DomainError(f"radii {a!r} and {b!r} must differ by at least {MIN_RADIUS_GAP!r} of the larger")
         _grid_points(radii, k, self.include_positive_axis)
         object.__setattr__(self, "radii", radii)
         object.__setattr__(self, "angular_count", k)

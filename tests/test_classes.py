@@ -844,3 +844,50 @@ def test_zero_shares_and_underflow_take_the_extreme_point_bits():
     point = extreme_point(2, "analytic", tiny)
     assert coeff_bits(one_term.h.coeffs, one_term.g.coeffs) == coeff_bits(point.h.coeffs, point.g.coeffs)
     assert math.copysign(1.0, point.h.coeffs[1].real) == -1.0 and point.h.coeffs[1] == 0
+
+
+# --- the functional and the probe over the cached moduli ------------------------
+
+
+def generator_functional_and_probe(f, p, rs):
+    # the functional and the axis margins as the per-term generator expressions compute them
+    nonzero = [(u, c) for u, c in enumerate(f.h.coeffs, start=1) if u >= 2 and c != 0]
+    nonzero += [(u, c) for u, c in enumerate(f.g.coeffs, start=1) if c != 0]
+    w = weights(max((u for u, _ in nonzero), default=1), p.q, p.m)
+    triples = [(u, w[u - 1], abs(c)) for u, c in nonzero]
+    one_minus = 1.0 - p.alpha
+    functional = math.fsum([w / one_minus * mag for _, w, mag in triples])
+
+    def margin_at(r):
+        return 1.0 - math.fsum(w * mag * r ** (u - 1) for u, w, mag in triples) - p.alpha
+
+    return functional, tuple((r, margin_at(r)) for r in rs), margin_at(1.0)
+
+
+probe_params = st.sampled_from([params(3, 0.25, 0.9), params(), params(1, 0.5, 0.99), params(6, 0.1, 0.7)])
+
+
+@st.composite
+def t_form_inputs(draw):
+    # random_t_form members and violators, or t_form magnitudes at drawn powers up to 256
+    p = draw(probe_params)
+    trunc = draw(st.integers(1, 256))
+    if draw(st.booleans()):
+        target = draw(st.floats(0.0, 2.0))
+        assume(trunc > 1 or target * (1.0 - p.alpha) <= 0.95)
+        return p, verify.random_t_form(p, target, np.random.default_rng(draw(st.integers(0, 2**32))), trunc=trunc)
+    mags = st.floats(0.0, 0.5, allow_subnormal=True)
+    a = draw(st.dictionaries(st.integers(2, trunc), mags, max_size=12)) if trunc > 1 else {}
+    b = draw(st.dictionaries(st.integers(1, trunc), mags, max_size=12))
+    return p, HarmonicFunction.from_t_magnitudes(a, b, trunc=trunc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=t_form_inputs(), rs=st.none() | st.lists(st.floats(0.01, 0.999), min_size=1, max_size=5, unique=True).map(sorted))
+def test_functional_and_probe_equal_the_generator_expressions_bitwise(case, rs):
+    p, f = case
+    report = classes.necessity_probe(f, p, rs)
+    functional, entries, limit = generator_functional_and_probe(f, p, classes.DEFAULT_PROBE_RADII if rs is None else rs)
+    assert [(r.hex(), m.hex()) for r, m in report.entries] == [(r.hex(), m.hex()) for r, m in entries]
+    assert report.limit_margin.hex() == limit.hex()
+    assert coeff_functional(f, p).hex() == functional.hex()

@@ -1009,3 +1009,18 @@ def test_every_real_flag_keeps_the_exit_contract(real_flag_dir, case):
         assert code == 0 or (code == 1 and argv[0] in ("check", "verify", "probe")), (argv, tol, code, lines)
         assert lines == [], (argv, tol, lines)
         json.loads(out.getvalue(), parse_constant=refuse_constant)
+
+
+@pytest.mark.parametrize(
+    "radii, budget", [("0.5,0.5000000000000001", "65536"), ("0.3,0.30000000000000004", "200000")]
+)
+def test_rings_closer_than_the_gap_are_refused_by_their_radii(tmp_path, capsys, radii, budget):
+    # z - 0.45 z**2 is univalent, but on rings one ulp apart its values round
+    # together and the injectivity ratio read 0.0
+    path = write_json(tmp_path / "u.json", {"trunc": 4, "h": [[1, 0], [-0.45, 0]], "g": []})
+    argv = ["verify", "--in", path, "--m", "0", "--alpha", "0", "--q", "0.5", "--radii", radii, "--pair-budget", budget]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    a, b = radii.split(",")
+    assert captured.err.splitlines() == [f"error: radii {a} and {b} must differ by at least 1e-06 of the larger"]

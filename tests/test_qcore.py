@@ -1,11 +1,16 @@
 import math
+import random
 import re
+import struct
+import sys
+import threading
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
-from qharm import DomainError, QParam, q_integer, q_integer_pow
-from qharm.qcore import MAX_PROOF_STEP_U, in_interval, in_range, radius_sequence, weights
+from qharm import ClassParams, DomainError, QParam, q_integer, q_integer_pow, qcore
+from qharm.classes import proof_step_violations
+from qharm.qcore import MAX_JSON_TRUNC, MAX_PROOF_STEP_U, in_interval, in_range, radius_sequence, weights
 
 # q values away from the endpoints; the endpoints themselves are covered by
 # dedicated limit tests.
@@ -237,3 +242,108 @@ def test_weight_table_refuses_lengths_past_the_limit(n):
 def test_weight_table_at_its_limit():
     w = weights(MAX_PROOF_STEP_U, QParam(0.5), 1)
     assert len(w) == MAX_PROOF_STEP_U and w[-1] == 2.0
+
+
+# --- the weight memo -----------------------------------------------------------
+
+
+memo = qcore._memo_weight_table
+
+
+def uncached_weights(n, q, m, classical):
+    # the recurrence of weights, written out again without the memo
+    if classical:
+        return tuple(float(u**m) for u in range(1, n + 1))
+    acc, out = 0.0, []
+    for _ in range(n):
+        acc = 1.0 + q * acc
+        out.append(acc**m)
+    return tuple(out)
+
+
+def bits(table):
+    return struct.pack(f"{len(table)}d", *table)
+
+
+memo_keys = st.tuples(st.sampled_from([0.5, 0.9, 0.99, 1e-6]), st.integers(0, 6), st.booleans())
+memo_lengths = st.integers(1, 80) | st.sampled_from([MAX_JSON_TRUNC, MAX_JSON_TRUNC + 1])
+
+
+@given(keys=st.lists(memo_keys, min_size=1, max_size=3, unique=True), data=st.data())
+def test_memoized_tables_equal_the_recurrence_bitwise_in_any_call_order(keys, data):
+    # shorter then longer, longer then shorter and keys interleaved, from an empty memo
+    memo.cache_clear()
+    calls = data.draw(st.lists(st.tuples(st.sampled_from(keys), memo_lengths), min_size=1, max_size=12))
+    for (q, m, classical), n in calls:
+        assert bits(weights(n, QParam(q), m, classical)) == bits(uncached_weights(n, q, m, classical))
+    # one table per distinct call up to MAX_JSON_TRUNC; longer ones are not kept
+    assert memo.cache_info().currsize == len({(key, n) for key, n in calls if n <= MAX_JSON_TRUNC})
+
+
+@given(q=st.sampled_from([0.5, 0.9, 0.99]), m=st.integers(300, 3000), classical=st.booleans())
+def test_an_overflowing_table_keeps_its_error_after_a_shorter_one_is_memoized(q, m, classical):
+    def overflows(n):
+        try:
+            uncached_weights(n, q, m, classical)
+        except OverflowError:
+            return True
+        return False
+
+    n = next((n for n in range(2, 65) if overflows(n)), None)
+    assume(n is not None and not overflows(n - 1))
+    memo.cache_clear()
+    message = f"^the weight of u = {n} overflows a float at m = {m}, q = {q!r}, classical = {classical}$"
+    with pytest.raises(DomainError, match=message):
+        weights(n, QParam(q), m, classical)
+    # the finite table one shorter is served and memoized; the overflow is not
+    assert bits(weights(n - 1, QParam(q), m, classical)) == bits(uncached_weights(n - 1, q, m, classical))
+    assert memo.cache_info().currsize == 1
+    with pytest.raises(DomainError, match=message):
+        weights(n, QParam(q), m, classical)
+    assert bits(weights(n - 1, QParam(q), m, classical)) == bits(uncached_weights(n - 1, q, m, classical))
+    assert memo.cache_info()[:2] == (1, 3)  # hits, misses
+
+
+def test_the_memo_drops_long_tables_and_bounds_its_keys():
+    memo.cache_clear()
+    p = ClassParams(3, 0.25, QParam(0.9))
+    weights(16, p.q, p.m)
+    proof_step_violations(p, max_u=2**20)  # builds a 2**20 table
+    assert memo.cache_info()[1:] == (1, qcore._WEIGHT_MEMO_KEYS, 1)  # misses, maxsize, currsize: the 16 table only
+    for m in range(100):
+        weights(MAX_JSON_TRUNC, QParam(0.5), m)
+        assert memo.cache_info().currsize <= qcore._WEIGHT_MEMO_KEYS
+    # least recently used first out: the last keys stay
+    misses = memo.cache_info().misses
+    for m in range(100 - qcore._WEIGHT_MEMO_KEYS, 100):
+        weights(MAX_JSON_TRUNC, QParam(0.5), m)
+    assert memo.cache_info().misses == misses
+
+
+def test_the_memo_serves_exact_tables_to_concurrent_threads():
+    # more threads than cores, switching often, over more keys than the memo holds
+    memo.cache_clear()
+    keys = [(q, m, classical) for q in (0.5, 0.9) for m in range(20) for classical in (False, True)]
+    errors = []
+
+    def work(seed):
+        rng = random.Random(seed)
+        for _ in range(200):
+            q, m, classical = rng.choice(keys)
+            n = rng.randint(1, 96)
+            if weights(n, QParam(q), m, classical) != uncached_weights(n, q, m, classical):
+                errors.append((q, m, classical, n))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert memo.cache_info().currsize <= qcore._WEIGHT_MEMO_KEYS

@@ -1,11 +1,12 @@
 import copy
 import json
+import math
 import pickle
 import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from qharm import (
     AnalyticSeries,
@@ -30,6 +31,7 @@ from qharm import (
     salagean_harmonic,
     sharpness_witness,
 )
+from qharm import series
 from qharm.series import MAX_JSON_TRUNC
 
 finite_coeffs = st.lists(
@@ -459,3 +461,93 @@ def test_nonfinite_errors_name_the_first_bad_entry():
     with pytest.raises(SchemaError) as exc:
         harmonic_from_json(doc)
     assert str(exc.value) == "h[2]: coefficient is not finite: [nan, 0]"
+
+
+# --- the JSON reader's fast path and the cached functional moduli ----------------
+
+
+def per_entry_parse(obj, field):
+    # the reader's per-entry loop alone, which names the first bad entry
+    out = []
+    for i, entry in enumerate(obj):
+        if not (isinstance(entry, list) and len(entry) == 2):
+            raise SchemaError(f"{field}[{i}]", "expected a [re, im] pair")
+        re, im = entry
+        if isinstance(re, bool) or isinstance(im, bool) or not isinstance(re, (int, float)) or not isinstance(im, (int, float)):
+            raise SchemaError(f"{field}[{i}]", "re and im must be real numbers")
+        try:
+            out.append(complex(re, im))
+        except OverflowError:
+            raise SchemaError(f"{field}[{i}]", "re and im must fit in a float") from None
+    for i, c in enumerate(out):
+        if not (math.isfinite(c.real) and math.isfinite(c.imag)):
+            raise SchemaError(f"{field}[{i}]", f"coefficient is not finite: {obj[i]!r}")
+    return tuple(out)
+
+
+def parse_outcome(parse, obj):
+    try:
+        return "ok", [repr(c) for c in parse(obj)]
+    except SchemaError as exc:
+        return "error", exc.field, str(exc)
+
+
+ODD_ENTRIES = [
+    [True, 0],
+    [0.5, False],
+    [10**400, 0],
+    [0, -(10**4999)],  # 5,000 digits
+    [float("nan"), 0],
+    [0.0, float("inf")],
+    [float("-inf"), 1],
+    [1],
+    [1, 2, 3],
+    (0.5, 0.5),
+    [np.float64(0.25), 0],  # a float subclass, read by the loop
+    [0, np.float64("nan")],
+    "x",
+    None,
+]
+GOOD_ENTRIES = [[1, 0], [-0.0, 0.5], [0, -0.0], [2**53 + 1, -3], [1e-320, 1.5e300]]
+
+
+@pytest.mark.parametrize("odd", range(len(ODD_ENTRIES)))
+@pytest.mark.parametrize("where", [0, 2, 5])
+def test_reader_fast_path_gives_the_loop_values_and_errors(odd, where):
+    obj = [list(e) for e in GOOD_ENTRIES]
+    obj.insert(where, ODD_ENTRIES[odd])
+    assert parse_outcome(lambda o: series._parse_pairs(o, "h", 16), obj) == parse_outcome(lambda o: per_entry_parse(o, "h"), obj)
+
+
+@given(st.lists(st.sampled_from(GOOD_ENTRIES + ODD_ENTRIES) | st.lists(st.integers() | st.floats(), min_size=2, max_size=2), max_size=10))
+def test_reader_fast_path_matches_the_loop_on_any_mix(obj):
+    obj = [list(e) if isinstance(e, list) else e for e in obj]
+    assert parse_outcome(lambda o: series._parse_pairs(o, "g", 16), obj) == parse_outcome(lambda o: per_entry_parse(o, "g"), obj)
+
+
+def recomputed_moduli(f):
+    nonzero = [(u, c) for u, c in enumerate(f.h.coeffs, start=1) if u >= 2 and c != 0]
+    nonzero += [(u, c) for u, c in enumerate(f.g.coeffs, start=1) if c != 0]
+    return tuple(u - 1 for u, _ in nonzero), tuple(series._modulus(c) for _, c in nonzero)
+
+
+moduli_parts = st.sampled_from([0j, -0j, complex(0, -0.0), 0.5, -0.25j, 1e-320, complex(1.7e308, 1.7e308)])
+
+
+@given(h=st.lists(moduli_parts, max_size=8), g=st.lists(moduli_parts, max_size=8))
+def test_cached_moduli_change_no_value_semantics(h, g):
+    trunc = max(len(h) + 1, len(g), 1)
+    try:
+        f = HarmonicFunction(AnalyticSeries([1.0, *h], trunc=trunc), AnalyticSeries(g, trunc=trunc))
+    except DomainError:  # |b_1| > 1
+        assume(False)
+    before = repr(f), hash(f), [pickle.dumps(f, protocol) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    moduli = f._functional_moduli()
+    assert f._functional_moduli() is moduli and moduli == recomputed_moduli(f)
+    assert [repr(x) for x in moduli[1]] == [repr(x) for x in recomputed_moduli(f)[1]]
+    assert (repr(f), hash(f), [pickle.dumps(f, protocol) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]) == before
+    fresh = HarmonicFunction(f.h, f.g)
+    assert fresh == f and f == fresh and hash(fresh) == hash(f) and repr(fresh) == repr(f)
+    for twin in (pickle.loads(pickle.dumps(f)), copy.copy(f), copy.deepcopy(f)):
+        assert twin == f and hash(twin) == hash(f) and repr(twin) == repr(f)
+        assert "_moduli" not in vars(twin) and twin._functional_moduli() == moduli

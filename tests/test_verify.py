@@ -78,8 +78,34 @@ def test_grid_points_must_be_pairwise_distinct():
         DiskGrid(radii=(5e-324, 1e-323, 0.5))  # the smallest radius with such a point is named
     with pytest.raises(DomainError, match=r"at radius 1e-323 coincides"):
         DiskGrid(radii=(1e-323, 0.5), include_positive_axis=False)
-    grid = DiskGrid(radii=(0.5, float(np.nextafter(0.5, 1.0))))  # one ulp apart
-    assert np.unique(grid.points()).size == grid.size == 512
+    # one ulp apart the 512 points are distinct, but f's values on the two rings round together
+    with pytest.raises(DomainError, match=r"^radii 0.5 and 0.5000000000000001 must differ by at least 1e-06 of the larger$"):
+        DiskGrid(radii=(0.5, float(np.nextafter(0.5, 1.0))))
+
+
+def test_consecutive_radii_need_the_relative_gap():
+    gap = verify.MIN_RADIUS_GAP
+    assert gap == 1e-6
+    for a in (1e-300, 0.3, 0.5, 0.998):
+        assert DiskGrid(radii=(a, a * (1.0 + 2.0 * gap))).size == 2 * DiskGrid().angular_count
+        near = a * (1.0 + 0.5 * gap)
+        with pytest.raises(DomainError, match=f"^radii {a!r} and {near!r} must differ by at least 1e-06 of the larger$"):
+            DiskGrid(radii=(0.5 * a, a, near))  # the closer pair is named
+    # the default grid's closest rings, 0.99 and 0.999, are about 9e-3 apart
+    assert DiskGrid().radii == verify.DEFAULT_RADII
+
+
+def test_the_radius_gap_refuses_close_rings_near_the_boundary_but_not_one_ring_there():
+    # 0.999999 and 0.9999999 are 9e-7 of the larger apart: refused, with every check on that grid
+    with pytest.raises(DomainError, match=r"^radii 0.999999 and 0.9999999 must differ by at least 1e-06 of the larger$"):
+        DiskGrid(radii=(0.999999, 0.9999999))
+    assert DiskGrid(radii=(0.999998, 0.999999)).radii == (0.999998, 0.999999)
+    # one ring at 1 - 1e-7 still shows the functional-1 extreme point that is not sense-preserving there
+    p = ClassParams(3, 0.25, QParam(0.9))
+    f = extreme_point(1334, "coanalytic", p, coanalytic_sign=1)
+    report = sense_preserving_margin(f, DiskGrid(radii=(0.5, 1 - 1e-7)))
+    assert satisfies_sufficient(f, p) and not report.passed
+    assert abs(report.argmin_point) == pytest.approx(1 - 1e-7)
 
 
 def test_grid_points_order_and_axis():
