@@ -61,17 +61,24 @@ _CSV_BLOCK_ROWS = 4096
 @dataclass(frozen=True)
 class DiskGrid:
     """Sampling specification: circles at the given radii with equispaced
-    angles.  With include_positive_axis the first angle on each circle is
-    0 (the point z = r exactly); otherwise angles are offset by half a
-    step so the axis is avoided.  A grid whose points are not pairwise
-    distinct, or whose consecutive radii are closer than MIN_RADIUS_GAP of
-    the larger, is refused: the injectivity ratio divides by their distance."""
+    angles.  With include_positive_axis (a bool) the first angle on each
+    circle is 0 (the point z = r exactly); otherwise angles are offset by
+    half a step so the axis is avoided.  Each ring is built from its first
+    octant by exact swaps and sign changes, so it is bitwise symmetric under
+    conjugation, under half turns when angular_count is even and under
+    quarter turns when it is a multiple of 4, and holds no -0.0.  A grid
+    whose points are not pairwise distinct, or whose consecutive radii are
+    closer than MIN_RADIUS_GAP of the larger, is refused: the injectivity
+    ratio divides by their distance."""
 
     radii: tuple[float, ...] = DEFAULT_RADII
     angular_count: int = DEFAULT_ANGULAR_COUNT
     include_positive_axis: bool = True
 
     def __post_init__(self) -> None:
+        if not isinstance(self.include_positive_axis, (bool, np.bool_)):
+            raise DomainError(f"include_positive_axis must be a bool, got {self.include_positive_axis!r}")
+        object.__setattr__(self, "include_positive_axis", bool(self.include_positive_axis))
         radii = radius_sequence(self.radii, "radii")
         k = in_range(self.angular_count, 4, MAX_ANGULAR_COUNT, "angular_count")
         in_range(len(radii) * k, 1, MAX_GRID_POINTS, "grid size")
@@ -94,10 +101,20 @@ class DiskGrid:
 
 @functools.lru_cache(maxsize=8)
 def _grid_points(radii: tuple[float, ...], k: int, include_positive_axis: bool) -> np.ndarray:
-    offset = 0.0 if include_positive_axis else 0.5
-    theta = 2.0 * np.pi * (np.arange(k) + offset) / k
-    ring = np.exp(1j * theta)
-    z = np.concatenate([r * ring for r in radii])
+    # Angle j is n = 4j units of pi / (2k), or 4j + 2 off the axis: t units into
+    # quadrant n // k.  Past t = k/2 the angle folds to k - t, where cos and sin
+    # trade places, so one exp serves both; at t = k/2 both take its cosine.
+    j = np.arange(k)
+    quadrant, t = np.divmod(4 * j + (0 if include_positive_axis else 2), k)
+    e = np.exp(1j * np.minimum(t, k - t) * (np.pi / (2 * k)))
+    c = np.where(2 * t > k, e.imag, e.real)
+    s = np.where(2 * t >= k, e.real, e.imag)
+    # A quarter turn maps (x, y) to (-y, x): x runs through c, -s, -c, s and y
+    # lags one step behind.  x + 1j * y is exact up to the sign of a zero, and
+    # the + 0.0 after scaling stores every exact zero as +0.0.
+    turns = np.stack([c, -s, -c, s])
+    ring = turns[quadrant, j] + 1j * turns[quadrant - 1, j]
+    z = (np.multiply.outer(radii, ring) + 0.0).ravel()
     order = np.lexsort((z.imag, z.real))  # coincident points end up adjacent
     same = z[order[1:]] == z[order[:-1]]
     if same.any():

@@ -1,11 +1,12 @@
 """Oracle test for the grid engine behind the disc checks.
 
-The reference below is the plain engine: a fresh point array per call, a
-zero-seeded Horner loop over every stored coefficient, the whole grid
-evaluated for the injectivity pairs, and margin_rows with its own margin
-formulas.  The library skips high-order +0+0j coefficients, caches the grid
-points, and evaluates f for the injectivity pairs either once on both pair
-ends or not at all, reading the grid values of the growth margins; its
+The reference below is the plain engine: a fresh point array per call, built
+point by point from the first octant of each ring, a zero-seeded Horner
+loop over every stored coefficient, the whole grid evaluated for the
+injectivity pairs, and margin_rows with its own margin formulas.  The
+library builds each ring with array operations, skips high-order +0+0j
+coefficients, caches the grid points, and evaluates f for the injectivity
+pairs either once on both pair ends or not at all, reading the grid values of the growth margins; its
 reports and margin tables must equal the reference bit for bit, zero signs
 included, and so must the CSV text, whose writer formats each distinct
 float of a block once, and the reports and table of disc_checks, which
@@ -19,6 +20,7 @@ random_t_form draw their uniforms in one call, so each must equal a body
 drawing one scalar at a time.
 """
 
+import cmath
 import contextlib
 import io
 import math
@@ -62,11 +64,26 @@ from qharm.qcore import DomainError, weights
 
 
 def ref_points(grid):
+    """Each ring point from its first octant, one at a time: angle j is
+    n = 4j units of pi/(2k) (4j + 2 off the axis), t units into quadrant
+    n // k; past t = k/2 the angle folds to k - t with cos and sin swapped,
+    at t = k/2 both take the cosine, and each quarter turn maps (c, s) to
+    (-s, c).  Exact zeros are stored as +0.0."""
     k = grid.angular_count
-    offset = 0.0 if grid.include_positive_axis else 0.5
-    theta = 2.0 * np.pi * (np.arange(k) + offset) / k
-    ring = np.exp(1j * theta)
-    return np.concatenate([r * ring for r in grid.radii])
+    ring = []
+    for j in range(k):
+        quadrant, t = divmod(4 * j + (0 if grid.include_positive_axis else 2), k)
+        e = cmath.exp(1j * min(t, k - t) * (math.pi / (2 * k)))
+        if 2 * t > k:
+            c, s = e.imag, e.real
+        elif 2 * t == k:
+            c, s = e.real, e.real
+        else:
+            c, s = e.real, e.imag
+        for _ in range(quadrant):
+            c, s = -s, c
+        ring.append((c, s))
+    return np.array([complex(r * c + 0.0, r * s + 0.0) for r in grid.radii for c, s in ring])
 
 
 def ref_poly(coeffs, z):
@@ -277,6 +294,64 @@ def test_grid_points_cached_and_read_only(grid):
     assert not z.flags.writeable
     fresh = ref_points(grid)
     assert np.array_equal(z.view(np.uint64), fresh.view(np.uint64))
+
+
+# Angular counts of the ring tests: every count up to 64, and two large ones.
+RING_COUNTS = [*range(4, 65), 256, 4096]
+
+
+def assert_bits(a, b):
+    assert np.array_equal(np.asarray(a).view(np.uint64), np.asarray(b).view(np.uint64))
+
+
+def test_rings_are_bitwise_symmetric_and_hold_no_negative_zero():
+    for k in RING_COUNTS:
+        for axis in (True, False):
+            z = DiskGrid(radii=(0.3, 0.999), angular_count=k, include_positive_axis=axis).points().reshape(2, k)
+            for part in (z.real, z.imag):
+                assert not np.signbit(part[part == 0.0]).any(), (k, axis)
+            j = np.arange(k)
+            # the conjugate of angle j is angle -j on the axis grid, -j - 1 off it
+            w = z[:, (-j - (0 if axis else 1)) % k]
+            assert_bits(w.real, z.real)
+            assert_bits(w.imag, -z.imag + 0.0)
+            if k % 2 == 0:
+                w = z[:, (j + k // 2) % k]
+                assert_bits(w.real, -z.real + 0.0)
+                assert_bits(w.imag, -z.imag + 0.0)
+            if k % 4 == 0:
+                w = z[:, (j + k // 4) % k]
+                assert_bits(w.real, -z.imag + 0.0)
+                assert_bits(w.imag, z.real)
+
+
+def test_ring_coordinates_are_within_2_to_the_minus_52_of_the_circle():
+    mpmath = pytest.importorskip("mpmath")
+    for k in RING_COUNTS:
+        for axis in (True, False):
+            # radius 0.5 scales the unit ring exactly
+            z = 2.0 * DiskGrid(radii=(0.5,), angular_count=k, include_positive_axis=axis).points()
+            with mpmath.workdps(40):
+                for j, point in enumerate(z.tolist()):
+                    theta = 2 * mpmath.pi * (j + (0 if axis else mpmath.mpf(0.5))) / k
+                    assert abs(point.real - mpmath.cos(theta)) <= 2.0**-52, (k, axis, j)
+                    assert abs(point.imag - mpmath.sin(theta)) <= 2.0**-52, (k, axis, j)
+
+
+def test_real_coefficient_margins_repeat_bitwise_at_mirrored_points():
+    # f(conj z) = conj f(z) for real coefficients, so on a conjugation-symmetric
+    # ring every margin is the same float at z and at conj z
+    p = ClassParams(m=3, alpha=0.25, q=QParam(0.9))
+    f = random_t_form(p, 0.9, np.random.default_rng(7))
+    grid = DiskGrid()
+    header, rows = margin_rows(f, p, grid)
+    assert header[4:] == ["growth_lower_margin", "growth_upper_margin"]
+    k = grid.angular_count
+    table = np.array(rows).reshape(len(grid.radii), k, len(header))
+    mirrored = table[:, -np.arange(k) % k]
+    assert_bits(mirrored[..., 1], -table[..., 1] + 0.0)
+    for column in (0, *range(2, len(header))):
+        assert_bits(mirrored[..., column], table[..., column])
 
 
 def test_negative_zero_coefficients_are_evaluated():

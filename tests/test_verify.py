@@ -124,6 +124,18 @@ def test_grid_points_shared_by_equal_grids():
     assert DiskGrid(include_positive_axis=False).points() is not z
 
 
+def test_grid_axis_flag_must_be_a_bool():
+    # a truthy string or None would otherwise pick one of the two grids silently
+    with mock.patch.object(verify, "_grid_points") as build:
+        for flag in ("no", "False", None, 0, 1, 1.0, [True]):
+            with pytest.raises(DomainError, match=r"^include_positive_axis must be a bool, got "):
+                DiskGrid(include_positive_axis=flag)
+        assert not build.called
+    assert DiskGrid(include_positive_axis=np.False_) == DiskGrid(include_positive_axis=False)
+    assert type(DiskGrid(include_positive_axis=np.True_).include_positive_axis) is bool
+    assert DiskGrid(include_positive_axis=np.True_).points() is DiskGrid().points()
+
+
 def test_grid_axis_exclusion():
     grid = DiskGrid(radii=(0.5,), angular_count=4, include_positive_axis=False)
     z = grid.points()
