@@ -44,14 +44,13 @@ MAX_GRID_POINTS = 2**20
 MAX_PAIR_BUDGET = 2**20
 MAX_TRIALS = 10**5
 
-# Smallest relative gap between consecutive radii of a DiskGrid: b - a >=
-# MIN_RADIUS_GAP * b.  Horner's rounding of f at |z| = r is at most about
-# 2n * 2**-53 * sum |c_u| r**u, about 9e-13 of it at n = MAX_JSON_TRUNC, so
-# between rings this far apart it moves an injectivity ratio by at most about
-# 4e-6 when sum |c_u| <= 2 (as for members), instead of swamping the
-# distance of rings one ulp apart.  The finest angular step, 2 pi / 2**16, is
-# about 1e-4 of the radius.
-MIN_RADIUS_GAP = 1e-6
+# An injectivity pair counts only if |z1 - z2| > MIN_PAIR_GAP * max(|z1|, |z2|).
+# Horner's rounding of f at |z| = r is at most about 2n * 2**-53 * sum |c_u| r**u,
+# about 9e-13 of it at n = MAX_JSON_TRUNC, so it moves the ratio of such a pair by
+# at most about 4e-6 when sum |c_u| <= 2 (as for members), instead of swamping the
+# distance of points one ulp apart.  Half of 1e-6, so that rings 1e-6 of the larger
+# apart keep every pair whatever the rounding of |z1 - z2|.
+MIN_PAIR_GAP = 5e-7
 
 # Rows of the margin table formatted per block by _write_csv: the default
 # grid is one block, and the strings held at a time stay bounded.
@@ -66,10 +65,9 @@ class DiskGrid:
     half a step so the axis is avoided.  Each ring is built from its first
     octant by exact swaps and sign changes, so it is bitwise symmetric under
     conjugation, under half turns when angular_count is even and under
-    quarter turns when it is a multiple of 4, and holds no -0.0.  A grid
-    whose points are not pairwise distinct, or whose consecutive radii are
-    closer than MIN_RADIUS_GAP of the larger, is refused: the injectivity
-    ratio divides by their distance."""
+    quarter turns when it is a multiple of 4, and holds no -0.0.  Points may
+    coincide or lie arbitrarily close: the injectivity check resolves its
+    pairs itself (MIN_PAIR_GAP)."""
 
     radii: tuple[float, ...] = DEFAULT_RADII
     angular_count: int = DEFAULT_ANGULAR_COUNT
@@ -82,10 +80,6 @@ class DiskGrid:
         radii = radius_sequence(self.radii, "radii")
         k = in_range(self.angular_count, 4, MAX_ANGULAR_COUNT, "angular_count")
         in_range(len(radii) * k, 1, MAX_GRID_POINTS, "grid size")
-        for a, b in zip(radii, radii[1:]):
-            if b - a < MIN_RADIUS_GAP * b:
-                raise DomainError(f"radii {a!r} and {b!r} must differ by at least {MIN_RADIUS_GAP!r} of the larger")
-        _grid_points(radii, k, self.include_positive_axis)
         object.__setattr__(self, "radii", radii)
         object.__setattr__(self, "angular_count", k)
 
@@ -115,11 +109,6 @@ def _grid_points(radii: tuple[float, ...], k: int, include_positive_axis: bool) 
     turns = np.stack([c, -s, -c, s])
     ring = turns[quadrant, j] + 1j * turns[quadrant - 1, j]
     z = (np.multiply.outer(radii, ring) + 0.0).ravel()
-    order = np.lexsort((z.imag, z.real))  # coincident points end up adjacent
-    same = z[order[1:]] == z[order[:-1]]
-    if same.any():
-        r = radii[min(order[1:][same].min(), order[:-1][same].min()) // k]
-        raise DomainError(f"grid points must be pairwise distinct, but one at radius {r!r} coincides with another")
     z.flags.writeable = False
     return z
 
@@ -131,7 +120,7 @@ class VerificationReport:
 
     For all checks except injectivity, passed means min_margin >=
     -tolerance; injectivity demands strict clearance, min_margin >
-    tolerance.
+    tolerance.  samples counts the margins: grid points, or the pairs used.
     """
 
     check_name: str
@@ -229,7 +218,9 @@ def injectivity_sample_check(
     |f(z1) - f(z2)| / |z1 - z2|.  Pairs are drawn by a seeded generator,
     so the report is a pure function of (f, grid, pair_budget, seed).
     Passes only with margin strictly above the tolerance.  argmin_point
-    records the first point of the worst pair.
+    records the first point of the worst pair.  A pair is used only if
+    |z1 - z2| > MIN_PAIR_GAP * max(|z1|, |z2|), and samples counts the pairs
+    used; if none is, DomainError.
     """
     return _injectivity_report(f, grid.points(), pair_budget, seed, tolerance)
 
@@ -238,20 +229,25 @@ def _injectivity_report(
     f: HarmonicFunction, z: np.ndarray, pair_budget: int, seed: int, tolerance: float, fz: np.ndarray | None = None
 ) -> VerificationReport:
     """Injectivity report on the points z.  fz is f on all of z, or None: then f is
-    evaluated once on both ends of all pairs, giving the same bits element by element."""
+    evaluated once on both ends of the pairs used, giving the same bits element by element."""
     pair_budget = in_range(pair_budget, 1, MAX_PAIR_BUDGET, "pair_budget")
     n = z.size
     rng = np.random.default_rng(in_range(seed, 0, None, "seed"))
     i = rng.integers(0, n, size=pair_budget)
     j = rng.integers(0, n, size=pair_budget)
     j = np.where(i == j, (j + 1) % n, j)
+    zi, zj = z[i], z[j]
+    dist = np.abs(zi - zj)
+    kept = dist > MIN_PAIR_GAP * np.maximum(np.abs(zi), np.abs(zj))
+    if not kept.all():
+        if not kept.any():
+            raise DomainError(f"no drawn pair of grid points is more than {MIN_PAIR_GAP!r} of the larger modulus apart")
+        i, j, zi, dist = i[kept], j[kept], zi[kept], dist[kept]
     if fz is None:
         fi, fj = eval_harmonic(f, z[np.concatenate([i, j])]).reshape(2, -1)
     else:
         fi, fj = fz[i], fz[j]
-    zi = z[i]
-    ratios = np.abs(fi - fj) / np.abs(zi - z[j])
-    return _min_report("injectivity", ratios, zi, tolerance, strict=True)
+    return _min_report("injectivity", np.abs(fi - fj) / dist, zi, tolerance, strict=True)
 
 
 def growth_bound_check(

@@ -950,19 +950,17 @@ def real_flag_case(draw):
     return argv, draw(st.none() | value), doc
 
 
-def test_a_grid_whose_points_coincide_is_refused_by_its_radius(tmp_path, capsys):
-    path = write_json(tmp_path / "m.json", {"trunc": 4, "h": [[1, 0], [-0.1, 0]], "g": []})
-    assert run(["verify", "--in", path, "--m", "0", "--alpha", "0", "--q", "0.5", "--radii", "5e-324"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    message = "error: grid points must be pairwise distinct, but one at radius 5e-324 coincides with another"
-    assert captured.err.splitlines() == [message]
-
-
 FS = {"trunc": 4, "h": [[1, 0], [1.7e308, 0], [1.7e308, 0]], "g": []}
 FST = {"trunc": 4, "h": [[1, 0], [-1.7e308, 0], [-1.7e308, 0]], "g": []}
 OVF = {"trunc": 4, "h": [[1, 0], [4e307, 0], [4e307, 0]], "g": [[0, 0], [4e307, 0], [4e307, 0]]}
 CLS = ["--m", "0", "--alpha", "0", "--q", "0.5"]
+# grids of coincident points, of rings one ulp apart, and the ring ladder on which
+# the P1 co-analytic extreme point at u = 1334 is not sense-preserving
+SUBNORMAL = {"trunc": 4, "h": [[1, 0], [-0.1, 0]], "g": []}
+UNIVALENT = {"trunc": 4, "h": [[1, 0], [-0.45, 0]], "g": []}
+P1 = ["--m", "3", "--alpha", "0.25", "--q", "0.9"]
+LADDER = "0.99,0.999999,0.9999999"
+U1334 = harmonic_to_json(extreme_point(1334, "coanalytic", ClassParams(3, 0.25, QParam(0.9)), coanalytic_sign=1))
 
 
 def refuse_constant(name):
@@ -984,6 +982,9 @@ def real_flag_dir(tmp_path_factory):
 @example(case=(["probe", "--in", "{series}", "--m", "3", "--alpha", "0.5", "--q", "0.9"], None, FST))
 @example(case=(["verify", "--in", "{series}", *CLS, "--csv", "{csv}"], None, OVF))
 @example(case=(["check", "--in", "{series}", *CLS], None, {"trunc": 4, "h": [[1, 0], [1.7e308, 1.7e308]], "g": []}))
+@example(case=(["verify", "--in", "{series}", *CLS, "--radii=5e-324"], None, SUBNORMAL))
+@example(case=(["verify", "--in", "{series}", *CLS, "--radii=0.5,0.5000000000000001"], None, UNIVALENT))
+@example(case=(["verify", "--in", "{series}", *P1, "--radii=" + LADDER], None, U1334))
 def test_every_real_flag_keeps_the_exit_contract(real_flag_dir, case):
     # no exception escapes, exit 2 is one error line, exit 1 is a failed check,
     # and every result is JSON without NaN or Infinity
@@ -1011,16 +1012,60 @@ def test_every_real_flag_keeps_the_exit_contract(real_flag_dir, case):
         json.loads(out.getvalue(), parse_constant=refuse_constant)
 
 
-@pytest.mark.parametrize(
-    "radii, budget", [("0.5,0.5000000000000001", "65536"), ("0.3,0.30000000000000004", "200000")]
-)
-def test_rings_closer_than_the_gap_are_refused_by_their_radii(tmp_path, capsys, radii, budget):
-    # z - 0.45 z**2 is univalent, but on rings one ulp apart its values round
-    # together and the injectivity ratio read 0.0
-    path = write_json(tmp_path / "u.json", {"trunc": 4, "h": [[1, 0], [-0.45, 0]], "g": []})
-    argv = ["verify", "--in", path, "--m", "0", "--alpha", "0", "--q", "0.5", "--radii", radii, "--pair-budget", budget]
-    assert run(argv) == 2
+def test_a_grid_with_no_resolvable_pair_is_refused_by_the_injectivity_check(tmp_path, capsys):
+    # at radius 5e-324 the angles round onto 8 points, and seed 1 draws one pair of equal ones
+    path = write_json(tmp_path / "m.json", SUBNORMAL)
+    argv = ["verify", "--in", path, *CLS, "--radii", "5e-324"]
+    assert run([*argv, "--pair-budget", "1", "--seed", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    a, b = radii.split(",")
-    assert captured.err.splitlines() == [f"error: radii {a} and {b} must differ by at least 1e-06 of the larger"]
+    message = "error: no drawn pair of grid points is more than 5e-07 of the larger modulus apart"
+    assert captured.err.splitlines() == [message]
+    assert run(argv) == 0  # the default budget draws distinct points too
+    reports = json.loads(capsys.readouterr().out)
+    assert reports[2]["check"] == "injectivity" and 0 < reports[2]["samples"] < 256
+
+
+@pytest.mark.parametrize(
+    "radii, budget, used", [("0.5,0.5000000000000001", "65536", 65410), ("0.3,0.30000000000000004", "200000", 199657)]
+)
+def test_rings_one_ulp_apart_pass_on_their_resolvable_pairs(tmp_path, capsys, radii, budget, used):
+    # z - 0.45 z**2 is univalent; on rings one ulp apart its values round together,
+    # so the pairs across them are dropped and samples counts the pairs used
+    path = write_json(tmp_path / "u.json", UNIVALENT)
+    assert run(["verify", "--in", path, *CLS, "--radii", radii, "--pair-budget", budget]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    injectivity = json.loads(captured.out)[2]
+    assert injectivity["check"] == "injectivity" and injectivity["passed"] and injectivity["samples"] == used
+
+
+def test_the_u1334_ring_ladder_fails_sense_preservation(tmp_path, capsys):
+    # the P1 co-analytic extreme point at u = 1334 stops being sense-preserving past 1 - 3.8e-7
+    path = write_json(tmp_path / "p1.json", U1334)
+    assert run(["verify", "--in", path, *P1, "--radii", LADDER]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    failed = [r["check"] for r in json.loads(captured.out) if not r["passed"]]
+    assert failed == ["sense_preserving"]
+
+
+PATH_FLAGS = {"check": ["--in", "--out"], "verify": ["--in", "--out", "--csv"], "extremal": ["--out"]}
+BAD_PATHS = {"missing file": "absent.json", "directory": "dir", "missing parent": "absent/x"}
+
+
+@pytest.mark.parametrize(
+    "command, flag, kind",
+    [(c, f, k) for c, flags in PATH_FLAGS.items() for f in flags for k in BAD_PATHS if f == "--in" or k != "missing file"],
+)
+def test_every_path_flag_keeps_the_exit_contract(tmp_path, capsys, command, flag, kind):
+    # a path that cannot be read or written ends in one error line and exit 2;
+    # a missing output file is created, so for outputs only its parent can be missing
+    (tmp_path / "dir").mkdir()
+    path = str(tmp_path / BAD_PATHS[kind])
+    source = path if flag == "--in" else write_json(tmp_path / "id.json", IDENTITY_DOC)
+    argv = [command, *(["--u", "2", "--kind", "analytic"] if command == "extremal" else ["--in", source]), *CLS]
+    assert run(argv if flag == "--in" else [*argv, flag, path]) == 2
+    out, err = capsys.readouterr()
+    verb = "read" if flag == "--in" else "write"
+    assert out == "" and len(err.splitlines()) == 1 and err.startswith(f"error: cannot {verb} {path}: "), err

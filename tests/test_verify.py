@@ -1,5 +1,6 @@
 import io
 import re
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -68,44 +69,81 @@ def test_grid_validation():
         DiskGrid(radii=())
 
 
-def test_grid_points_must_be_pairwise_distinct():
-    # at a subnormal radius the 256 angles round onto 8 points, and a drawn
-    # pair of equal points would divide 0 by 0 in the injectivity ratio
-    message = r"^grid points must be pairwise distinct, but one at radius 5e-324 coincides with another$"
-    with pytest.raises(DomainError, match=message):
-        DiskGrid(radii=(5e-324,))
-    with pytest.raises(DomainError, match=message):
-        DiskGrid(radii=(5e-324, 1e-323, 0.5))  # the smallest radius with such a point is named
-    with pytest.raises(DomainError, match=r"at radius 1e-323 coincides"):
-        DiskGrid(radii=(1e-323, 0.5), include_positive_axis=False)
-    # one ulp apart the 512 points are distinct, but f's values on the two rings round together
-    with pytest.raises(DomainError, match=r"^radii 0.5 and 0.5000000000000001 must differ by at least 1e-06 of the larger$"):
-        DiskGrid(radii=(0.5, float(np.nextafter(0.5, 1.0))))
+def test_coincident_grid_points_give_no_pair_but_the_grid_stands():
+    # at a subnormal radius the 256 angles round onto 8 points; the grid and its
+    # pointwise checks stand, and the injectivity check drops the coincident pairs
+    grid = DiskGrid(radii=(5e-324,))
+    assert np.unique(grid.points()).size == 8
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = injectivity_sample_check(IDENTITY, grid, 256)
+        assert report.passed and report.min_margin == 1.0 and 0 < report.samples < 256
+        # seed 1 draws one pair, and its ends coincide
+        message = r"^no drawn pair of grid points is more than 5e-07 of the larger modulus apart$"
+        with pytest.raises(DomainError, match=message):
+            injectivity_sample_check(IDENTITY, grid, 1, seed=1)
+    assert sense_preserving_margin(IDENTITY, DiskGrid(radii=(1e-323, 0.5), include_positive_axis=False)).passed
 
 
-def test_consecutive_radii_need_the_relative_gap():
-    gap = verify.MIN_RADIUS_GAP
-    assert gap == 1e-6
-    for a in (1e-300, 0.3, 0.5, 0.998):
-        assert DiskGrid(radii=(a, a * (1.0 + 2.0 * gap))).size == 2 * DiskGrid().angular_count
-        near = a * (1.0 + 0.5 * gap)
-        with pytest.raises(DomainError, match=f"^radii {a!r} and {near!r} must differ by at least 1e-06 of the larger$"):
-            DiskGrid(radii=(0.5 * a, a, near))  # the closer pair is named
-    # the default grid's closest rings, 0.99 and 0.999, are about 9e-3 apart
-    assert DiskGrid().radii == verify.DEFAULT_RADII
+class PairDraws:
+    """Stands in for the pair generator of _injectivity_report: its two
+    integers() calls return the given first and second ends."""
+
+    def __init__(self, i, j):
+        self.draws = iter([i, j])
+
+    def integers(self, low, high, size):
+        return next(self.draws)
 
 
-def test_the_radius_gap_refuses_close_rings_near_the_boundary_but_not_one_ring_there():
-    # 0.999999 and 0.9999999 are 9e-7 of the larger apart: refused, with every check on that grid
-    with pytest.raises(DomainError, match=r"^radii 0.999999 and 0.9999999 must differ by at least 1e-06 of the larger$"):
-        DiskGrid(radii=(0.999999, 0.9999999))
-    assert DiskGrid(radii=(0.999998, 0.999999)).radii == (0.999998, 0.999999)
-    # one ring at 1 - 1e-7 still shows the functional-1 extreme point that is not sense-preserving there
+def closest_pairs(k):
+    """Index pairs (i, j), i != j, of a two-ring grid of k angles: all of them
+    for k <= 256; else each point with its next on the ring and the three nearest
+    on the other ring, since every other pair is two angular steps apart or more."""
+    if k <= 256:
+        return np.triu_indices(2 * k, 1)
+    t = np.arange(k)
+    i = np.concatenate([t, t + k] + [t] * 3)
+    j = np.concatenate([(t + 1) % k, (t + 1) % k + k] + [(t + d) % k + k for d in (-1, 0, 1)])
+    return i, j
+
+
+def test_the_pair_rule_keeps_every_pair_of_rings_the_old_gap_apart():
+    # grids with consecutive radii b - a >= 1e-6 * b (the smallest such b) and
+    # pairwise distinct points: every pair is kept, so their reports are unchanged
+    rng = np.random.default_rng(22)
+    starts = [1e-300, 0.3, 0.5, 0.998, *rng.uniform(1e-3, 0.998, 4).tolist()]
+    skipped = 0
+    for a in starts:
+        b = a / (1.0 - 1e-6)
+        while (c := float(np.nextafter(b, 0.0))) - a >= 1e-6 * c:
+            b = c
+        while b - a < 1e-6 * b:
+            b = float(np.nextafter(b, 1.0))
+        for k in (4, 7, 256, 2**16):
+            i, j = closest_pairs(k)
+            for axis in (True, False):
+                z = DiskGrid(radii=(a, b), angular_count=k, include_positive_axis=axis).points()
+                with mock.patch.object(np.random, "default_rng", lambda seed: PairDraws(i, j)):
+                    report = verify._injectivity_report(IDENTITY, z, i.size, 0, 1e-9)
+                skipped += i.size - report.samples
+    assert skipped == 0
+    # on the default grid every drawn pair is used
+    for budget in (256, 65536):
+        assert injectivity_sample_check(IDENTITY, DiskGrid(), budget).samples == budget
+
+
+def test_the_u1334_extreme_point_fails_sense_preservation_on_a_ring_ladder():
+    # the functional-1 extreme point stops being sense-preserving past 1 - 3.8e-7;
+    # rings 9e-7 of the larger apart near the boundary make one grid
     p = ClassParams(3, 0.25, QParam(0.9))
     f = extreme_point(1334, "coanalytic", p, coanalytic_sign=1)
-    report = sense_preserving_margin(f, DiskGrid(radii=(0.5, 1 - 1e-7)))
+    grid = DiskGrid(radii=(0.99, 0.999999, 0.9999999))
+    report = sense_preserving_margin(f, grid)
     assert satisfies_sufficient(f, p) and not report.passed
+    assert report.min_margin == pytest.approx(-3.7e-4, rel=0.05)
     assert abs(report.argmin_point) == pytest.approx(1 - 1e-7)
+    assert injectivity_sample_check(f, grid, 256).samples == 256
 
 
 def test_grid_points_order_and_axis():
