@@ -10,10 +10,21 @@ deterministic: grid points are enumerated in (radius, angle) order and
 minima are reduced with first-occurrence tie-breaking, so identical
 inputs (including seeds) give bitwise-identical reports.  The grid
 checks take one absolute tolerance on their sampled margins
-(DEFAULT_TOLERANCE unless the caller passes another).  disc_checks runs
-the checks of ``qharm verify`` and its margin table with each margin array
-computed once and f evaluated once per point set: injectivity reads the
-growth check's grid values, or evaluates both pair ends in one pass.
+(DEFAULT_TOLERANCE unless the caller passes another).  Every margin
+formula evaluates the grid through one step, _on_grid.  If every
+coefficient of h and g has a zero imaginary part (either sign of zero), it
+evaluates only the upper half of each ring (DiskGrid) and expands the
+result to the grid by one cached gather, with the conjugate of f at
+mirrored points; any other f is evaluated on the full grid.  This is
+bitwise the full grid's result, because only real parts and moduli reach
+the outputs (Re T - alpha, |h'| - |g'|, |f| - bound, |f(z1) - f(z2)|):
+for real coefficients a Horner step at conj z gives the same real part and
+the negated imaginary part, up to the signs of zeros, which moduli ignore,
+and T's last step adds its constant 1 + b_1, which is never -0.0, so no
+such zero reaches Re T.  disc_checks runs the checks of ``qharm verify``
+and its margin table with each margin array computed once and f
+evaluated once per point set: injectivity reads the growth check's grid
+values, or evaluates both pair ends in one pass.
 The margin table is one map from column name to array in CSV order (re,
 im, the margins): the reports read their columns by name, the header is
 its names.  The CSV writer formats each distinct float of a block of it
@@ -33,7 +44,7 @@ from .qcore import DEFAULT_TOLERANCE, MAX_JSON_TRUNC, DomainError, in_interval, 
 from .classes import ClassParams, _from_shares, coeff_functional, growth_bounds, member_t_iff, proof_step_violations
 from .classes import DEFAULT_PROBE_RADII, ProbeReport, necessity_probe  # noqa: F401 (re-exported)
 from .salagean import class_transform
-from .series import DEFAULT_TRUNC, HarmonicFunction, classical_derivative, eval_harmonic, eval_power
+from .series import DEFAULT_TRUNC, HarmonicFunction, _imag, classical_derivative, eval_harmonic, eval_power
 
 DEFAULT_RADII = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99, 0.999)
 DEFAULT_ANGULAR_COUNT = 256
@@ -65,7 +76,15 @@ class DiskGrid:
     half a step so the axis is avoided.  Each ring is built from its first
     octant by exact swaps and sign changes, so it is bitwise symmetric under
     conjugation, under half turns when angular_count is even and under
-    quarter turns when it is a multiple of 4, and holds no -0.0.  Points may
+    quarter turns when it is a multiple of 4, and holds no -0.0.  The
+    conjugate of angle j is angle mirror(j) = -j mod K on the axis grid and
+    K - 1 - j off it; the upper half of a ring, the angles j <= mirror(j),
+    is its first K // 2 + 1 angles on the axis grid and (K + 1) // 2 off
+    it, at least 2 points, so eval_power updates in place there too.  For
+    a function with real coefficients the margins are evaluated there only
+    and repeated at the mirrored angles, bitwise as the full ring gives
+    them: f(conj z) = conj f(z) up to the signs of zeros, and the margins
+    read only real parts and moduli (see the module docstring).  Points may
     coincide or lie arbitrarily close: the injectivity check resolves its
     pairs itself (MIN_PAIR_GAP)."""
 
@@ -90,11 +109,17 @@ class DiskGrid:
     def points(self) -> np.ndarray:
         """Grid points in lexicographic (radius index, angle index) order,
         read-only and shared by every grid with the same fields."""
-        return _grid_points(self.radii, self.angular_count, self.include_positive_axis)
+        return self._arrays()[0]
+
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return _grid_arrays(self.radii, self.angular_count, self.include_positive_axis)
 
 
 @functools.lru_cache(maxsize=8)
-def _grid_points(radii: tuple[float, ...], k: int, include_positive_axis: bool) -> np.ndarray:
+def _grid_arrays(radii: tuple[float, ...], k: int, include_positive_axis: bool) -> tuple[np.ndarray, ...]:
+    """The grid points, the upper half of each ring in the same order, and
+    for each grid point the index in that half of the point or of its
+    conjugate; all read-only."""
     # Angle j is n = 4j units of pi / (2k), or 4j + 2 off the axis: t units into
     # quadrant n // k.  Past t = k/2 the angle folds to k - t, where cos and sin
     # trade places, so one exp serves both; at t = k/2 both take its cosine.
@@ -109,8 +134,13 @@ def _grid_points(radii: tuple[float, ...], k: int, include_positive_axis: bool) 
     turns = np.stack([c, -s, -c, s])
     ring = turns[quadrant, j] + 1j * turns[quadrant - 1, j]
     z = (np.multiply.outer(radii, ring) + 0.0).ravel()
-    z.flags.writeable = False
-    return z
+    mirror = (-j - (0 if include_positive_axis else 1)) % k
+    h = k // 2 + 1 if include_positive_axis else (k + 1) // 2  # the angles j <= mirror(j)
+    half = z.reshape(-1, k)[:, :h].ravel()
+    index = np.add.outer(h * np.arange(len(radii)), np.minimum(j, mirror)).ravel()
+    for a in (z, half, index):
+        a.flags.writeable = False
+    return z, half, index
 
 
 @dataclass(frozen=True)
@@ -144,13 +174,30 @@ class VerificationReport:
 # --- pointwise margins: each check is one of these plus _min_report -----------
 
 
-def _re_condition_margins(f: HarmonicFunction, p: ClassParams, z: np.ndarray) -> np.ndarray:
+def _on_grid(f: HarmonicFunction, grid: DiskGrid, evaluate) -> np.ndarray:
+    """evaluate(z), an array of f's values or margins at the points z, on the
+    whole grid.  If every coefficient of f has a zero imaginary part, evaluate
+    runs on the upper half of each ring and one gather expands its result: a
+    real array repeats at the mirrored point, a complex one takes its
+    conjugate there.  Otherwise evaluate runs on the whole grid."""
+    z, half, index = grid._arrays()
+    if any(map(_imag, f.h.coeffs)) or any(map(_imag, f.g.coeffs)):
+        return evaluate(z)
+    values = evaluate(half).take(index)
+    if np.iscomplexobj(values):
+        lower = values.reshape(-1, grid.angular_count)[:, half.size // len(grid.radii) :]
+        np.conjugate(lower, out=lower)
+    return values
+
+
+def _re_condition_margins(f: HarmonicFunction, p: ClassParams, grid: DiskGrid) -> np.ndarray:
     t = class_transform(f, p.operator_params())
-    return np.real(eval_power(t, z)) - p.alpha
+    return _on_grid(f, grid, lambda z: np.real(eval_power(t, z)) - p.alpha)
 
 
-def _sense_preserving_margins(f: HarmonicFunction, z: np.ndarray) -> np.ndarray:
-    return np.abs(eval_power(classical_derivative(f.h), z)) - np.abs(eval_power(classical_derivative(f.g), z))
+def _sense_preserving_margins(f: HarmonicFunction, grid: DiskGrid) -> np.ndarray:
+    hp, gp = classical_derivative(f.h), classical_derivative(f.g)
+    return _on_grid(f, grid, lambda z: np.abs(eval_power(hp, z)) - np.abs(eval_power(gp, z)))
 
 
 def _growth_margins(f: HarmonicFunction, p: ClassParams, grid: DiskGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -160,7 +207,7 @@ def _growth_margins(f: HarmonicFunction, p: ClassParams, grid: DiskGrid) -> tupl
     k = grid.angular_count
     lowers = np.repeat([b.lower for b in bounds], k)
     uppers = np.repeat([b.upper for b in bounds], k)
-    fz = eval_harmonic(f, grid.points())
+    fz = _on_grid(f, grid, lambda z: eval_harmonic(f, z))
     mod = np.abs(fz)
     return mod - lowers, uppers - mod, fz
 
@@ -191,8 +238,7 @@ def re_condition_margin(
 ) -> VerificationReport:
     """Margin of the defining condition: Re{transform(z)} - alpha at each
     grid point."""
-    z = grid.points()
-    return _min_report("re_condition", _re_condition_margins(f, p, z), z, tolerance)
+    return _min_report("re_condition", _re_condition_margins(f, p, grid), grid.points(), tolerance)
 
 
 def sense_preserving_margin(
@@ -202,8 +248,7 @@ def sense_preserving_margin(
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> VerificationReport:
     """|h'(z)| - |g'(z)| at each grid point (ordinary derivatives)."""
-    z = grid.points()
-    return _min_report("sense_preserving", _sense_preserving_margins(f, z), z, tolerance)
+    return _min_report("sense_preserving", _sense_preserving_margins(f, grid), grid.points(), tolerance)
 
 
 def injectivity_sample_check(
@@ -439,8 +484,8 @@ def _margin_columns(
     columns = {
         "re": np.real(z),
         "im": np.imag(z),
-        "re_condition_margin": _re_condition_margins(f, p, z),
-        "sense_preserving_margin": _sense_preserving_margins(f, z),
+        "re_condition_margin": _re_condition_margins(f, p, grid),
+        "sense_preserving_margin": _sense_preserving_margins(f, grid),
     }
     if not (f.t_form and member_t_iff(f, p)):
         return columns, None

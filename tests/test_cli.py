@@ -1050,13 +1050,27 @@ def test_the_u1334_ring_ladder_fails_sense_preservation(tmp_path, capsys):
     assert failed == ["sense_preserving"]
 
 
-PATH_FLAGS = {"check": ["--in", "--out"], "verify": ["--in", "--out", "--csv"], "extremal": ["--out"]}
+# Every subcommand with a path flag: its arguments, {in} standing for a readable
+# series, and its path flags.
+PATH_FLAGS = {
+    "dq": (["--in", "{in}", "--q", "0.5"], ["--in", "--out"]),
+    "salagean": (["--in", "{in}", "--m", "2", "--q", "0.5"], ["--in", "--out"]),
+    "transform": (["--in", "{in}", "--m", "2", "--q", "0.5"], ["--in", "--out"]),
+    "check": (["--in", "{in}", *CLS], ["--in", "--out"]),
+    "verify": (["--in", "{in}", *CLS], ["--in", "--out", "--csv"]),
+    "probe": (["--in", "{in}", *CLS], ["--in", "--out"]),
+    "extremal": (["--u", "2", "--kind", "analytic", *CLS], ["--out"]),
+    "combine": (["--point", "2:analytic:1", *CLS], ["--out"]),
+    "witness": (["--x", "2=1", *CLS], ["--out"]),
+    "growth": (["--b1", "0", "--r", "0.5", *CLS], ["--out"]),
+    "scan": ([*CLS, "--trials", "1", "--seed", "0"], ["--out"]),
+}
 BAD_PATHS = {"missing file": "absent.json", "directory": "dir", "missing parent": "absent/x"}
 
 
 @pytest.mark.parametrize(
     "command, flag, kind",
-    [(c, f, k) for c, flags in PATH_FLAGS.items() for f in flags for k in BAD_PATHS if f == "--in" or k != "missing file"],
+    [(c, f, k) for c, (_, flags) in PATH_FLAGS.items() for f in flags for k in BAD_PATHS if f == "--in" or k != "missing file"],
 )
 def test_every_path_flag_keeps_the_exit_contract(tmp_path, capsys, command, flag, kind):
     # a path that cannot be read or written ends in one error line and exit 2;
@@ -1064,7 +1078,7 @@ def test_every_path_flag_keeps_the_exit_contract(tmp_path, capsys, command, flag
     (tmp_path / "dir").mkdir()
     path = str(tmp_path / BAD_PATHS[kind])
     source = path if flag == "--in" else write_json(tmp_path / "id.json", IDENTITY_DOC)
-    argv = [command, *(["--u", "2", "--kind", "analytic"] if command == "extremal" else ["--in", source]), *CLS]
+    argv = [command, *(source if a == "{in}" else a for a in PATH_FLAGS[command][0])]
     assert run(argv if flag == "--in" else [*argv, flag, path]) == 2
     out, err = capsys.readouterr()
     verb = "read" if flag == "--in" else "write"

@@ -5,7 +5,9 @@ point by point from the first octant of each ring, a zero-seeded Horner
 loop over every stored coefficient, the whole grid evaluated for the
 injectivity pairs, and margin_rows with its own margin formulas.  The
 library builds each ring with array operations, skips high-order +0+0j
-coefficients, caches the grid points, and evaluates f for the injectivity
+coefficients, caches the grid points, evaluates a function with real
+coefficients on the upper half of each ring only and mirrors the result
+(the reference evaluates every point), and evaluates f for the injectivity
 pairs either once on both pair ends or not at all, reading the grid values of the growth margins; its
 reports and margin tables must equal the reference bit for bit, zero signs
 included, and so must the CSV text, whose writer formats each distinct
@@ -29,7 +31,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qharm import (
     DEFAULT_TRUNC,
@@ -56,7 +58,7 @@ from qharm import (
     sense_preserving_margin,
     write_margin_csv,
 )
-from qharm import verify
+from qharm import series, verify
 from qharm.classes import _from_shares
 from qharm.qcore import DomainError, weights
 
@@ -240,6 +242,15 @@ class_params = st.builds(
 )
 
 
+def harmonic(h, g, trunc):
+    return HarmonicFunction(AnalyticSeries(h, trunc=trunc), AnalyticSeries(g, trunc=trunc))
+
+
+# A real t_form member, so that the growth margins and the mirrored grid values of f are read too.
+T_MEMBER = harmonic([1.0, -0.1, -0.05], [0.1, 0.05], 4)
+P0 = ClassParams(m=0, alpha=0.0, q=QParam(0.5))
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     f=functions(),
@@ -247,6 +258,28 @@ class_params = st.builds(
     grid=st.one_of(grids, st.just(DiskGrid())),
     pair_budget=st.integers(min_value=1, max_value=120),
     seed=st.integers(min_value=0, max_value=2**16),
+)
+# half rings of 3 and 2 points, and odd angular counts, on both axis settings
+@example(f=T_MEMBER, p=P0, grid=DiskGrid(radii=(0.5, 0.9), angular_count=4), pair_budget=40, seed=1)
+@example(f=T_MEMBER, p=P0, grid=DiskGrid(radii=(0.5, 0.9), angular_count=4, include_positive_axis=False), pair_budget=40, seed=2)
+@example(f=T_MEMBER, p=P0, grid=DiskGrid(radii=(0.3, 0.99), angular_count=7), pair_budget=40, seed=3)
+@example(f=T_MEMBER, p=P0, grid=DiskGrid(radii=(0.3, 0.99), angular_count=7, include_positive_axis=False), pair_budget=40, seed=4)
+# b_1 = -1: T's constant is exactly 0
+@example(f=harmonic([1.0, -0.25], [-1.0, 0.125], 3), p=P0, grid=DiskGrid(radii=(0.5, 0.9), angular_count=8), pair_budget=40, seed=5)
+# imaginary parts of -0.0, a t_form member and not
+@example(
+    f=harmonic([1.0, complex(-0.1, -0.0)], [complex(0.1, -0.0), complex(0.05, -0.0)], 3),
+    p=P0,
+    grid=DiskGrid(radii=(0.5, 0.9), angular_count=6),
+    pair_budget=40,
+    seed=6,
+)
+@example(
+    f=harmonic([complex(1.0, -0.0), complex(0.2, -0.0), complex(-0.0, -0.0)], [complex(-0.0, -0.0), complex(0.1, -0.0)], 3),
+    p=ClassParams(m=1, alpha=0.25, q=QParam(0.9)),
+    grid=DiskGrid(radii=(0.5, 0.9), angular_count=5, include_positive_axis=False),
+    pair_budget=40,
+    seed=7,
 )
 def test_engine_matches_reference_bitwise(f, p, grid, pair_budget, seed):
     z = ref_points(grid)
@@ -340,18 +373,53 @@ def test_ring_coordinates_are_within_2_to_the_minus_52_of_the_circle():
 
 def test_real_coefficient_margins_repeat_bitwise_at_mirrored_points():
     # f(conj z) = conj f(z) for real coefficients, so on a conjugation-symmetric
-    # ring every margin is the same float at z and at conj z
+    # ring the reference engine gives the same margin at z and at conj z; the
+    # library evaluates the upper half rings only and relies on this
     p = ClassParams(m=3, alpha=0.25, q=QParam(0.9))
     f = random_t_form(p, 0.9, np.random.default_rng(7))
+    for grid in (DiskGrid(), DiskGrid(angular_count=5), DiskGrid(radii=(0.5, 0.9), angular_count=7, include_positive_axis=False)):
+        header, rows = ref_margin_rows(f, p, grid)
+        assert header[4:] == ["growth_lower_margin", "growth_upper_margin"]
+        k = grid.angular_count
+        table = np.array(rows).reshape(len(grid.radii), k, len(header))
+        mirrored = table[:, (-np.arange(k) - (0 if grid.include_positive_axis else 1)) % k]
+        assert_bits(mirrored[..., 1], -table[..., 1] + 0.0)
+        for column in (0, *range(2, len(header))):
+            assert_bits(mirrored[..., column], table[..., column])
+
+
+def evaluated_sizes(run):
+    """run() and the size of every point array that eval_power received."""
+    sizes = []
+
+    def recording(s, z):
+        sizes.append(np.size(z))
+        return eval_power(s, z)
+
+    # eval_harmonic reaches eval_power through qharm.series
+    with mock.patch.object(series, "eval_power", recording), mock.patch.object(verify, "eval_power", recording):
+        run()
+    return sizes
+
+
+def test_real_coefficients_are_evaluated_on_the_upper_half_rings():
+    p = ClassParams(m=3, alpha=0.25, q=QParam(0.9))
+    f = random_t_form(p, 0.9, np.random.default_rng(7), trunc=64)
     grid = DiskGrid()
-    header, rows = margin_rows(f, p, grid)
-    assert header[4:] == ["growth_lower_margin", "growth_upper_margin"]
-    k = grid.angular_count
-    table = np.array(rows).reshape(len(grid.radii), k, len(header))
-    mirrored = table[:, -np.arange(k) % k]
-    assert_bits(mirrored[..., 1], -table[..., 1] + 0.0)
-    for column in (0, *range(2, len(header))):
-        assert_bits(mirrored[..., column], table[..., column])
+    assert f.t_form and member_t_iff(f, p)
+    h = list(f.h.coeffs)
+    h[5] = complex(h[5].real, 1e-3)  # one nonzero imaginary part
+    phased = HarmonicFunction(AnalyticSeries(h, trunc=64), f.g)
+
+    def checks(f):
+        return lambda: (re_condition_margin(f, p, grid), sense_preserving_margin(f, grid), margin_rows(f, p, grid))
+
+    real_sizes = evaluated_sizes(checks(f)) + evaluated_sizes(lambda: growth_bound_check(f, p, grid))
+    # and disc_checks, whose injectivity pairs read the mirrored grid values of f
+    real_sizes += evaluated_sizes(lambda: verify.disc_checks(f, p, grid, 256))
+    assert len(real_sizes) == 15 and set(real_sizes) == {11 * 129}
+    phased_sizes = evaluated_sizes(checks(phased))
+    assert len(phased_sizes) == 6 and set(phased_sizes) == {2816}
 
 
 def test_negative_zero_coefficients_are_evaluated():

@@ -164,7 +164,7 @@ def test_grid_points_shared_by_equal_grids():
 
 def test_grid_axis_flag_must_be_a_bool():
     # a truthy string or None would otherwise pick one of the two grids silently
-    with mock.patch.object(verify, "_grid_points") as build:
+    with mock.patch.object(verify, "_grid_arrays") as build:
         for flag in ("no", "False", None, 0, 1, 1.0, [True]):
             with pytest.raises(DomainError, match=r"^include_positive_axis must be a bool, got "):
                 DiskGrid(include_positive_axis=flag)
