@@ -11,11 +11,20 @@ minima are reduced with first-occurrence tie-breaking, so identical
 inputs (including seeds) give bitwise-identical reports.  The grid
 checks take one absolute tolerance on their sampled margins
 (DEFAULT_TOLERANCE unless the caller passes another).  Every margin
-formula evaluates the grid through one step, _on_grid.  If every
-coefficient of h and g has a zero imaginary part (either sign of zero), it
-evaluates only the upper half of each ring (DiskGrid) and expands the
-result to the grid by one cached gather, with the conjugate of f at
-mirrored points; any other f is evaluated on the full grid.  This is
+formula evaluates the grid through one step, _on_grid, which picks an
+evaluator for each polynomial from its coefficients and the grid alone.
+A polynomial of degree d, counted after eval_power's trim of trailing
++0+0j coefficients, is evaluated by Horner (eval_power) at the stored
+grid points if d <= floor(log2 M), and otherwise by one FFT per ring at
+the exact ring angles, M being the ring transform length: K on the axis
+grid, 2K off it.  Per point Horner costs d steps and the FFT about log2 M.
+The FFT's error stays within 4 log2(M) 2**-53 sum |c_u| r**u at radius r
+(against mpmath; Horner's is of the same order), so FFT margins differ
+from Horner's at the ulp level.  If every coefficient of h and g has a
+zero imaginary part (either sign of zero), each polynomial is evaluated
+on the upper half of each ring only (DiskGrid) and the result is expanded
+to the grid by one cached gather, with the conjugate of f at mirrored
+points; any other f is evaluated on the full grid.  For Horner this is
 bitwise the full grid's result, because only real parts and moduli reach
 the outputs (Re T - alpha, |h'| - |g'|, |f| - bound, |f(z1) - f(z2)|):
 for real coefficients a Horner step at conj z gives the same real part and
@@ -24,7 +33,8 @@ and T's last step adds its constant 1 + b_1, which is never -0.0, so no
 such zero reaches Re T.  disc_checks runs the checks of ``qharm verify``
 and its margin table with each margin array computed once and f
 evaluated once per point set: injectivity reads the growth check's grid
-values, or evaluates both pair ends in one pass.
+values, or f's grid values if f takes the FFT, or evaluates both pair
+ends in one pass.
 The margin table is one map from column name to array in CSV order (re,
 im, the margins): the reports read their columns by name, the header is
 its names.  The CSV writer formats each distinct float of a block of it
@@ -44,7 +54,7 @@ from .qcore import DEFAULT_TOLERANCE, MAX_JSON_TRUNC, DomainError, in_interval, 
 from .classes import ClassParams, _from_shares, coeff_functional, growth_bounds, member_t_iff, proof_step_violations
 from .classes import DEFAULT_PROBE_RADII, ProbeReport, necessity_probe  # noqa: F401 (re-exported)
 from .salagean import class_transform
-from .series import DEFAULT_TRUNC, HarmonicFunction, _imag, classical_derivative, eval_harmonic, eval_power
+from .series import DEFAULT_TRUNC, HarmonicFunction, PowerSeries, _imag, classical_derivative, eval_harmonic, eval_power
 
 DEFAULT_RADII = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99, 0.999)
 DEFAULT_ANGULAR_COUNT = 256
@@ -56,11 +66,13 @@ MAX_PAIR_BUDGET = 2**20
 MAX_TRIALS = 10**5
 
 # An injectivity pair counts only if |z1 - z2| > MIN_PAIR_GAP * max(|z1|, |z2|).
-# Horner's rounding of f at |z| = r is at most about 2n * 2**-53 * sum |c_u| r**u,
-# about 9e-13 of it at n = MAX_JSON_TRUNC, so it moves the ratio of such a pair by
-# at most about 4e-6 when sum |c_u| <= 2 (as for members), instead of swamping the
-# distance of points one ulp apart.  Half of 1e-6, so that rings 1e-6 of the larger
-# apart keep every pair whatever the rounding of |z1 - z2|.
+# The rounding of f at |z| = r is at most about 2n * 2**-53 * sum |c_u| r**u by
+# Horner, and log2(M) * 2**-53 * sum |c_u| r**u by the FFT, plus about
+# |f'| * 2**-52 * r for the offset between the exact angle and the stored point;
+# about 9e-13 of the sum at n = MAX_JSON_TRUNC, so it moves the ratio of such a
+# pair by at most about 4e-6 when sum |c_u| <= 2 (as for members), instead of
+# swamping the distance of points one ulp apart.  Half of 1e-6, so that rings
+# 1e-6 of the larger apart keep every pair whatever the rounding of |z1 - z2|.
 MIN_PAIR_GAP = 5e-7
 
 # Rows of the margin table formatted per block by _write_csv: the default
@@ -82,11 +94,14 @@ class DiskGrid:
     is its first K // 2 + 1 angles on the axis grid and (K + 1) // 2 off
     it, at least 2 points, so eval_power updates in place there too.  For
     a function with real coefficients the margins are evaluated there only
-    and repeated at the mirrored angles, bitwise as the full ring gives
-    them: f(conj z) = conj f(z) up to the signs of zeros, and the margins
-    read only real parts and moduli (see the module docstring).  Points may
-    coincide or lie arbitrarily close: the injectivity check resolves its
-    pairs itself (MIN_PAIR_GAP)."""
+    and repeated at the mirrored angles: f(conj z) = conj f(z) up to the
+    signs of zeros, and the margins read only real parts and moduli (see
+    the module docstring).  A polynomial of degree d > floor(log2 M), where
+    M = K on the axis grid and 2K off it, is evaluated by one length-M FFT
+    per ring at the exact angles 2 pi j / K (or 2 pi (j + 1/2) / K), within
+    4 log2(M) 2**-53 sum |c_u| r**u; a lower degree by Horner at the stored
+    points.  Points may coincide or lie arbitrarily close: the injectivity
+    check resolves its pairs itself (MIN_PAIR_GAP)."""
 
     radii: tuple[float, ...] = DEFAULT_RADII
     angular_count: int = DEFAULT_ANGULAR_COUNT
@@ -109,17 +124,15 @@ class DiskGrid:
     def points(self) -> np.ndarray:
         """Grid points in lexicographic (radius index, angle index) order,
         read-only and shared by every grid with the same fields."""
-        return self._arrays()[0]
+        return _grid_points(self.radii, self.angular_count, self.include_positive_axis)
 
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return _grid_arrays(self.radii, self.angular_count, self.include_positive_axis)
+    def _half_rings(self) -> tuple[np.ndarray, np.ndarray]:
+        return _half_rings(self.radii, self.angular_count, self.include_positive_axis)
 
 
 @functools.lru_cache(maxsize=8)
-def _grid_arrays(radii: tuple[float, ...], k: int, include_positive_axis: bool) -> tuple[np.ndarray, ...]:
-    """The grid points, the upper half of each ring in the same order, and
-    for each grid point the index in that half of the point or of its
-    conjugate; all read-only."""
+def _grid_points(radii: tuple[float, ...], k: int, include_positive_axis: bool) -> np.ndarray:
+    """The points of DiskGrid.points, read-only."""
     # Angle j is n = 4j units of pi / (2k), or 4j + 2 off the axis: t units into
     # quadrant n // k.  Past t = k/2 the angle folds to k - t, where cos and sin
     # trade places, so one exp serves both; at t = k/2 both take its cosine.
@@ -134,13 +147,31 @@ def _grid_arrays(radii: tuple[float, ...], k: int, include_positive_axis: bool) 
     turns = np.stack([c, -s, -c, s])
     ring = turns[quadrant, j] + 1j * turns[quadrant - 1, j]
     z = (np.multiply.outer(radii, ring) + 0.0).ravel()
+    z.flags.writeable = False
+    return z
+
+
+@functools.lru_cache(maxsize=8)
+def _half_rings(radii: tuple[float, ...], k: int, include_positive_axis: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The upper half of each ring, in grid order, and for each grid point the
+    index in it of the point or of its conjugate; both read-only.  Built on the
+    first use by a function with real coefficients, not with the points."""
+    j = np.arange(k)
     mirror = (-j - (0 if include_positive_axis else 1)) % k
     h = k // 2 + 1 if include_positive_axis else (k + 1) // 2  # the angles j <= mirror(j)
-    half = z.reshape(-1, k)[:, :h].ravel()
+    half = _grid_points(radii, k, include_positive_axis).reshape(-1, k)[:, :h].ravel()
     index = np.add.outer(h * np.arange(len(radii)), np.minimum(j, mirror)).ravel()
-    for a in (z, half, index):
+    for a in (half, index):
         a.flags.writeable = False
-    return z, half, index
+    return half, index
+
+
+@functools.lru_cache(maxsize=8)
+def _radius_powers(radii: tuple[float, ...], n: int) -> np.ndarray:
+    """r**u for each radius r (rows) and u < n, read-only; n is at most M."""
+    powers = np.power.outer(radii, np.arange(n))
+    powers.flags.writeable = False
+    return powers
 
 
 @dataclass(frozen=True)
@@ -175,41 +206,121 @@ class VerificationReport:
 
 
 def _on_grid(f: HarmonicFunction, grid: DiskGrid, evaluate) -> np.ndarray:
-    """evaluate(z), an array of f's values or margins at the points z, on the
-    whole grid.  If every coefficient of f has a zero imaginary part, evaluate
-    runs on the upper half of each ring and one gather expands its result: a
-    real array repeats at the mirrored point, a complex one takes its
-    conjugate there.  Otherwise evaluate runs on the whole grid."""
-    z, half, index = grid._arrays()
+    """evaluate(at), an array of f's values or margins, on the whole grid,
+    where at(s) gives the values of s, a PowerSeries or f itself (h +
+    conj(g)), at the grid's points (_values).  If every coefficient of f has a
+    zero imaginary part, at gives the upper half of each ring and one gather
+    expands the result: a real array repeats at the mirrored point, a complex
+    one takes its conjugate there.  Otherwise at gives the whole grid."""
     if any(map(_imag, f.h.coeffs)) or any(map(_imag, f.g.coeffs)):
-        return evaluate(z)
-    values = evaluate(half).take(index)
+        z = grid.points()
+        return evaluate(lambda s: _values(s, grid, z, False))
+    half, index = grid._half_rings()
+    values = evaluate(lambda s: _values(s, grid, half, True)).take(index)
     if np.iscomplexobj(values):
         lower = values.reshape(-1, grid.angular_count)[:, half.size // len(grid.radii) :]
         np.conjugate(lower, out=lower)
     return values
 
 
+def _values(s: PowerSeries | HarmonicFunction, grid: DiskGrid, z: np.ndarray, real: bool) -> np.ndarray:
+    """s at the points z of grid, all of them or (real) its upper half rings:
+    by one FFT per ring if _ring_terms gives its terms, else by Horner."""
+    terms = _ring_terms(s, grid)
+    if terms is not None:
+        return _ring_values(*terms, grid, real)
+    return eval_harmonic(s, z) if isinstance(s, HarmonicFunction) else eval_power(s, z)
+
+
+def _ring_length(grid: DiskGrid) -> int:
+    """M, the length of the ring transform: K on the axis grid, 2K off it,
+    where the grid's angles are its odd indices."""
+    return grid.angular_count * (1 if grid.include_positive_axis else 2)
+
+
+def _kept(coeffs: tuple[complex, ...]) -> tuple[complex, ...]:
+    """coeffs up to the last one eval_power evaluates: it skips the trailing
+    +0+0j coefficients (not those with a -0.0 part) and keeps the first."""
+    n = len(coeffs)
+    while n > 1 and (c := coeffs[n - 1]) == 0 and math.copysign(1.0, c.real) + math.copysign(1.0, c.imag) == 2.0:
+        n -= 1
+    return coeffs[:n]
+
+
+def _ring_terms(s: PowerSeries | HarmonicFunction, grid: DiskGrid) -> tuple[list[complex], int] | None:
+    """The coefficients of s and the exponent of the first if its degree d
+    exceeds floor(log2 M), else None: Horner costs d steps per point, the FFT
+    about log2 M.  d is the highest power left by eval_power's trim (_kept),
+    of s from z**0, or of h and g from z**1 for f.  f = h + conj(g) is one
+    sum, with conj(b_u) at exponent -u."""
+    cut = _ring_length(grid).bit_length() - 1
+    if isinstance(s, HarmonicFunction):
+        h, g = _kept(s.h.coeffs), _kept(s.g.coeffs)
+        if max(len(h), len(g)) <= cut:
+            return None
+        return [*(b.conjugate() for b in reversed(g)), 0j, *h], -len(g)
+    c = _kept(s.coeffs)
+    return (list(c), 0) if len(c) - 1 > cut else None
+
+
+def _ring_values(coeffs: list[complex], low: int, grid: DiskGrid, real: bool) -> np.ndarray:
+    """sum_k coeffs[k] z**e at the exact ring angles of grid, e = low + k and a
+    negative e standing for conj(z)**-e, on the upper half rings if real.  On
+    a ring of radius r the values at M equispaced angles are one length-M DFT
+    of the scaled coefficients coeffs[k] r**|e|, placed at e mod M, so they
+    fold when the exponents span more than M: conj(rfft) for real
+    coefficients, whose indices 0..M // 2 hold the angles j <= mirror(j), and
+    ifft(norm="forward") for complex ones.  Off the axis the grid's angles are
+    the odd indices.  The rings are transformed together, one polynomial at a
+    time, and a complex transform overwrites its input; no array is larger
+    than rings x M."""
+    m = _ring_length(grid)
+    c = np.array(coeffs, dtype=complex)
+    if real:
+        c = c.real
+    # r**u for u below a power of two, so that few tables serve every degree
+    powers = _radius_powers(grid.radii, min(1 << max(-low, low + c.size - 1).bit_length(), m))
+    x = np.zeros((len(grid.radii), m), c.dtype)
+    k = 0
+    while k < c.size:
+        # a run of exponents whose places e mod M do not wrap; since e = 0 lands
+        # at place 0, each run has one sign, so its |e| run from s to s + n - 1
+        e, i = low + k, (low + k) % m
+        n = min(m - i, c.size - k)
+        s = e if e >= 0 else -(e + n - 1)
+        if s + n <= powers.shape[1]:
+            scale = powers[:, s : s + n]
+        else:  # r**(s + t) = r**s r**t
+            scale = powers[:, :n] * np.power(grid.radii, s)[:, None]
+        x[:, i : i + n] += c[k : k + n] * (scale if e >= 0 else scale[:, ::-1])
+        k += n
+    if real:
+        values = np.fft.rfft(x)
+        np.conjugate(values, out=values)
+    else:
+        values = np.fft.ifft(x, norm="forward", out=x)
+    return (values if grid.include_positive_axis else values[:, 1::2]).ravel()
+
+
 def _re_condition_margins(f: HarmonicFunction, p: ClassParams, grid: DiskGrid) -> np.ndarray:
     t = class_transform(f, p.operator_params())
-    return _on_grid(f, grid, lambda z: np.real(eval_power(t, z)) - p.alpha)
+    return _on_grid(f, grid, lambda at: np.real(at(t)) - p.alpha)
 
 
 def _sense_preserving_margins(f: HarmonicFunction, grid: DiskGrid) -> np.ndarray:
     hp, gp = classical_derivative(f.h), classical_derivative(f.g)
-    return _on_grid(f, grid, lambda z: np.abs(eval_power(hp, z)) - np.abs(eval_power(gp, z)))
+    return _on_grid(f, grid, lambda at: np.abs(at(hp)) - np.abs(at(gp)))
 
 
 def _growth_margins(f: HarmonicFunction, p: ClassParams, grid: DiskGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """|f| - lower(r), upper(r) - |f| (bounds once per radius) and f on the grid."""
+    """|f| - lower(r), upper(r) - |f| (bounds once per radius, broadcast
+    over each ring) and f on the grid."""
     b1 = f.g.coeffs[0].real
     bounds = [growth_bounds(b1, r, p) for r in grid.radii]
-    k = grid.angular_count
-    lowers = np.repeat([b.lower for b in bounds], k)
-    uppers = np.repeat([b.upper for b in bounds], k)
-    fz = _on_grid(f, grid, lambda z: eval_harmonic(f, z))
-    mod = np.abs(fz)
-    return mod - lowers, uppers - mod, fz
+    lowers, uppers = np.array([(b.lower, b.upper) for b in bounds]).T[..., None]
+    fz = _on_grid(f, grid, lambda at: at(f))
+    mod = np.abs(fz).reshape(len(bounds), -1)
+    return (mod - lowers).ravel(), (uppers - mod).ravel(), fz
 
 
 def _min_report(
@@ -267,15 +378,17 @@ def injectivity_sample_check(
     |z1 - z2| > MIN_PAIR_GAP * max(|z1|, |z2|), and samples counts the pairs
     used; if none is, DomainError.
     """
-    return _injectivity_report(f, grid.points(), pair_budget, seed, tolerance)
+    return _injectivity_report(f, grid, pair_budget, seed, tolerance)
 
 
 def _injectivity_report(
-    f: HarmonicFunction, z: np.ndarray, pair_budget: int, seed: int, tolerance: float, fz: np.ndarray | None = None
+    f: HarmonicFunction, grid: DiskGrid, pair_budget: int, seed: int, tolerance: float, fz: np.ndarray | None = None
 ) -> VerificationReport:
-    """Injectivity report on the points z.  fz is f on all of z, or None: then f is
-    evaluated once on both ends of the pairs used, giving the same bits element by element."""
+    """Injectivity report on the grid.  fz is f on the grid, or None: then f is
+    evaluated on the grid if it takes the FFT (_ring_terms), else once on both
+    ends of the pairs used, giving the grid's bits element by element."""
     pair_budget = in_range(pair_budget, 1, MAX_PAIR_BUDGET, "pair_budget")
+    z = grid.points()
     n = z.size
     rng = np.random.default_rng(in_range(seed, 0, None, "seed"))
     i = rng.integers(0, n, size=pair_budget)
@@ -288,6 +401,8 @@ def _injectivity_report(
         if not kept.any():
             raise DomainError(f"no drawn pair of grid points is more than {MIN_PAIR_GAP!r} of the larger modulus apart")
         i, j, zi, dist = i[kept], j[kept], zi[kept], dist[kept]
+    if fz is None and _ring_terms(f, grid) is not None:
+        fz = _on_grid(f, grid, lambda at: at(f))
     if fz is None:
         fi, fj = eval_harmonic(f, z[np.concatenate([i, j])]).reshape(2, -1)
     else:
@@ -539,7 +654,7 @@ def disc_checks(
         reports = [
             _min_report("re_condition", columns["re_condition_margin"], z, tolerance),
             _min_report("sense_preserving", columns["sense_preserving_margin"], z, tolerance),
-            _injectivity_report(f, z, pair_budget, seed, tolerance, fz),
+            _injectivity_report(f, grid, pair_budget, seed, tolerance, fz),
         ]
         if fz is not None:
             reports.append(_growth_report(columns["growth_lower_margin"], columns["growth_upper_margin"], z, tolerance))

@@ -3,6 +3,7 @@ import io
 import json
 import operator
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -1010,6 +1011,20 @@ def test_every_real_flag_keeps_the_exit_contract(real_flag_dir, case):
         assert code == 0 or (code == 1 and argv[0] in ("check", "verify", "probe")), (argv, tol, code, lines)
         assert lines == [], (argv, tol, lines)
         json.loads(out.getvalue(), parse_constant=refuse_constant)
+
+
+def test_an_overflowing_input_above_the_cut_exits_2_and_writes_no_table(tmp_path, capsys):
+    # as OVF does on Horner's path: degree 16 is above the default grid's cut of 8,
+    # so the FFT sums the coefficients of T and h', and those sums overflow
+    doc = {"trunc": 16, "h": [[1, 0]] + [[1e307, 0]] * 15, "g": [[0, 0]] + [[1e307, 0]] * 15}
+    path = write_json(tmp_path / "ovf16.json", doc)
+    csv = tmp_path / "ovf16.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["verify", "--in", path, *CLS, "--csv", str(csv)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not csv.exists()
+    assert len(captured.err.splitlines()) == 1 and re.match(r"^error: the worst \w+ margin is not finite, got nan$", captured.err)
 
 
 def test_a_grid_with_no_resolvable_pair_is_refused_by_the_injectivity_check(tmp_path, capsys):

@@ -8,11 +8,16 @@ library builds each ring with array operations, skips high-order +0+0j
 coefficients, caches the grid points, evaluates a function with real
 coefficients on the upper half of each ring only and mirrors the result
 (the reference evaluates every point), and evaluates f for the injectivity
-pairs either once on both pair ends or not at all, reading the grid values of the growth margins; its
-reports and margin tables must equal the reference bit for bit, zero signs
-included, and so must the CSV text, whose writer formats each distinct
-float of a block once, and the reports and table of disc_checks, which
-share each margin array between them.  Likewise the scan
+pairs either once on both pair ends or not at all, reading its grid values.
+It evaluates a polynomial of degree above floor(log2 M) by one FFT per ring
+at the exact ring angles: a margin that reads such a polynomial must lie
+within the FFT's error bound plus Horner's of the reference margin, and
+every other report and margin must equal the reference bit for bit, zero
+signs included.  The CSV text must hold the reprs of margin_rows, whose
+writer formats each distinct float of a block once, and disc_checks, which
+shares each margin array between the reports and the table, must equal the
+single checks bit for bit.  The transform itself is checked against mpmath
+at the exact ring points.  Likewise the scan
 builds its candidates at their highest drawn power and stops each trial at
 its first failed check, and its reports must equal those of candidates
 padded to DEFAULT_TRUNC with every check run.  The library's Horner updates
@@ -40,6 +45,7 @@ from qharm import (
     DiskGrid,
     HarmonicFunction,
     OperatorParams,
+    PowerSeries,
     QParam,
     class_transform,
     classical_derivative,
@@ -113,21 +119,69 @@ def ref_report(name, margins, where, tolerance, strict=False):
     }
 
 
-def ref_re_condition(f, p, grid, tol):
-    z = ref_points(grid)
-    t = class_transform(f, p.operator_params())
-    return ref_report("re_condition", np.real(ref_poly(t.coeffs, z)) - p.alpha, z, tol)
+U = 2.0**-53  # the unit roundoff
 
 
-def ref_sense_preserving(f, grid, tol):
+def ring_length(grid):
+    """M: the angular count on the axis grid, twice it off the axis."""
+    return grid.angular_count * (1 if grid.include_positive_axis else 2)
+
+
+def top_power(coeffs, start):
+    """The highest power of a series read from z**start that eval_power
+    evaluates: that of its last coefficient that is not +0+0j, or its first."""
+    kept = np.flatnonzero(np.array(coeffs, dtype=complex).view(np.uint64).reshape(-1, 2).any(axis=1))
+    return start + (int(kept[-1]) if kept.size else 0)
+
+
+def error_bound(grid, *series):
+    """None if the polynomial made of the (coeffs, start) series has a degree
+    d <= floor(log2 M), so that the library evaluates it by Horner, bitwise as
+    the reference does; else (4 log2 M + 2d) u sum |c_u| r**u at each grid
+    point, the FFT's error bound plus Horner's."""
+    m = ring_length(grid)
+    d = max(top_power(c, start) for c, start in series)
+    if d <= m.bit_length() - 1:
+        return None
+    r = np.array(grid.radii)[:, None]
+    total = sum((np.abs(np.array(c)) * r ** (start + np.arange(len(c)))).sum(axis=1) for c, start in series)
+    return np.repeat((4 * math.log2(m) + 2 * d) * U * total, grid.angular_count)
+
+
+def margin_bound(grid, *polynomials):
+    """The sum of the error bounds of the polynomials a margin reads, each a
+    list of (coeffs, start) series; None if every one is evaluated by Horner."""
+    bounds = [b for b in (error_bound(grid, *series) for series in polynomials) if b is not None]
+    return sum(bounds) if bounds else None
+
+
+def ref_columns(f, p, grid):
+    """The reference margin columns of margin_rows by name, each with its
+    bound (margin_bound)."""
     z = ref_points(grid)
+    t = class_transform(f, p.operator_params()).coeffs
     hp = classical_derivative(f.h).coeffs
     gp = classical_derivative(f.g).coeffs
-    margins = np.abs(ref_poly(hp, z)) - np.abs(ref_poly(gp, z))
-    return ref_report("sense_preserving", margins, z, tol)
+    columns = {
+        "re_condition_margin": (np.real(ref_poly(t, z)) - p.alpha, margin_bound(grid, [(t, 0)])),
+        "sense_preserving_margin": (np.abs(ref_poly(hp, z)) - np.abs(ref_poly(gp, z)), margin_bound(grid, [(hp, 0)], [(gp, 0)])),
+    }
+    if f.t_form and member_t_iff(f, p):
+        lowers, uppers, mod = ref_growth_arrays(f, p, grid)
+        bound = harmonic_bound(f, grid)
+        columns["growth_lower_margin"] = (mod - lowers, bound)
+        columns["growth_upper_margin"] = (uppers - mod, bound)
+    return columns
 
 
-def ref_injectivity(f, grid, pair_budget, seed, tol):
+def harmonic_bound(f, grid):
+    """The bound of f = h + conj(g), which the library evaluates as one polynomial."""
+    return margin_bound(grid, [(f.h.coeffs, 1), (f.g.coeffs, 1)])
+
+
+def ref_pairs(f, grid, pair_budget, seed):
+    """The reference injectivity ratios of the drawn pairs, their first
+    points, and the ratios' bound: those of f at both ends over the distance."""
     z = ref_points(grid)
     n = z.size
     rng = np.random.default_rng(seed)
@@ -135,8 +189,9 @@ def ref_injectivity(f, grid, pair_budget, seed, tol):
     j = rng.integers(0, n, size=pair_budget)
     j = np.where(i == j, (j + 1) % n, j)
     fz = ref_harmonic(f, z)
-    ratios = np.abs(fz[i] - fz[j]) / np.abs(z[i] - z[j])
-    return ref_report("injectivity", ratios, z[i], tol, strict=True)
+    dist = np.abs(z[i] - z[j])
+    bound = harmonic_bound(f, grid)
+    return np.abs(fz[i] - fz[j]) / dist, z[i], None if bound is None else (bound[i] + bound[j]) / dist
 
 
 def ref_growth_arrays(f, p, grid):
@@ -147,31 +202,47 @@ def ref_growth_arrays(f, p, grid):
     return lowers, uppers, np.abs(ref_harmonic(f, ref_points(grid)))
 
 
-def ref_growth(f, p, grid, tol):
-    lowers, uppers, mod = ref_growth_arrays(f, p, grid)
-    margins = np.minimum(uppers - mod, mod - lowers)
-    return ref_report("growth_bounds", margins, ref_points(grid), tol)
+def slack(margins, bound):
+    """A margin's bound plus two ulps of it, for its own last rounding."""
+    return bound + 2 * np.spacing(np.abs(margins))
+
+
+def assert_report(report, name, margins, where, bound, tolerance, strict=False):
+    """report is the reference report of name bit for bit if bound is None.
+    Else its margins lie within the slack of the reference margins: its
+    min_margin is that close to theirs, its argmin falls on a point whose
+    reference margin is that close to their minimum, and its verdict is
+    theirs wherever their minimum lies farther than that from the threshold."""
+    expected = ref_report(name, margins, where, tolerance, strict)
+    got = report.to_dict()
+    if bound is None:
+        assert_same(got, expected)
+        return
+    for key in ("check", "samples", "tolerance"):
+        assert_same(got[key], expected[key])
+    s = slack(margins, bound)
+    r = int(np.argmin(margins))
+    m = report.min_margin
+    assert (margins - s).min() <= m <= margins[r] + s[r], (name, m, margins[r])
+    at = np.flatnonzero(where == report.argmin_point)
+    assert any(abs(m - margins[i]) <= s[i] and margins[i] - margins[r] <= s[i] + s[r] for i in at), name
+    threshold = tolerance if strict else -tolerance
+    if abs(margins[r] - threshold) > s.max():
+        assert report.passed == expected["passed"]
 
 
 def ref_margin_rows(f, p, grid):
     z = ref_points(grid)
-    t = class_transform(f, p.operator_params())
-    re_m = np.real(ref_poly(t.coeffs, z)) - p.alpha
-    hp = classical_derivative(f.h).coeffs
-    gp = classical_derivative(f.g).coeffs
-    sp_m = np.abs(ref_poly(hp, z)) - np.abs(ref_poly(gp, z))
-    header = ["re", "im", "re_condition_margin", "sense_preserving_margin"]
-    columns = [np.real(z), np.imag(z), re_m, sp_m]
-    if f.t_form and member_t_iff(f, p):
-        lowers, uppers, mod = ref_growth_arrays(f, p, grid)
-        header += ["growth_lower_margin", "growth_upper_margin"]
-        columns += [mod - lowers, uppers - mod]
-    return header, [[float(col[i]) for col in columns] for i in range(z.size)]
+    columns = {"re": np.real(z), "im": np.imag(z), **{name: m for name, (m, _) in ref_columns(f, p, grid).items()}}
+    return list(columns), [[float(col[i]) for col in columns.values()] for i in range(z.size)]
+
+
+def csv_text(header, rows):
+    return "".join(",".join(line) + "\n" for line in [header, *([repr(v) for v in row] for row in rows)])
 
 
 def ref_csv(f, p, grid):
-    header, rows = ref_margin_rows(f, p, grid)
-    return "".join(",".join(line) + "\n" for line in [header, *([repr(v) for v in row] for row in rows)])
+    return csv_text(*ref_margin_rows(f, p, grid))
 
 
 def assert_same(a, b):
@@ -249,6 +320,14 @@ def harmonic(h, g, trunc):
 # A real t_form member, so that the growth margins and the mirrored grid values of f are read too.
 T_MEMBER = harmonic([1.0, -0.1, -0.05], [0.1, 0.05], 4)
 P0 = ClassParams(m=0, alpha=0.0, q=QParam(0.5))
+# Above the cut: of degree 24, which folds on rings of M = 4 and 8 angles, real
+# and complex; of degree 12, above the cut of a prime angular count (13, M = 13
+# or 26); with -0.0 imaginary parts at degree 10; and with b_1 = -1 at degree 6.
+FOLDING = harmonic([1.0, *(0.3 * (-1) ** u / u**2 for u in range(2, 25))], [0.2 / u**2 for u in range(1, 25)], 24)
+FOLDING_PHASED = harmonic([1.0, *(0.3j**u / u**2 for u in range(2, 25))], [0.2 * (0.6 - 0.8j) / u**2 for u in range(1, 25)], 24)
+DEGREE_12 = harmonic([1.0, *(-0.02 / u for u in range(2, 13))], [0.01 / u for u in range(1, 13)], 12)
+NEGATIVE_ZEROS = harmonic([1.0, *(complex(-0.02 / u, -0.0) for u in range(2, 11))], [complex(0.01, -0.0)] * 10, 10)
+B1_MINUS_ONE = harmonic([1.0, -0.25, 0.05, 0.02, 0.01, 0.01], [-1.0, 0.125, 0.01, 0.01, 0.005, 0.002], 6)
 
 
 @settings(max_examples=150, deadline=None)
@@ -281,42 +360,69 @@ P0 = ClassParams(m=0, alpha=0.0, q=QParam(0.5))
     pair_budget=40,
     seed=7,
 )
+# above the cut: folding, a prime angular count, -0.0 parts and b_1 = -1
+@example(f=FOLDING, p=P0, grid=DiskGrid(radii=(0.5, 0.9), angular_count=4), pair_budget=40, seed=8)
+@example(f=FOLDING_PHASED, p=P0, grid=DiskGrid(radii=(0.5, 0.9), angular_count=4, include_positive_axis=False), pair_budget=40, seed=9)
+@example(f=DEGREE_12, p=P0, grid=DiskGrid(radii=(0.3, 0.99), angular_count=13), pair_budget=40, seed=10)
+@example(f=DEGREE_12, p=P0, grid=DiskGrid(radii=(0.3, 0.99), angular_count=13, include_positive_axis=False), pair_budget=40, seed=11)
+@example(f=NEGATIVE_ZEROS, p=ClassParams(m=1, alpha=0.25, q=QParam(0.9)), grid=DiskGrid(radii=(0.5, 0.9), angular_count=8), pair_budget=40, seed=12)
+@example(f=B1_MINUS_ONE, p=ClassParams(m=0, alpha=0.25, q=QParam(0.5)), grid=DiskGrid(radii=(0.5, 0.9), angular_count=8), pair_budget=40, seed=13)
 def test_engine_matches_reference_bitwise(f, p, grid, pair_budget, seed):
+    # Polynomials of degree <= floor(log2 M) take Horner and give the
+    # reference's bits; the others take one FFT per ring, whose margins lie
+    # within their error bounds of the reference's (assert_report).
     z = ref_points(grid)
     for s in (f.h, f.g):
         assert np.array_equal(eval_power(s, z).view(np.uint64), ref_poly(s.coeffs, z).view(np.uint64))
     tol = 1e-9
-    expected = [
-        ref_re_condition(f, p, grid, tol),
-        ref_sense_preserving(f, grid, tol),
-        ref_injectivity(f, grid, pair_budget, seed, tol),
+    columns = ref_columns(f, p, grid)
+    reports = [
+        re_condition_margin(f, p, grid, tolerance=tol),
+        sense_preserving_margin(f, grid, tolerance=tol),
+        injectivity_sample_check(f, grid, pair_budget, seed=seed, tolerance=tol),
     ]
-    assert_same(re_condition_margin(f, p, grid, tolerance=tol).to_dict(), expected[0])
-    assert_same(sense_preserving_margin(f, grid, tolerance=tol).to_dict(), expected[1])
-    assert_same(injectivity_sample_check(f, grid, pair_budget, seed=seed, tolerance=tol).to_dict(), expected[2])
-    if f.t_form and member_t_iff(f, p):
-        expected.append(ref_growth(f, p, grid, tol))
-        assert_same(growth_bound_check(f, p, grid, tolerance=tol).to_dict(), expected[3])
-    assert_same(margin_rows(f, p, grid), ref_margin_rows(f, p, grid))
-    text = ref_csv(f, p, grid)
+    assert_report(reports[0], "re_condition", columns["re_condition_margin"][0], z, columns["re_condition_margin"][1], tol)
+    assert_report(reports[1], "sense_preserving", columns["sense_preserving_margin"][0], z, columns["sense_preserving_margin"][1], tol)
+    ratios, first, bound = ref_pairs(f, grid, pair_budget, seed)
+    assert_report(reports[2], "injectivity", ratios, first, bound, tol, strict=True)
+    if "growth_lower_margin" in columns:
+        (lower, bound), (upper, _) = columns["growth_lower_margin"], columns["growth_upper_margin"]
+        reports.append(growth_bound_check(f, p, grid, tolerance=tol))
+        assert_report(reports[3], "growth_bounds", np.minimum(upper, lower), z, bound, tol)
+    header, rows = margin_rows(f, p, grid)
+    assert header == ["re", "im", *columns]
+    table = np.array(rows).reshape(z.size, len(header))
+    assert_bits(table[:, 0], z.real)
+    assert_bits(table[:, 1], z.imag)
+    for column, (margins, bound) in zip(table[:, 2:].T, columns.values()):
+        if bound is None:
+            assert_bits(column, margins)
+        else:
+            assert (np.abs(column - margins) <= slack(margins, bound)).all()
+    # the CSV holds the reprs of margin_rows, and disc_checks the single checks' reports, bit for bit
+    text = csv_text(header, rows)
     buf = io.StringIO()
     write_margin_csv(buf, f, p, grid)
     assert buf.getvalue() == text
     buf = io.StringIO()
-    reports = verify.disc_checks(f, p, grid, pair_budget, seed=seed, tolerance=tol, csv=lambda: contextlib.nullcontext(buf))
+    checks = verify.disc_checks(f, p, grid, pair_budget, seed=seed, tolerance=tol, csv=lambda: contextlib.nullcontext(buf))
     assert buf.getvalue() == text
-    assert_same([r.to_dict() for r in reports], expected)
+    assert_same([r.to_dict() for r in checks], [r.to_dict() for r in reports])
 
 
 def test_margin_csv_spanning_two_blocks_matches_reference():
-    # 8,192 rows: the writer formats the table in blocks of at most 4,096 rows
+    # 8,192 rows: the writer formats the table in blocks of at most 4,096 rows.
+    # M = 4096, so trunc 8 stays below the cut (and gives the reference's bytes) and trunc 16 and 64 are above it.
     p = ClassParams(m=3, alpha=0.25, q=QParam(0.9))
-    f = random_t_form(p, 0.9, np.random.default_rng(7), trunc=16)
     grid = DiskGrid(radii=(0.5, 0.9), angular_count=4096)
     assert grid.size > verify._CSV_BLOCK_ROWS
-    buf = io.StringIO()
-    write_margin_csv(buf, f, p, grid)
-    assert buf.getvalue() == ref_csv(f, p, grid)
+    for trunc in (8, 16, 64):
+        f = random_t_form(p, 0.9, np.random.default_rng(7), trunc=trunc)
+        buf = io.StringIO()
+        write_margin_csv(buf, f, p, grid)
+        assert buf.getvalue() == csv_text(*margin_rows(f, p, grid))
+        if trunc == 8:
+            assert buf.getvalue() == ref_csv(f, p, grid)
 
 
 @given(grid=grids)
@@ -402,24 +508,120 @@ def evaluated_sizes(run):
     return sizes
 
 
+def transforms(run):
+    """run() and the name, input shape and dtype kind of every FFT it made."""
+    calls = []
+
+    def recording(name):
+        transform = getattr(np.fft, name)
+
+        def record(x, *args, **kwargs):
+            calls.append((name, x.shape, x.dtype.kind))
+            return transform(x, *args, **kwargs)
+
+        return record
+
+    with mock.patch.object(np.fft, "rfft", recording("rfft")), mock.patch.object(np.fft, "ifft", recording("ifft")):
+        run()
+    return calls
+
+
+def phased(f):
+    """f with one nonzero imaginary part, so that it takes the full grid."""
+    h = list(f.h.coeffs)
+    h[5] = complex(h[5].real, 1e-3)
+    return HarmonicFunction(AnalyticSeries(h, trunc=f.h.trunc_degree), f.g)
+
+
 def test_real_coefficients_are_evaluated_on_the_upper_half_rings():
     p = ClassParams(m=3, alpha=0.25, q=QParam(0.9))
-    f = random_t_form(p, 0.9, np.random.default_rng(7), trunc=64)
-    grid = DiskGrid()
-    assert f.t_form and member_t_iff(f, p)
-    h = list(f.h.coeffs)
-    h[5] = complex(h[5].real, 1e-3)  # one nonzero imaginary part
-    phased = HarmonicFunction(AnalyticSeries(h, trunc=64), f.g)
+    grid = DiskGrid()  # M = 256, cut 8
 
     def checks(f):
-        return lambda: (re_condition_margin(f, p, grid), sense_preserving_margin(f, grid), margin_rows(f, p, grid))
+        # each single check, the margin table and disc_checks, whose injectivity
+        # pairs read the mirrored grid values of f
+        def run():
+            re_condition_margin(f, p, grid), sense_preserving_margin(f, grid), margin_rows(f, p, grid)
+            if f.t_form:
+                growth_bound_check(f, p, grid)
+            verify.disc_checks(f, p, grid, 256)
 
-    real_sizes = evaluated_sizes(checks(f)) + evaluated_sizes(lambda: growth_bound_check(f, p, grid))
-    # and disc_checks, whose injectivity pairs read the mirrored grid values of f
-    real_sizes += evaluated_sizes(lambda: verify.disc_checks(f, p, grid, 256))
+        return run
+
+    # trunc 8: T, h' and g' have degree 7 and f degree 8, so Horner takes every one
+    low = random_t_form(p, 0.9, np.random.default_rng(7), trunc=8)
+    assert low.t_form and member_t_iff(low, p)
+    assert transforms(checks(low)) == transforms(checks(phased(low))) == []
+    real_sizes = evaluated_sizes(checks(low))
     assert len(real_sizes) == 15 and set(real_sizes) == {11 * 129}
-    phased_sizes = evaluated_sizes(checks(phased))
-    assert len(phased_sizes) == 6 and set(phased_sizes) == {2816}
+    phased_sizes = evaluated_sizes(checks(phased(low)))
+    assert len(phased_sizes) == 11 and set(phased_sizes) == {2816, 2 * 256}
+    # trunc 64: every polynomial takes one real FFT of the 11 rings, f (h + conj(g)) included,
+    # and nothing reaches eval_power
+    member = random_t_form(p, 0.9, np.random.default_rng(7), trunc=64)
+    assert member.t_form and member_t_iff(member, p)
+    assert evaluated_sizes(checks(member)) == []
+    assert transforms(checks(member)) == [("rfft", (11, 256), "f")] * 12
+    # the phased function takes complex ones; its injectivity pairs read f on the grid
+    assert evaluated_sizes(checks(phased(member))) == []
+    assert transforms(checks(phased(member))) == [("ifft", (11, 256), "c")] * 10
+
+
+def test_no_scan_candidate_reaches_the_ring_transform():
+    # the candidates have degree <= 7, below the default grid's cut of 8
+    for mat in SCAN_PARAMS:
+        p = ClassParams(m=mat[0], alpha=mat[1], q=QParam(mat[2]))
+        with mock.patch.object(verify, "_ring_values", side_effect=AssertionError("FFT")) as ring:
+            sizes = evaluated_sizes(lambda: counterexample_scan(p, 200, 7))
+        assert not ring.called and len(sizes) > 200
+
+
+@st.composite
+def ring_cases(draw):
+    """A grid and a polynomial whose degree is above the grid's cut, up to
+    three times its ring length M so that its exponents fold: a PowerSeries,
+    or a harmonic f read as h + conj(g), with real or complex coefficients;
+    and the function whose coefficients choose the half rings or the grid."""
+    grid = DiskGrid(
+        radii=tuple(sorted(draw(st.lists(st.sampled_from([0.3, 0.9, 0.999]), min_size=1, max_size=2, unique=True)))),
+        angular_count=draw(st.sampled_from([4, 5, 7, 8, 13, 16, 31, 64])),
+        include_positive_axis=draw(st.booleans()),
+    )
+    m = ring_length(grid)
+    degree = draw(st.integers(m.bit_length(), min(3 * m, 150)))
+    real = draw(st.booleans())
+    part = st.floats(min_value=-0.7, max_value=0.7, allow_nan=False, allow_subnormal=False)
+    coefficient = st.builds(complex, part, st.just(0.0) if real else part)
+    top = 0.5 if real else 0.3 + 0.4j  # nonzero, so that the degree is the drawn one
+    if draw(st.booleans()):
+        h = [1.0, *draw(st.lists(coefficient, min_size=degree - 2, max_size=degree - 2)), top]
+        g = [*draw(st.lists(coefficient, min_size=degree - 1, max_size=degree - 1)), top]
+        f = harmonic(h, g, degree)
+        return grid, f, f
+    c = [*draw(st.lists(coefficient, min_size=degree, max_size=degree)), top]
+    return grid, PowerSeries(c), harmonic([1.0], [] if real else [0.5j], 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=ring_cases())
+def test_ring_transform_is_within_its_bound_of_mpmath(case):
+    # values at the exact angles 2 pi (j + 1/2 off the axis) / K, within
+    # 4 u log2(M) sum |c_u| r**u of the exact sum, with the conjugate of g
+    mpmath = pytest.importorskip("mpmath")
+    grid, s, f = case
+    values = verify._on_grid(f, grid, lambda at: at(s))
+    k = grid.angular_count
+    m = ring_length(grid)
+    harmonic_part = isinstance(s, HarmonicFunction)
+    series = [(s.h.coeffs, 1), (s.g.coeffs, 1)] if harmonic_part else [(s.coeffs, 0)]
+    with mpmath.workdps(30):
+        for ring, r in enumerate(grid.radii):
+            bound = 4 * U * math.log2(m) * sum(abs(c) * r ** (start + u) for coeffs, start in series for u, c in enumerate(coeffs))
+            for j in range(k):
+                w = mpmath.mpf(r) * mpmath.expjpi(2 * (j + (0 if grid.include_positive_axis else mpmath.mpf(0.5))) / mpmath.mpf(k))
+                exact = [mpmath.polyval([mpmath.mpc(c) for c in reversed(coeffs)], w) * w**start for coeffs, start in series]
+                exact = exact[0] + mpmath.conj(exact[1]) if harmonic_part else exact[0]
+                assert abs(mpmath.mpc(values[ring * k + j]) - exact) <= bound, (ring, j)
 
 
 def test_negative_zero_coefficients_are_evaluated():

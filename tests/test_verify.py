@@ -123,9 +123,9 @@ def test_the_pair_rule_keeps_every_pair_of_rings_the_old_gap_apart():
         for k in (4, 7, 256, 2**16):
             i, j = closest_pairs(k)
             for axis in (True, False):
-                z = DiskGrid(radii=(a, b), angular_count=k, include_positive_axis=axis).points()
+                grid = DiskGrid(radii=(a, b), angular_count=k, include_positive_axis=axis)
                 with mock.patch.object(np.random, "default_rng", lambda seed: PairDraws(i, j)):
-                    report = verify._injectivity_report(IDENTITY, z, i.size, 0, 1e-9)
+                    report = verify._injectivity_report(IDENTITY, grid, i.size, 0, 1e-9)
                 skipped += i.size - report.samples
     assert skipped == 0
     # on the default grid every drawn pair is used
@@ -164,7 +164,7 @@ def test_grid_points_shared_by_equal_grids():
 
 def test_grid_axis_flag_must_be_a_bool():
     # a truthy string or None would otherwise pick one of the two grids silently
-    with mock.patch.object(verify, "_grid_arrays") as build:
+    with mock.patch.object(verify, "_grid_points") as build:
         for flag in ("no", "False", None, 0, 1, 1.0, [True]):
             with pytest.raises(DomainError, match=r"^include_positive_axis must be a bool, got "):
                 DiskGrid(include_positive_axis=flag)
