@@ -214,27 +214,34 @@ def eval_analytic(s: AnalyticSeries, z):
     return eval_power(s, z) * z
 
 
-def eval_power(s: PowerSeries | AnalyticSeries, z):
-    """Evaluate sum c_u z**u (from u = 0) by Horner's scheme; s(z)/z for an AnalyticSeries.
-
-    ``z`` is a complex number or a numpy array of them (the result is then
-    an array of the same shape; numpy's complex multiply may round
-    differently from Python's, so it need not equal the scalar values bit
-    for bit).  The run of highest-power +0+0j
-    coefficients is skipped: from the zero seed each such step gives
-    exactly +0+0j again for finite z, so the result is bitwise that of the
-    full loop.  A zero with a -0.0 part is kept, since adding it can flip
-    the sign of a zero, and so is the first coefficient.  On 2 or more points
-    the steps after the first update one new array in place, bitwise like
-    ``acc = acc * z + c``; a 1-element array in place would not be.
-    """
-    coeffs = s.coeffs
+def _evaluated_length(coeffs: tuple[complex, ...]) -> int:
+    """How many leading coefficients eval_power evaluates: all but the run of
+    highest-power +0+0j ones, and at least the first.  From the zero seed each
+    skipped step gives exactly +0+0j again for finite z, so the result is
+    bitwise that of the full loop.  A zero with a -0.0 part is kept, since
+    adding it can flip the sign of a zero."""
     n = len(coeffs)
     while n > 1:
         c = coeffs[n - 1]
         if c != 0 or math.copysign(1.0, c.real) + math.copysign(1.0, c.imag) != 2.0:
             break
         n -= 1
+    return n
+
+
+def eval_power(s: PowerSeries | AnalyticSeries, z):
+    """Evaluate sum c_u z**u (from u = 0) by Horner's scheme; s(z)/z for an AnalyticSeries.
+
+    ``z`` is a complex number or a numpy array of them (the result is then
+    an array of the same shape; numpy's complex multiply may round
+    differently from Python's, so it need not equal the scalar values bit
+    for bit).  The run of highest-power +0+0j coefficients is skipped
+    (_evaluated_length).  On 2 or more points
+    the steps after the first update one new array in place, bitwise like
+    ``acc = acc * z + c``; a 1-element array in place would not be.
+    """
+    coeffs = s.coeffs
+    n = _evaluated_length(coeffs)
     acc = 0j * z + coeffs[n - 1]  # a new object, never z itself
     rest = reversed(coeffs[: n - 1])
     if getattr(acc, "size", 1) > 1:  # an array of 2 or more points

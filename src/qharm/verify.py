@@ -11,29 +11,24 @@ minima are reduced with first-occurrence tie-breaking, so identical
 inputs (including seeds) give bitwise-identical reports.  The grid
 checks take one absolute tolerance on their sampled margins
 (DEFAULT_TOLERANCE unless the caller passes another).  Every margin
-formula evaluates the grid through one step, _on_grid, which picks an
-evaluator for each polynomial from its coefficients and the grid alone.
-A polynomial of degree d, counted after eval_power's trim of trailing
-+0+0j coefficients, is evaluated by Horner (eval_power) at the stored
-grid points if d <= floor(log2 M), and otherwise by one FFT per ring at
-the exact ring angles, M being the ring transform length: K on the axis
+formula and the injectivity report evaluate a polynomial of f (T, h', g'
+or f = h + conj(g) itself) at every grid point through one evaluator,
+_grid_values, which picks the method from the coefficients and the grid
+alone.  A polynomial of degree d, counted after eval_power's trim of
+trailing +0+0j coefficients, is evaluated by Horner (eval_power) at the
+stored grid points if d <= floor(log2 M), and otherwise by one FFT per ring
+at the exact ring angles, M being the ring transform length: K on the axis
 grid, 2K off it.  Per point Horner costs d steps and the FFT about log2 M.
 The FFT's error stays within 4 log2(M) 2**-53 sum |c_u| r**u at radius r
 (against mpmath; Horner's is of the same order), so FFT margins differ
 from Horner's at the ulp level.  If every coefficient of h and g has a
-zero imaginary part (either sign of zero), each polynomial is evaluated
-on the upper half of each ring only (DiskGrid) and the result is expanded
-to the grid by one cached gather, with the conjugate of f at mirrored
-points; any other f is evaluated on the full grid.  For Horner this is
-bitwise the full grid's result, because only real parts and moduli reach
-the outputs (Re T - alpha, |h'| - |g'|, |f| - bound, |f(z1) - f(z2)|):
-for real coefficients a Horner step at conj z gives the same real part and
-the negated imaginary part, up to the signs of zeros, which moduli ignore,
-and T's last step adds its constant 1 + b_1, which is never -0.0, so no
-such zero reaches Re T.  disc_checks runs the checks of ``qharm verify``
-and its margin table with each margin array computed once and f
-evaluated once per point set: injectivity reads the growth check's grid
-values, or f's grid values if f takes the FFT, or evaluates both pair
+zero imaginary part (either sign of zero), every transform of f is real:
+its rfft gives the angles j <= mirror(j) of each ring (DiskGrid), and each
+other angle takes the exact conjugate of the value at its mirror; any
+other f takes complex transforms.  disc_checks runs the checks of
+``qharm verify`` and its margin table with each margin array computed once
+and f evaluated once per point set: injectivity reads the growth check's
+grid values, or f's grid values if f takes the FFT, or evaluates both pair
 ends in one pass.
 The margin table is one map from column name to array in CSV order (re,
 im, the margins): the reports read their columns by name, the header is
@@ -54,7 +49,8 @@ from .qcore import DEFAULT_TOLERANCE, MAX_JSON_TRUNC, DomainError, in_interval, 
 from .classes import ClassParams, _from_shares, coeff_functional, growth_bounds, member_t_iff, proof_step_violations
 from .classes import DEFAULT_PROBE_RADII, ProbeReport, necessity_probe  # noqa: F401 (re-exported)
 from .salagean import class_transform
-from .series import DEFAULT_TRUNC, HarmonicFunction, PowerSeries, _imag, classical_derivative, eval_harmonic, eval_power
+from .series import DEFAULT_TRUNC, HarmonicFunction, PowerSeries, _evaluated_length, _imag, classical_derivative
+from .series import eval_harmonic, eval_power
 
 DEFAULT_RADII = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99, 0.999)
 DEFAULT_ANGULAR_COUNT = 256
@@ -90,15 +86,9 @@ class DiskGrid:
     conjugation, under half turns when angular_count is even and under
     quarter turns when it is a multiple of 4, and holds no -0.0.  The
     conjugate of angle j is angle mirror(j) = -j mod K on the axis grid and
-    K - 1 - j off it; the upper half of a ring, the angles j <= mirror(j),
-    is its first K // 2 + 1 angles on the axis grid and (K + 1) // 2 off
-    it, at least 2 points, so eval_power updates in place there too.  For
-    a function with real coefficients the margins are evaluated there only
-    and repeated at the mirrored angles: f(conj z) = conj f(z) up to the
-    signs of zeros, and the margins read only real parts and moduli (see
-    the module docstring).  A polynomial of degree d > floor(log2 M), where
-    M = K on the axis grid and 2K off it, is evaluated by one length-M FFT
-    per ring at the exact angles 2 pi j / K (or 2 pi (j + 1/2) / K), within
+    K - 1 - j off it.  A polynomial of degree d > floor(log2 M), where M = K
+    on the axis grid and 2K off it, is evaluated by one length-M FFT per ring
+    at the exact angles 2 pi j / K (or 2 pi (j + 1/2) / K), within
     4 log2(M) 2**-53 sum |c_u| r**u; a lower degree by Horner at the stored
     points.  Points may coincide or lie arbitrarily close: the injectivity
     check resolves its pairs itself (MIN_PAIR_GAP)."""
@@ -126,9 +116,6 @@ class DiskGrid:
         read-only and shared by every grid with the same fields."""
         return _grid_points(self.radii, self.angular_count, self.include_positive_axis)
 
-    def _half_rings(self) -> tuple[np.ndarray, np.ndarray]:
-        return _half_rings(self.radii, self.angular_count, self.include_positive_axis)
-
 
 @functools.lru_cache(maxsize=8)
 def _grid_points(radii: tuple[float, ...], k: int, include_positive_axis: bool) -> np.ndarray:
@@ -149,21 +136,6 @@ def _grid_points(radii: tuple[float, ...], k: int, include_positive_axis: bool) 
     z = (np.multiply.outer(radii, ring) + 0.0).ravel()
     z.flags.writeable = False
     return z
-
-
-@functools.lru_cache(maxsize=8)
-def _half_rings(radii: tuple[float, ...], k: int, include_positive_axis: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The upper half of each ring, in grid order, and for each grid point the
-    index in it of the point or of its conjugate; both read-only.  Built on the
-    first use by a function with real coefficients, not with the points."""
-    j = np.arange(k)
-    mirror = (-j - (0 if include_positive_axis else 1)) % k
-    h = k // 2 + 1 if include_positive_axis else (k + 1) // 2  # the angles j <= mirror(j)
-    half = _grid_points(radii, k, include_positive_axis).reshape(-1, k)[:, :h].ravel()
-    index = np.add.outer(h * np.arange(len(radii)), np.minimum(j, mirror)).ravel()
-    for a in (half, index):
-        a.flags.writeable = False
-    return half, index
 
 
 @functools.lru_cache(maxsize=8)
@@ -205,30 +177,14 @@ class VerificationReport:
 # --- pointwise margins: each check is one of these plus _min_report -----------
 
 
-def _on_grid(f: HarmonicFunction, grid: DiskGrid, evaluate) -> np.ndarray:
-    """evaluate(at), an array of f's values or margins, on the whole grid,
-    where at(s) gives the values of s, a PowerSeries or f itself (h +
-    conj(g)), at the grid's points (_values).  If every coefficient of f has a
-    zero imaginary part, at gives the upper half of each ring and one gather
-    expands the result: a real array repeats at the mirrored point, a complex
-    one takes its conjugate there.  Otherwise at gives the whole grid."""
-    if any(map(_imag, f.h.coeffs)) or any(map(_imag, f.g.coeffs)):
-        z = grid.points()
-        return evaluate(lambda s: _values(s, grid, z, False))
-    half, index = grid._half_rings()
-    values = evaluate(lambda s: _values(s, grid, half, True)).take(index)
-    if np.iscomplexobj(values):
-        lower = values.reshape(-1, grid.angular_count)[:, half.size // len(grid.radii) :]
-        np.conjugate(lower, out=lower)
-    return values
-
-
-def _values(s: PowerSeries | HarmonicFunction, grid: DiskGrid, z: np.ndarray, real: bool) -> np.ndarray:
-    """s at the points z of grid, all of them or (real) its upper half rings:
-    by one FFT per ring if _ring_terms gives its terms, else by Horner."""
+def _grid_values(s: PowerSeries | HarmonicFunction, grid: DiskGrid, f: HarmonicFunction) -> np.ndarray:
+    """s, f itself or a polynomial made from it, at every point of grid: by
+    one FFT per ring if _ring_terms gives its terms, real if every
+    coefficient of f has a zero imaginary part, else by Horner."""
     terms = _ring_terms(s, grid)
     if terms is not None:
-        return _ring_values(*terms, grid, real)
+        return _ring_values(*terms, grid, not (any(map(_imag, f.h.coeffs)) or any(map(_imag, f.g.coeffs))))
+    z = grid.points()
     return eval_harmonic(s, z) if isinstance(s, HarmonicFunction) else eval_power(s, z)
 
 
@@ -238,41 +194,40 @@ def _ring_length(grid: DiskGrid) -> int:
     return grid.angular_count * (1 if grid.include_positive_axis else 2)
 
 
-def _kept(coeffs: tuple[complex, ...]) -> tuple[complex, ...]:
-    """coeffs up to the last one eval_power evaluates: it skips the trailing
-    +0+0j coefficients (not those with a -0.0 part) and keeps the first."""
-    n = len(coeffs)
-    while n > 1 and (c := coeffs[n - 1]) == 0 and math.copysign(1.0, c.real) + math.copysign(1.0, c.imag) == 2.0:
-        n -= 1
-    return coeffs[:n]
-
-
 def _ring_terms(s: PowerSeries | HarmonicFunction, grid: DiskGrid) -> tuple[list[complex], int] | None:
     """The coefficients of s and the exponent of the first if its degree d
     exceeds floor(log2 M), else None: Horner costs d steps per point, the FFT
-    about log2 M.  d is the highest power left by eval_power's trim (_kept),
-    of s from z**0, or of h and g from z**1 for f.  f = h + conj(g) is one
-    sum, with conj(b_u) at exponent -u."""
-    cut = _ring_length(grid).bit_length() - 1
-    if isinstance(s, HarmonicFunction):
-        h, g = _kept(s.h.coeffs), _kept(s.g.coeffs)
-        if max(len(h), len(g)) <= cut:
-            return None
-        return [*(b.conjugate() for b in reversed(g)), 0j, *h], -len(g)
-    c = _kept(s.coeffs)
-    return (list(c), 0) if len(c) - 1 > cut else None
+    about log2 M.  d is the highest power that eval_power evaluates
+    (_evaluated_length), of s from z**0, or of h and g from z**1 for f; stored
+    lengths that are already at or below the cut decide without the trim.
+    f = h + conj(g) is one sum, with conj(b_u) at exponent -u."""
+    harmonic = isinstance(s, HarmonicFunction)
+    parts = (s.h.coeffs, s.g.coeffs) if harmonic else (s.coeffs,)
+    # the most coefficients of a part that Horner takes: cut + 1 from z**0, cut from z**1
+    most = _ring_length(grid).bit_length() - harmonic
+    if max(map(len, parts)) <= most:
+        return None
+    n = list(map(_evaluated_length, parts))
+    if max(n) <= most:
+        return None
+    if not harmonic:
+        return list(s.coeffs[: n[0]]), 0
+    h, g = s.h.coeffs[: n[0]], s.g.coeffs[: n[1]]
+    return [*(b.conjugate() for b in reversed(g)), 0j, *h], -len(g)
 
 
 def _ring_values(coeffs: list[complex], low: int, grid: DiskGrid, real: bool) -> np.ndarray:
-    """sum_k coeffs[k] z**e at the exact ring angles of grid, e = low + k and a
-    negative e standing for conj(z)**-e, on the upper half rings if real.  On
-    a ring of radius r the values at M equispaced angles are one length-M DFT
-    of the scaled coefficients coeffs[k] r**|e|, placed at e mod M, so they
-    fold when the exponents span more than M: conj(rfft) for real
-    coefficients, whose indices 0..M // 2 hold the angles j <= mirror(j), and
-    ifft(norm="forward") for complex ones.  Off the axis the grid's angles are
-    the odd indices.  The rings are transformed together, one polynomial at a
-    time, and a complex transform overwrites its input; no array is larger
+    """sum_k coeffs[k] z**e at the exact angle of every point of grid, e =
+    low + k and a negative e standing for conj(z)**-e.  On a ring of radius r
+    the values at M equispaced angles are one length-M DFT of the scaled
+    coefficients coeffs[k] r**|e|, placed at e mod M, so they fold when the
+    exponents span more than M; angle j is index b(j) = (M / K) (j + 1) - 1,
+    so off the axis the grid's angles are the odd indices.  Complex
+    coefficients take ifft(norm="forward"), which overwrites its input.  Real
+    ones take conj(rfft), whose indices 0..M // 2 hold the angles j <=
+    mirror(j); each other angle j reads rfft at M - b(j) = b(mirror(j))
+    unconjugated, the exact conjugate of the value at mirror(j).  The rings
+    are transformed together, one polynomial at a time; no array is larger
     than rings x M."""
     m = _ring_length(grid)
     c = np.array(coeffs, dtype=complex)
@@ -294,22 +249,26 @@ def _ring_values(coeffs: list[complex], low: int, grid: DiskGrid, real: bool) ->
             scale = powers[:, :n] * np.power(grid.radii, s)[:, None]
         x[:, i : i + n] += c[k : k + n] * (scale if e >= 0 else scale[:, ::-1])
         k += n
-    if real:
-        values = np.fft.rfft(x)
-        np.conjugate(values, out=values)
-    else:
-        values = np.fft.ifft(x, norm="forward", out=x)
-    return (values if grid.include_positive_axis else values[:, 1::2]).ravel()
+    step = m // grid.angular_count
+    if not real:
+        return np.fft.ifft(x, norm="forward", out=x)[:, step - 1 :: step].ravel()
+    x = np.fft.rfft(x)
+    upper = x[:, step - 1 :: step]  # the angles j <= mirror(j), the first h
+    h = upper.shape[1]
+    values = np.empty((len(grid.radii), grid.angular_count), complex)
+    np.conjugate(upper, out=values[:, :h])
+    values[:, h:] = x[:, m - step * (h + 1) + 1 : 0 : -step]  # M - b(j) for j >= h, down to 1
+    return values.ravel()
 
 
 def _re_condition_margins(f: HarmonicFunction, p: ClassParams, grid: DiskGrid) -> np.ndarray:
     t = class_transform(f, p.operator_params())
-    return _on_grid(f, grid, lambda at: np.real(at(t)) - p.alpha)
+    return np.real(_grid_values(t, grid, f)) - p.alpha
 
 
 def _sense_preserving_margins(f: HarmonicFunction, grid: DiskGrid) -> np.ndarray:
     hp, gp = classical_derivative(f.h), classical_derivative(f.g)
-    return _on_grid(f, grid, lambda at: np.abs(at(hp)) - np.abs(at(gp)))
+    return np.abs(_grid_values(hp, grid, f)) - np.abs(_grid_values(gp, grid, f))
 
 
 def _growth_margins(f: HarmonicFunction, p: ClassParams, grid: DiskGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -318,7 +277,7 @@ def _growth_margins(f: HarmonicFunction, p: ClassParams, grid: DiskGrid) -> tupl
     b1 = f.g.coeffs[0].real
     bounds = [growth_bounds(b1, r, p) for r in grid.radii]
     lowers, uppers = np.array([(b.lower, b.upper) for b in bounds]).T[..., None]
-    fz = _on_grid(f, grid, lambda at: at(f))
+    fz = _grid_values(f, grid, f)
     mod = np.abs(fz).reshape(len(bounds), -1)
     return (mod - lowers).ravel(), (uppers - mod).ravel(), fz
 
@@ -402,7 +361,7 @@ def _injectivity_report(
             raise DomainError(f"no drawn pair of grid points is more than {MIN_PAIR_GAP!r} of the larger modulus apart")
         i, j, zi, dist = i[kept], j[kept], zi[kept], dist[kept]
     if fz is None and _ring_terms(f, grid) is not None:
-        fz = _on_grid(f, grid, lambda at: at(f))
+        fz = _grid_values(f, grid, f)
     if fz is None:
         fi, fj = eval_harmonic(f, z[np.concatenate([i, j])]).reshape(2, -1)
     else:

@@ -5,19 +5,20 @@ point by point from the first octant of each ring, a zero-seeded Horner
 loop over every stored coefficient, the whole grid evaluated for the
 injectivity pairs, and margin_rows with its own margin formulas.  The
 library builds each ring with array operations, skips high-order +0+0j
-coefficients, caches the grid points, evaluates a function with real
-coefficients on the upper half of each ring only and mirrors the result
-(the reference evaluates every point), and evaluates f for the injectivity
+coefficients, caches the grid points, and evaluates f for the injectivity
 pairs either once on both pair ends or not at all, reading its grid values.
-It evaluates a polynomial of degree above floor(log2 M) by one FFT per ring
-at the exact ring angles: a margin that reads such a polynomial must lie
-within the FFT's error bound plus Horner's of the reference margin, and
-every other report and margin must equal the reference bit for bit, zero
-signs included.  The CSV text must hold the reprs of margin_rows, whose
-writer formats each distinct float of a block once, and disc_checks, which
-shares each margin array between the reports and the table, must equal the
-single checks bit for bit.  The transform itself is checked against mpmath
-at the exact ring points.  Likewise the scan
+It evaluates every polynomial on the whole grid, as the reference does, but
+one of degree above floor(log2 M) by one FFT per ring at the exact ring
+angles: a margin that reads such a polynomial must lie within the FFT's
+error bound plus Horner's of the reference margin, and every other report
+and margin must equal the reference bit for bit, zero signs included.  The
+CSV text must hold the reprs of margin_rows, whose writer formats each
+distinct float of a block once, and disc_checks, which shares each margin
+array between the reports and the table, must equal the single checks bit
+for bit.  The transform itself is checked against mpmath at the exact ring
+points.  For real coefficients it is an rfft that fills the mirrored angles
+itself, so each of them must hold the exact conjugate of its mirror, within
+the FFT bound of the complex transform of the same terms.  Likewise the scan
 builds its candidates at their highest drawn power and stops each trial at
 its first failed check, and its reports must equal those of candidates
 padded to DEFAULT_TRUNC with every check run.  The library's Horner updates
@@ -338,7 +339,7 @@ B1_MINUS_ONE = harmonic([1.0, -0.25, 0.05, 0.02, 0.01, 0.01], [-1.0, 0.125, 0.01
     pair_budget=st.integers(min_value=1, max_value=120),
     seed=st.integers(min_value=0, max_value=2**16),
 )
-# half rings of 3 and 2 points, and odd angular counts, on both axis settings
+# the smallest rings, and odd angular counts, on both axis settings
 @example(f=T_MEMBER, p=P0, grid=DiskGrid(radii=(0.5, 0.9), angular_count=4), pair_budget=40, seed=1)
 @example(f=T_MEMBER, p=P0, grid=DiskGrid(radii=(0.5, 0.9), angular_count=4, include_positive_axis=False), pair_budget=40, seed=2)
 @example(f=T_MEMBER, p=P0, grid=DiskGrid(radii=(0.3, 0.99), angular_count=7), pair_budget=40, seed=3)
@@ -480,7 +481,7 @@ def test_ring_coordinates_are_within_2_to_the_minus_52_of_the_circle():
 def test_real_coefficient_margins_repeat_bitwise_at_mirrored_points():
     # f(conj z) = conj f(z) for real coefficients, so on a conjugation-symmetric
     # ring the reference engine gives the same margin at z and at conj z; the
-    # library evaluates the upper half rings only and relies on this
+    # library's real FFT fills the mirrored angles with conjugates and relies on this
     p = ClassParams(m=3, alpha=0.25, q=QParam(0.9))
     f = random_t_form(p, 0.9, np.random.default_rng(7))
     for grid in (DiskGrid(), DiskGrid(angular_count=5), DiskGrid(radii=(0.5, 0.9), angular_count=7, include_positive_axis=False)):
@@ -533,7 +534,7 @@ def phased(f):
     return HarmonicFunction(AnalyticSeries(h, trunc=f.h.trunc_degree), f.g)
 
 
-def test_real_coefficients_are_evaluated_on_the_upper_half_rings():
+def test_each_polynomial_is_evaluated_once_on_the_whole_grid():
     p = ClassParams(m=3, alpha=0.25, q=QParam(0.9))
     grid = DiskGrid()  # M = 256, cut 8
 
@@ -553,7 +554,7 @@ def test_real_coefficients_are_evaluated_on_the_upper_half_rings():
     assert low.t_form and member_t_iff(low, p)
     assert transforms(checks(low)) == transforms(checks(phased(low))) == []
     real_sizes = evaluated_sizes(checks(low))
-    assert len(real_sizes) == 15 and set(real_sizes) == {11 * 129}
+    assert len(real_sizes) == 15 and set(real_sizes) == {2816}
     phased_sizes = evaluated_sizes(checks(phased(low)))
     assert len(phased_sizes) == 11 and set(phased_sizes) == {2816, 2 * 256}
     # trunc 64: every polynomial takes one real FFT of the 11 rings, f (h + conj(g)) included,
@@ -576,12 +577,25 @@ def test_no_scan_candidate_reaches_the_ring_transform():
         assert not ring.called and len(sizes) > 200
 
 
+def test_stored_lengths_at_or_below_the_cut_decide_without_the_trim():
+    # the scan's candidates are stored at most 7 long, so the dispatch never trims;
+    # a longer series is trimmed first, and its +0+0j tail keeps it on Horner
+    trim = mock.patch.object(verify, "_evaluated_length", side_effect=AssertionError("trimmed"))
+    with trim:
+        counterexample_scan(ClassParams(m=3, alpha=0.25, q=QParam(0.9)), 50, 7)
+        assert verify._ring_terms(PowerSeries([0.5] * 9), DiskGrid()) is None
+    with trim, pytest.raises(AssertionError, match="trimmed"):
+        verify._ring_terms(PowerSeries([0.5] * 10), DiskGrid())
+    assert verify._ring_terms(PowerSeries([0.5] * 9 + [0j] * 100), DiskGrid()) is None
+    assert verify._ring_terms(PowerSeries([0.5] * 9 + [-0j] * 100), DiskGrid()) is not None
+
+
 @st.composite
 def ring_cases(draw):
     """A grid and a polynomial whose degree is above the grid's cut, up to
     three times its ring length M so that its exponents fold: a PowerSeries,
     or a harmonic f read as h + conj(g), with real or complex coefficients;
-    and the function whose coefficients choose the half rings or the grid."""
+    and the function whose coefficients choose a real or a complex transform."""
     grid = DiskGrid(
         radii=tuple(sorted(draw(st.lists(st.sampled_from([0.3, 0.9, 0.999]), min_size=1, max_size=2, unique=True)))),
         angular_count=draw(st.sampled_from([4, 5, 7, 8, 13, 16, 31, 64])),
@@ -609,7 +623,7 @@ def test_ring_transform_is_within_its_bound_of_mpmath(case):
     # 4 u log2(M) sum |c_u| r**u of the exact sum, with the conjugate of g
     mpmath = pytest.importorskip("mpmath")
     grid, s, f = case
-    values = verify._on_grid(f, grid, lambda at: at(s))
+    values = verify._grid_values(s, grid, f)
     k = grid.angular_count
     m = ring_length(grid)
     harmonic_part = isinstance(s, HarmonicFunction)
@@ -622,6 +636,35 @@ def test_ring_transform_is_within_its_bound_of_mpmath(case):
                 exact = [mpmath.polyval([mpmath.mpc(c) for c in reversed(coeffs)], w) * w**start for coeffs, start in series]
                 exact = exact[0] + mpmath.conj(exact[1]) if harmonic_part else exact[0]
                 assert abs(mpmath.mpc(values[ring * k + j]) - exact) <= bound, (ring, j)
+
+
+def test_real_transform_fills_mirrored_angles_with_exact_conjugates():
+    # For real coefficients the rfft gives the angles j <= mirror(j) and the
+    # other angles are filled from it: each must be the exact conjugate of its
+    # mirror, and every value within the FFT bound of the complex transform of
+    # the same terms.  A self-mirrored angle lies on the real axis, where f is real.
+    p = ClassParams(m=3, alpha=0.25, q=QParam(0.9))
+    member = random_t_form(p, 0.9, np.random.default_rng(7), trunc=64)
+    for f in (FOLDING, member):
+        polynomials = (f, class_transform(f, p.operator_params()), classical_derivative(f.h), classical_derivative(f.g))
+        for k in (4, 5, 7, 8, 256):
+            for axis in (True, False):
+                grid = DiskGrid(radii=(0.3, 0.9, 0.999), angular_count=k, include_positive_axis=axis)
+                m = ring_length(grid)
+                j = np.arange(k)
+                mirror = (-j - (0 if axis else 1)) % k
+                for s in polynomials:
+                    coeffs, low = verify._ring_terms(s, grid)
+                    got = []
+                    calls = transforms(lambda: got.append(verify._grid_values(s, grid, f)))
+                    assert [name for name, _, _ in calls] == ["rfft"]
+                    v = got[0].reshape(len(grid.radii), k)
+                    assert_bits(v[:, mirror[j != mirror]].ravel(), np.conjugate(v[:, j != mirror]).ravel())
+                    assert (v[:, j == mirror].imag == 0).all()
+                    complex_values = verify._ring_values(coeffs, low, grid, False).reshape(v.shape)
+                    e = np.abs(low + np.arange(len(coeffs)))
+                    bound = 4 * U * math.log2(m) * (np.abs(coeffs) * np.power.outer(grid.radii, e)).sum(axis=1)
+                    assert (np.abs(v - complex_values) <= bound[:, None]).all(), (k, axis)
 
 
 def test_negative_zero_coefficients_are_evaluated():
