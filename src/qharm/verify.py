@@ -11,25 +11,26 @@ minima are reduced with first-occurrence tie-breaking, so identical
 inputs (including seeds) give bitwise-identical reports.  The grid
 checks take one absolute tolerance on their sampled margins
 (DEFAULT_TOLERANCE unless the caller passes another).  Every margin
-formula and the injectivity report evaluate a polynomial of f (T, h', g'
-or f = h + conj(g) itself) at every grid point through one evaluator,
-_grid_values, which picks the method from the coefficients and the grid
-alone.  A polynomial of degree d, counted after eval_power's trim of
-trailing +0+0j coefficients, is evaluated by Horner (eval_power) at the
-stored grid points if d <= floor(log2 M), and otherwise by one FFT per ring
-at the exact ring angles, M being the ring transform length: K on the axis
-grid, 2K off it.  Per point Horner costs d steps and the FFT about log2 M.
-The FFT's error stays within 4 log2(M) 2**-53 sum |c_u| r**u at radius r
-(against mpmath; Horner's is of the same order), so FFT margins differ
-from Horner's at the ulp level.  If every coefficient of h and g has a
-zero imaginary part (either sign of zero), every transform of f is real:
-its rfft gives the angles j <= mirror(j) of each ring (DiskGrid), and each
-other angle takes the exact conjugate of the value at its mirror; any
-other f takes complex transforms.  disc_checks runs the checks of
-``qharm verify`` and its margin table with each margin array computed once
-and f evaluated once per point set: injectivity reads the growth check's
-grid values, or f's grid values if f takes the FFT, or evaluates both pair
-ends in one pass.
+formula and the injectivity report get the values of a polynomial of f
+(T, h', g' or f = h + conj(g) itself) from one evaluator, _grid_values,
+which picks the method from that polynomial and the grid alone:
+- A polynomial of degree d, counted after eval_power's trim of trailing
+  +0+0j coefficients (T, h' and g' from z**0, h and g from z**1), is
+  evaluated by Horner (eval_power) at the stored points asked for if
+  d <= floor(log2 M), and otherwise by one FFT per ring at the exact ring
+  angles of the whole grid, M being the ring transform length: K on the
+  axis grid, 2K off it.  Per point Horner costs d steps and the FFT about
+  log2 M.  The FFT's error stays within 4 log2(M) 2**-53 sum |c_u| r**u at
+  radius r (against mpmath; Horner's is of the same order), so FFT margins
+  differ from Horner's at the ulp level.
+- A polynomial whose coefficients all have zero imaginary part (either
+  sign of zero) takes the real transform: its rfft gives the angles
+  j <= mirror(j) of each ring (DiskGrid), and each other angle takes the
+  exact conjugate of the value at its mirror.  Any other takes ifft.
+disc_checks runs the checks of ``qharm verify`` and its margin table with
+each margin array computed once and f evaluated once per point set:
+injectivity reads the growth check's grid values of f if there are some,
+and otherwise asks _grid_values for f at both ends of its pairs.
 The margin table is one map from column name to array in CSV order (re,
 im, the margins): the reports read their columns by name, the header is
 its names.  The CSV writer formats each distinct float of a block of it
@@ -49,7 +50,7 @@ from .qcore import DEFAULT_TOLERANCE, MAX_JSON_TRUNC, DomainError, in_interval, 
 from .classes import ClassParams, _from_shares, coeff_functional, growth_bounds, member_t_iff, proof_step_violations
 from .classes import DEFAULT_PROBE_RADII, ProbeReport, necessity_probe  # noqa: F401 (re-exported)
 from .salagean import class_transform
-from .series import DEFAULT_TRUNC, HarmonicFunction, PowerSeries, _evaluated_length, _imag, classical_derivative
+from .series import DEFAULT_TRUNC, HarmonicFunction, PowerSeries, _evaluated_length, classical_derivative
 from .series import eval_harmonic, eval_power
 
 DEFAULT_RADII = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99, 0.999)
@@ -84,14 +85,11 @@ class DiskGrid:
     half a step so the axis is avoided.  Each ring is built from its first
     octant by exact swaps and sign changes, so it is bitwise symmetric under
     conjugation, under half turns when angular_count is even and under
-    quarter turns when it is a multiple of 4, and holds no -0.0.  The
-    conjugate of angle j is angle mirror(j) = -j mod K on the axis grid and
-    K - 1 - j off it.  A polynomial of degree d > floor(log2 M), where M = K
-    on the axis grid and 2K off it, is evaluated by one length-M FFT per ring
-    at the exact angles 2 pi j / K (or 2 pi (j + 1/2) / K), within
-    4 log2(M) 2**-53 sum |c_u| r**u; a lower degree by Horner at the stored
-    points.  Points may coincide or lie arbitrarily close: the injectivity
-    check resolves its pairs itself (MIN_PAIR_GAP)."""
+    quarter turns when it is a multiple of 4, and holds no -0.0.  Angle j
+    is 2 pi j / K, or 2 pi (j + 1/2) / K off the axis, and its conjugate is
+    angle mirror(j) = -j mod K on the axis grid and K - 1 - j off it.
+    Points may coincide or lie arbitrarily close: the injectivity check
+    resolves its pairs itself (MIN_PAIR_GAP)."""
 
     radii: tuple[float, ...] = DEFAULT_RADII
     angular_count: int = DEFAULT_ANGULAR_COUNT
@@ -177,60 +175,44 @@ class VerificationReport:
 # --- pointwise margins: each check is one of these plus _min_report -----------
 
 
-def _grid_values(s: PowerSeries | HarmonicFunction, grid: DiskGrid, f: HarmonicFunction) -> np.ndarray:
-    """s, f itself or a polynomial made from it, at every point of grid: by
-    one FFT per ring if _ring_terms gives its terms, real if every
-    coefficient of f has a zero imaginary part, else by Horner."""
-    terms = _ring_terms(s, grid)
-    if terms is not None:
-        return _ring_values(*terms, grid, not (any(map(_imag, f.h.coeffs)) or any(map(_imag, f.g.coeffs))))
-    z = grid.points()
-    return eval_harmonic(s, z) if isinstance(s, HarmonicFunction) else eval_power(s, z)
-
-
-def _ring_length(grid: DiskGrid) -> int:
-    """M, the length of the ring transform: K on the axis grid, 2K off it,
-    where the grid's angles are its odd indices."""
-    return grid.angular_count * (1 if grid.include_positive_axis else 2)
-
-
-def _ring_terms(s: PowerSeries | HarmonicFunction, grid: DiskGrid) -> tuple[list[complex], int] | None:
-    """The coefficients of s and the exponent of the first if its degree d
-    exceeds floor(log2 M), else None: Horner costs d steps per point, the FFT
-    about log2 M.  d is the highest power that eval_power evaluates
-    (_evaluated_length), of s from z**0, or of h and g from z**1 for f; stored
-    lengths that are already at or below the cut decide without the trim.
-    f = h + conj(g) is one sum, with conj(b_u) at exponent -u."""
+def _grid_values(s: PowerSeries | HarmonicFunction, grid: DiskGrid, at: np.ndarray | None = None) -> np.ndarray:
+    """s (T, h', g' or f = h + conj(g)) at every point of grid, or at the
+    points grid.points()[at] for an index array at.  Of degree d above
+    floor(log2 M), counted as in the module docstring, by _ring_values on
+    the whole grid, then gathered; else by Horner at those points only.
+    Stored lengths at or below the cut decide without the trim."""
     harmonic = isinstance(s, HarmonicFunction)
     parts = (s.h.coeffs, s.g.coeffs) if harmonic else (s.coeffs,)
     # the most coefficients of a part that Horner takes: cut + 1 from z**0, cut from z**1
-    most = _ring_length(grid).bit_length() - harmonic
-    if max(map(len, parts)) <= most:
-        return None
-    n = list(map(_evaluated_length, parts))
-    if max(n) <= most:
-        return None
-    if not harmonic:
-        return list(s.coeffs[: n[0]]), 0
-    h, g = s.h.coeffs[: n[0]], s.g.coeffs[: n[1]]
-    return [*(b.conjugate() for b in reversed(g)), 0j, *h], -len(g)
+    most = (grid.angular_count * (1 if grid.include_positive_axis else 2)).bit_length() - harmonic
+    if max(map(len, parts)) > most and max(n := list(map(_evaluated_length, parts))) > most:
+        if harmonic:  # f = h + conj(g) is one sum, with conj(b_u) at exponent -u
+            g = parts[1][: n[1]]
+            values = _ring_values([*(b.conjugate() for b in reversed(g)), 0j, *parts[0][: n[0]]], -len(g), grid)
+        else:
+            values = _ring_values(parts[0][: n[0]], 0, grid)
+        return values if at is None else values[at]
+    z = grid.points() if at is None else grid.points()[at]
+    return eval_harmonic(s, z) if harmonic else eval_power(s, z)
 
 
-def _ring_values(coeffs: list[complex], low: int, grid: DiskGrid, real: bool) -> np.ndarray:
+def _ring_values(coeffs: list[complex], low: int, grid: DiskGrid) -> np.ndarray:
     """sum_k coeffs[k] z**e at the exact angle of every point of grid, e =
     low + k and a negative e standing for conj(z)**-e.  On a ring of radius r
     the values at M equispaced angles are one length-M DFT of the scaled
     coefficients coeffs[k] r**|e|, placed at e mod M, so they fold when the
     exponents span more than M; angle j is index b(j) = (M / K) (j + 1) - 1,
-    so off the axis the grid's angles are the odd indices.  Complex
-    coefficients take ifft(norm="forward"), which overwrites its input.  Real
-    ones take conj(rfft), whose indices 0..M // 2 hold the angles j <=
-    mirror(j); each other angle j reads rfft at M - b(j) = b(mirror(j))
-    unconjugated, the exact conjugate of the value at mirror(j).  The rings
+    so off the axis the grid's angles are the odd indices.  Coefficients
+    whose imaginary parts are all zero take conj(rfft), whose indices
+    0..M // 2 hold the angles j <= mirror(j); each other angle j reads rfft
+    at M - b(j) = b(mirror(j)) unconjugated, the exact conjugate of the value
+    at mirror(j).  Any others take ifft(norm="forward"), which overwrites its
+    input.  The rings
     are transformed together, one polynomial at a time; no array is larger
     than rings x M."""
-    m = _ring_length(grid)
+    m = grid.angular_count * (1 if grid.include_positive_axis else 2)
     c = np.array(coeffs, dtype=complex)
+    real = not c.imag.any()
     if real:
         c = c.real
     # r**u for u below a power of two, so that few tables serve every degree
@@ -263,21 +245,21 @@ def _ring_values(coeffs: list[complex], low: int, grid: DiskGrid, real: bool) ->
 
 def _re_condition_margins(f: HarmonicFunction, p: ClassParams, grid: DiskGrid) -> np.ndarray:
     t = class_transform(f, p.operator_params())
-    return np.real(_grid_values(t, grid, f)) - p.alpha
+    return np.real(_grid_values(t, grid)) - p.alpha
 
 
 def _sense_preserving_margins(f: HarmonicFunction, grid: DiskGrid) -> np.ndarray:
     hp, gp = classical_derivative(f.h), classical_derivative(f.g)
-    return np.abs(_grid_values(hp, grid, f)) - np.abs(_grid_values(gp, grid, f))
+    return np.abs(_grid_values(hp, grid)) - np.abs(_grid_values(gp, grid))
 
 
 def _growth_margins(f: HarmonicFunction, p: ClassParams, grid: DiskGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """|f| - lower(r), upper(r) - |f| (bounds once per radius, broadcast
     over each ring) and f on the grid."""
-    b1 = f.g.coeffs[0].real
+    b1 = abs(f.g.coeffs[0])
     bounds = [growth_bounds(b1, r, p) for r in grid.radii]
     lowers, uppers = np.array([(b.lower, b.upper) for b in bounds]).T[..., None]
-    fz = _grid_values(f, grid, f)
+    fz = _grid_values(f, grid)
     mod = np.abs(fz).reshape(len(bounds), -1)
     return (mod - lowers).ravel(), (uppers - mod).ravel(), fz
 
@@ -343,9 +325,9 @@ def injectivity_sample_check(
 def _injectivity_report(
     f: HarmonicFunction, grid: DiskGrid, pair_budget: int, seed: int, tolerance: float, fz: np.ndarray | None = None
 ) -> VerificationReport:
-    """Injectivity report on the grid.  fz is f on the grid, or None: then f is
-    evaluated on the grid if it takes the FFT (_ring_terms), else once on both
-    ends of the pairs used, giving the grid's bits element by element."""
+    """Injectivity report on the grid.  The pair ends read fz, f on the grid,
+    if given, else _grid_values of f at both ends of the pairs used, which
+    are its grid values there bit for bit."""
     pair_budget = in_range(pair_budget, 1, MAX_PAIR_BUDGET, "pair_budget")
     z = grid.points()
     n = z.size
@@ -360,12 +342,8 @@ def _injectivity_report(
         if not kept.any():
             raise DomainError(f"no drawn pair of grid points is more than {MIN_PAIR_GAP!r} of the larger modulus apart")
         i, j, zi, dist = i[kept], j[kept], zi[kept], dist[kept]
-    if fz is None and _ring_terms(f, grid) is not None:
-        fz = _grid_values(f, grid, f)
-    if fz is None:
-        fi, fj = eval_harmonic(f, z[np.concatenate([i, j])]).reshape(2, -1)
-    else:
-        fi, fj = fz[i], fz[j]
+    ij = np.concatenate([i, j])
+    fi, fj = (_grid_values(f, grid, ij) if fz is None else fz[ij]).reshape(2, -1)
     return _min_report("injectivity", np.abs(fi - fj) / dist, zi, tolerance, strict=True)
 
 

@@ -5,27 +5,28 @@ point by point from the first octant of each ring, a zero-seeded Horner
 loop over every stored coefficient, the whole grid evaluated for the
 injectivity pairs, and margin_rows with its own margin formulas.  The
 library builds each ring with array operations, skips high-order +0+0j
-coefficients, caches the grid points, and evaluates f for the injectivity
-pairs either once on both pair ends or not at all, reading its grid values.
-It evaluates every polynomial on the whole grid, as the reference does, but
-one of degree above floor(log2 M) by one FFT per ring at the exact ring
-angles: a margin that reads such a polynomial must lie within the FFT's
-error bound plus Horner's of the reference margin, and every other report
-and margin must equal the reference bit for bit, zero signs included.  The
-CSV text must hold the reprs of margin_rows, whose writer formats each
-distinct float of a block once, and disc_checks, which shares each margin
-array between the reports and the table, must equal the single checks bit
-for bit.  The transform itself is checked against mpmath at the exact ring
-points.  For real coefficients it is an rfft that fills the mirrored angles
-itself, so each of them must hold the exact conjugate of its mirror, within
-the FFT bound of the complex transform of the same terms.  Likewise the scan
-builds its candidates at their highest drawn power and stops each trial at
-its first failed check, and its reports must equal those of candidates
-padded to DEFAULT_TRUNC with every check run.  The library's Horner updates
-one array in place from 2 points up, so eval_power must equal the
-out-of-place loop on every form of z it meets.  Its candidates and
-random_t_form draw their uniforms in one call, so each must equal a body
-drawing one scalar at a time.
+coefficients, caches the grid points, and gets every value through one
+evaluator, which is given an index array for the injectivity pairs unless
+f's grid values are at hand; at those indices its values must be the grid
+values bit for bit.  A polynomial of degree above floor(log2 M) it
+evaluates by one FFT per ring at the exact ring angles: a margin that reads
+such a polynomial must lie within the FFT's error bound plus Horner's of
+the reference margin, and every other report and margin must equal the
+reference bit for bit, zero signs included.  The CSV text must hold the
+reprs of margin_rows, whose writer formats each distinct float of a block
+once, and disc_checks, which shares each margin array between the reports
+and the table, must equal the single checks bit for bit.  The transform
+itself is checked against mpmath at the exact ring points.  A polynomial
+whose coefficients are all real, whatever the rest of f, takes an rfft that
+fills the mirrored angles itself, so each of them must hold the exact
+conjugate of its mirror, within the FFT bound of a complex transform of the
+same terms.  Likewise the scan builds its candidates at their highest drawn
+power and stops each trial at its first failed check, and its reports must
+equal those of candidates padded to DEFAULT_TRUNC with every check run.  The
+library's Horner updates one array in place from 2 points up, so eval_power
+must equal the out-of-place loop on every form of z it meets.  Its
+candidates and random_t_form draw their uniforms in one call, so each must
+equal a body drawing one scalar at a time.
 """
 
 import cmath
@@ -528,7 +529,7 @@ def transforms(run):
 
 
 def phased(f):
-    """f with one nonzero imaginary part, so that it takes the full grid."""
+    """f with one nonzero imaginary part in h, so that f, T and h' are complex and g' stays real."""
     h = list(f.h.coeffs)
     h[5] = complex(h[5].real, 1e-3)
     return HarmonicFunction(AnalyticSeries(h, trunc=f.h.trunc_degree), f.g)
@@ -563,9 +564,17 @@ def test_each_polynomial_is_evaluated_once_on_the_whole_grid():
     assert member.t_form and member_t_iff(member, p)
     assert evaluated_sizes(checks(member)) == []
     assert transforms(checks(member)) == [("rfft", (11, 256), "f")] * 12
-    # the phased function takes complex ones; its injectivity pairs read f on the grid
+    # the phased function's T, h' and f take complex ones, its real g' a real one; its
+    # injectivity pairs read f on the grid
     assert evaluated_sizes(checks(phased(member))) == []
-    assert transforms(checks(phased(member))) == [("ifft", (11, 256), "c")] * 10
+    t = hp = f = ("ifft", (11, 256), "c")
+    gp = ("rfft", (11, 256), "f")
+    assert transforms(checks(phased(member))) == [
+        t,  # re_condition_margin
+        *(hp, gp),  # sense_preserving_margin
+        *(t, hp, gp),  # margin_rows
+        *(t, hp, gp, f),  # disc_checks
+    ]
 
 
 def test_no_scan_candidate_reaches_the_ring_transform():
@@ -580,22 +589,32 @@ def test_no_scan_candidate_reaches_the_ring_transform():
 def test_stored_lengths_at_or_below_the_cut_decide_without_the_trim():
     # the scan's candidates are stored at most 7 long, so the dispatch never trims;
     # a longer series is trimmed first, and its +0+0j tail keeps it on Horner
+    grid = DiskGrid()
     trim = mock.patch.object(verify, "_evaluated_length", side_effect=AssertionError("trimmed"))
-    with trim:
+    ring = mock.patch.object(verify, "_ring_values", return_value=np.zeros(grid.size, complex))
+    with trim, ring as fft:
         counterexample_scan(ClassParams(m=3, alpha=0.25, q=QParam(0.9)), 50, 7)
-        assert verify._ring_terms(PowerSeries([0.5] * 9), DiskGrid()) is None
+        verify._grid_values(PowerSeries([0.5] * 9), grid)
+        verify._grid_values(harmonic([1.0, *[0.5] * 7], [0.5] * 8, 8), grid)  # h and g from z**1
+        assert not fft.called
     with trim, pytest.raises(AssertionError, match="trimmed"):
-        verify._ring_terms(PowerSeries([0.5] * 10), DiskGrid())
-    assert verify._ring_terms(PowerSeries([0.5] * 9 + [0j] * 100), DiskGrid()) is None
-    assert verify._ring_terms(PowerSeries([0.5] * 9 + [-0j] * 100), DiskGrid()) is not None
+        verify._grid_values(PowerSeries([0.5] * 10), grid)
+    with trim, pytest.raises(AssertionError, match="trimmed"):
+        verify._grid_values(harmonic([1.0, *[0.5] * 8], [0.5], 9), grid)
+    with ring as fft:
+        verify._grid_values(PowerSeries([0.5] * 9 + [0j] * 100), grid)
+        assert not fft.called
+        verify._grid_values(PowerSeries([0.5] * 9 + [-0j] * 100), grid)
+        (coeffs, low, _), _ = fft.call_args
+        assert len(coeffs) == 109 and low == 0
 
 
 @st.composite
 def ring_cases(draw):
     """A grid and a polynomial whose degree is above the grid's cut, up to
     three times its ring length M so that its exponents fold: a PowerSeries,
-    or a harmonic f read as h + conj(g), with real or complex coefficients;
-    and the function whose coefficients choose a real or a complex transform."""
+    or a harmonic f read as h + conj(g), with real or complex coefficients,
+    which choose a real or a complex transform."""
     grid = DiskGrid(
         radii=tuple(sorted(draw(st.lists(st.sampled_from([0.3, 0.9, 0.999]), min_size=1, max_size=2, unique=True)))),
         angular_count=draw(st.sampled_from([4, 5, 7, 8, 13, 16, 31, 64])),
@@ -610,10 +629,9 @@ def ring_cases(draw):
     if draw(st.booleans()):
         h = [1.0, *draw(st.lists(coefficient, min_size=degree - 2, max_size=degree - 2)), top]
         g = [*draw(st.lists(coefficient, min_size=degree - 1, max_size=degree - 1)), top]
-        f = harmonic(h, g, degree)
-        return grid, f, f
+        return grid, harmonic(h, g, degree)
     c = [*draw(st.lists(coefficient, min_size=degree, max_size=degree)), top]
-    return grid, PowerSeries(c), harmonic([1.0], [] if real else [0.5j], 1)
+    return grid, PowerSeries(c)
 
 
 @settings(max_examples=40, deadline=None)
@@ -622,8 +640,8 @@ def test_ring_transform_is_within_its_bound_of_mpmath(case):
     # values at the exact angles 2 pi (j + 1/2 off the axis) / K, within
     # 4 u log2(M) sum |c_u| r**u of the exact sum, with the conjugate of g
     mpmath = pytest.importorskip("mpmath")
-    grid, s, f = case
-    values = verify._grid_values(s, grid, f)
+    grid, s = case
+    values = verify._grid_values(s, grid)
     k = grid.angular_count
     m = ring_length(grid)
     harmonic_part = isinstance(s, HarmonicFunction)
@@ -638,6 +656,45 @@ def test_ring_transform_is_within_its_bound_of_mpmath(case):
                 assert abs(mpmath.mpc(values[ring * k + j]) - exact) <= bound, (ring, j)
 
 
+def ring_terms(s):
+    """The coefficients of s as one sum and the exponent of the first: f =
+    h + conj(g) with conj(b_u) at exponent -u, a negative e standing for
+    conj(z)**-e."""
+    if isinstance(s, HarmonicFunction):
+        return [*(b.conjugate() for b in reversed(s.g.coeffs)), 0j, *s.h.coeffs], -len(s.g.coeffs)
+    return list(s.coeffs), 0
+
+
+def complex_ring_values(coeffs, low, grid):
+    """The complex transform of the terms: each c r**|e| added at e mod M,
+    one ifft(norm="forward") of all the rings, then angle j at (M / K)(j + 1) - 1."""
+    m = ring_length(grid)
+    e = low + np.arange(len(coeffs))
+    x = np.zeros((len(grid.radii), m), complex)
+    np.add.at(x.T, e % m, np.array(coeffs)[:, None] * np.power.outer(grid.radii, np.abs(e)).T)
+    step = m // grid.angular_count
+    return np.fft.ifft(x, norm="forward")[:, step - 1 :: step]
+
+
+def assert_mirrored_conjugates(s, grid):
+    """s takes one rfft, and its values at mirrored angles are exact
+    conjugates, real at a self-mirrored angle, each within the FFT bound of
+    the complex transform of the same terms."""
+    got = []
+    calls = transforms(lambda: got.append(verify._grid_values(s, grid)))
+    assert [name for name, _, _ in calls] == ["rfft"]
+    k = grid.angular_count
+    j = np.arange(k)
+    mirror = (-j - (0 if grid.include_positive_axis else 1)) % k
+    v = got[0].reshape(len(grid.radii), k)
+    assert_bits(v[:, mirror[j != mirror]].ravel(), np.conjugate(v[:, j != mirror]).ravel())
+    assert (v[:, j == mirror].imag == 0).all()
+    coeffs, low = ring_terms(s)
+    e = np.abs(low + np.arange(len(coeffs)))
+    bound = 4 * U * math.log2(ring_length(grid)) * (np.abs(coeffs) * np.power.outer(grid.radii, e)).sum(axis=1)
+    assert (np.abs(v - complex_ring_values(coeffs, low, grid)) <= bound[:, None]).all()
+
+
 def test_real_transform_fills_mirrored_angles_with_exact_conjugates():
     # For real coefficients the rfft gives the angles j <= mirror(j) and the
     # other angles are filled from it: each must be the exact conjugate of its
@@ -650,21 +707,37 @@ def test_real_transform_fills_mirrored_angles_with_exact_conjugates():
         for k in (4, 5, 7, 8, 256):
             for axis in (True, False):
                 grid = DiskGrid(radii=(0.3, 0.9, 0.999), angular_count=k, include_positive_axis=axis)
-                m = ring_length(grid)
-                j = np.arange(k)
-                mirror = (-j - (0 if axis else 1)) % k
                 for s in polynomials:
-                    coeffs, low = verify._ring_terms(s, grid)
-                    got = []
-                    calls = transforms(lambda: got.append(verify._grid_values(s, grid, f)))
-                    assert [name for name, _, _ in calls] == ["rfft"]
-                    v = got[0].reshape(len(grid.radii), k)
-                    assert_bits(v[:, mirror[j != mirror]].ravel(), np.conjugate(v[:, j != mirror]).ravel())
-                    assert (v[:, j == mirror].imag == 0).all()
-                    complex_values = verify._ring_values(coeffs, low, grid, False).reshape(v.shape)
-                    e = np.abs(low + np.arange(len(coeffs)))
-                    bound = 4 * U * math.log2(m) * (np.abs(coeffs) * np.power.outer(grid.radii, e)).sum(axis=1)
-                    assert (np.abs(v - complex_values) <= bound[:, None]).all(), (k, axis)
+                    assert_mirrored_conjugates(s, grid)
+
+
+def test_a_real_polynomial_of_a_complex_function_takes_the_real_transform():
+    # complex h and real g above the cut: whether a transform is real is read
+    # from the polynomial, so g' takes one rfft and fills its mirrored angles
+    p = ClassParams(m=3, alpha=0.25, q=QParam(0.9))
+    f = phased(random_t_form(p, 0.9, np.random.default_rng(7), trunc=64))
+    gp = classical_derivative(f.g)
+    assert any(c.imag for c in f.h.coeffs) and not any(c.imag for c in gp.coeffs)
+    for grid in (DiskGrid(), DiskGrid(radii=(0.3, 0.9, 0.999), angular_count=7, include_positive_axis=False)):
+        assert [name for name, _, _ in transforms(lambda: verify._sense_preserving_margins(f, grid))] == ["ifft", "rfft"]
+        assert_mirrored_conjugates(gp, grid)
+
+
+def test_values_at_an_index_array_are_the_grid_values_there():
+    # Horner evaluates only the points asked for and the FFT gathers from the
+    # whole grid; either way the values are those of the whole grid, bit for bit
+    p = ClassParams(m=3, alpha=0.25, q=QParam(0.9))
+    low = random_t_form(p, 0.9, np.random.default_rng(7), trunc=8)
+    high = random_t_form(p, 0.9, np.random.default_rng(7), trunc=64)
+    witness = harmonic([1.0, *(0.01 / u**2 for u in range(2, 41))], [0.1 * (0.6 + 0.8j) / u**2 for u in range(1, 41)], 40)
+    rng = np.random.default_rng(11)
+    for f in (low, phased(low), high, phased(high), witness, FOLDING_PHASED):
+        for s in (f, class_transform(f, p.operator_params()), classical_derivative(f.h), classical_derivative(f.g)):
+            for grid in (DiskGrid(), DiskGrid(radii=(0.3, 0.9), angular_count=7, include_positive_axis=False)):
+                values = verify._grid_values(s, grid)
+                for size in (1, 2, 7, 2 * grid.size):
+                    at = rng.integers(0, grid.size, size=size)
+                    assert_bits(verify._grid_values(s, grid, at), values[at])
 
 
 def test_negative_zero_coefficients_are_evaluated():
