@@ -26,7 +26,6 @@ from .series import (
 from .salagean import (
     OperatorParams,
     class_transform,
-    class_transform_value,
     q_derivative,
     salagean,
     salagean_harmonic,
@@ -71,7 +70,6 @@ __all__ = [
     "SchemaError",
     "VerificationReport",
     "class_transform",
-    "class_transform_value",
     "classical_derivative",
     "coeff_functional",
     "convex_combination",

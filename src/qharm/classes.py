@@ -124,7 +124,7 @@ class ProbeReport:
     along an increasing radius sequence.  first_failure is the first
     sampled radius where the margin drops below -MEMBERSHIP_TOL (None if
     it never does); limit_margin is the value at r = 1, which has the sign
-    of 1 - functional.
+    of 1 - functional; passed is member_t_iff's decision.
     """
 
     entries: tuple[tuple[float, float], ...]
@@ -152,8 +152,8 @@ def necessity_probe(
     """Evaluate the axis expression toward r -> 1 for a t_form function.
 
     For members the margin stays >= 0 for every r < 1; once the functional
-    exceeds 1 the expression is eventually negative, so the probe exposes
-    non-membership given a radius sequence reaching close enough to 1.
+    exceeds 1 it is eventually negative, perhaps only past the last sampled
+    radius, so passed is member_t_iff's decision.
     """
     if not f.t_form:
         raise DomainError("the necessity probe applies only to t_form functions")
@@ -172,7 +172,7 @@ def necessity_probe(
         entries=entries,
         first_failure=first_failure,
         limit_margin=margin_at(1.0),
-        passed=first_failure is None,
+        passed=satisfies_sufficient(f, p),
         tolerance=MEMBERSHIP_TOL,
     )
 

@@ -280,7 +280,6 @@ def _add_out_flag(sub) -> None:
 
 
 def _add_grid_flags(sub) -> None:
-    sub.add_argument("--grid", choices=["default"], default="default", help="named grid preset")
     sub.add_argument("--radii", help="comma-separated override of the grid radii")
     sub.add_argument("--angles", type=int, help="override of the angular sample count")
     sub.add_argument("--no-axis", action="store_true", help="offset angles off the positive real axis")

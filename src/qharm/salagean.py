@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .qcore import MAX_JSON_TRUNC, DomainError, QParam, in_range, weights
-from .series import AnalyticSeries, HarmonicFunction, PowerSeries, eval_analytic, eval_power
+from .qcore import MAX_JSON_TRUNC, QParam, in_range, weights
+from .series import AnalyticSeries, HarmonicFunction, PowerSeries
 
 
 @dataclass(frozen=True)
@@ -90,34 +90,8 @@ def class_transform(f: HarmonicFunction, p: OperatorParams) -> PowerSeries:
 
     Constant term 1 + b_1; the coefficient of z**(u-1) is w_u (a_u + b_u).
     The real part of this series minus alpha is the membership margin of
-    the family.  For the variant that instead conjugates and signs the g
-    part, see class_transform_value with signed_conjugate=True.
+    the family.  Conjugating and signing the g part instead gives
+    eval_harmonic(salagean_harmonic(f, p), z) / z.
     """
     return PowerSeries(_weighted(tuple(a + b for a, b in zip(f.h.coeffs, f.g.coeffs)), p))
 
-
-def class_transform_value(
-    f: HarmonicFunction,
-    p: OperatorParams,
-    z: complex,
-    *,
-    signed_conjugate: bool = False,
-) -> complex:
-    """Pointwise value of the membership transform at z.
-
-    With signed_conjugate=False this evaluates class_transform (the
-    verbatim form).  With signed_conjugate=True the co-analytic part
-    enters as (-1)**m times its complex conjugate, matching the harmonic
-    operator convention; that expression is not analytic in z and has no
-    limit at z = 0 (unless b_1 = 0), so z = 0 is rejected there.  The two
-    conventions disagree in general and are both exposed for comparison.
-    """
-    if not signed_conjugate:
-        return eval_power(class_transform(f, p), complex(z))
-    z = complex(z)
-    if z == 0:
-        raise DomainError("the conjugated transform has no limit at z = 0")
-    sign = -1.0 if p.m % 2 else 1.0
-    hv = eval_analytic(salagean(f.h, p), z)
-    gv = eval_analytic(salagean(f.g, p), z)
-    return (hv + sign * gv.conjugate()) / z

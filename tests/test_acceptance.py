@@ -284,7 +284,7 @@ def test_criterion_11_cli_contract(tmp_path, capsys):
     ident = tmp_path / "id.json"
     ident.write_text(json.dumps({"trunc": 4, "h": [[1, 0]], "g": []}))
     assert run(["verify", "--in", str(ident), "--m", "0", "--alpha", "0.5",
-                "--q", "0.5", "--grid", "default"]) == 0
+                "--q", "0.5"]) == 0
     capsys.readouterr()
 
     # exit 1: a valid run with a failing check

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from qharm import (
     DEFAULT_TRUNC,
@@ -891,3 +891,16 @@ def test_functional_and_probe_equal_the_generator_expressions_bitwise(case, rs):
     assert [(r.hex(), m.hex()) for r, m in report.entries] == [(r.hex(), m.hex()) for r, m in entries]
     assert report.limit_margin.hex() == limit.hex()
     assert coeff_functional(f, p).hex() == functional.hex()
+
+
+near_one = st.floats(1.0 - 1e-3, 1.0) | st.floats(1.0, 1.0 + 1e-3, exclude_min=True) | st.sampled_from([1.0 + 5e-13, 1.0 + 2e-12])
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=probe_params, target=near_one, trunc=st.integers(2, 256), seed=st.integers(0, 2**32))
+# a functional of 1 + 1e-6 first dips below the threshold past the last default radius, 0.9999
+@example(p=params(3, 0.25, 0.9), target=1.0 + 1e-6, trunc=DEFAULT_TRUNC, seed=7)
+def test_the_probe_passes_exactly_the_members(p, target, trunc, seed):
+    f = verify.random_t_form(p, target, np.random.default_rng(seed), trunc=trunc)
+    assert f.t_form
+    assert classes.necessity_probe(f, p).passed == member_t_iff(f, p)

@@ -9,6 +9,7 @@ import sys
 import warnings
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -117,14 +118,15 @@ def test_extremal_round_trip_bitwise(tmp_path, capsys):
     direct = extreme_point(3, "coanalytic", p, coanalytic_sign=1)
     assert reloaded.h.coeffs == direct.h.coeffs
     assert reloaded.g.coeffs == direct.g.coeffs
-    # and the emitted file is accepted by verify
+    # and the emitted file is accepted by check and verify
+    assert run(["check", "--in", str(out), "--m", "2", "--alpha", "0.25", "--q", "0.7"]) == 0
     assert run(["verify", "--in", str(out), "--m", "2", "--alpha", "0.25", "--q", "0.7"]) == 0
     capsys.readouterr()
 
 
 def test_verify_identity_passes(tmp_path, capsys):
     path = write_json(tmp_path / "id.json", IDENTITY_DOC)
-    code = run(["verify", "--in", path, "--m", "0", "--alpha", "0.5", "--q", "0.5", "--grid", "default"])
+    code = run(["verify", "--in", path, "--m", "0", "--alpha", "0.5", "--q", "0.5"])
     reports = json.loads(capsys.readouterr().out)
     assert code == 0
     assert all(r["passed"] for r in reports)
@@ -306,6 +308,18 @@ def test_probe_member_vs_violator(tmp_path, capsys):
     assert run(["probe", "--in", violator, "--m", "0", "--alpha", "0.5", "--q", "0.5"]) == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["first_failure"] is not None
+
+
+def test_probe_fails_a_non_member_that_no_sampled_radius_shows(tmp_path, capsys):
+    # functional 1 + 1e-6: the axis margin dips below -MEMBERSHIP_TOL only past r = 0.9999
+    p = ClassParams(m=3, alpha=0.25, q=QParam(0.9))
+    path = write_json(tmp_path / "f.json", harmonic_to_json(verify.random_t_form(p, 1 + 1e-6, np.random.default_rng(7))))
+    cls = ["--m", "3", "--alpha", "0.25", "--q", "0.9"]
+    assert run(["check", "--in", path, *cls]) == 1
+    assert json.loads(capsys.readouterr().out)["t_member"] is False
+    assert run(["probe", "--in", path, *cls]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["passed"] is False and doc["first_failure"] is None and doc["limit_margin"] < -MEMBERSHIP_TOL
 
 
 def test_dq_emits_power_series(tmp_path, capsys):
@@ -1011,6 +1025,25 @@ def test_every_real_flag_keeps_the_exit_contract(real_flag_dir, case):
         assert code == 0 or (code == 1 and argv[0] in ("check", "verify", "probe")), (argv, tol, code, lines)
         assert lines == [], (argv, tol, lines)
         json.loads(out.getvalue(), parse_constant=refuse_constant)
+
+
+@pytest.mark.parametrize(
+    "argv, doc, message",
+    [
+        (["check", "--in", "{series}", *CLS], FS, "the coefficient functional must lie in [0, inf), got inf"),
+        (["combine", "--point", "2:analytic:1e308", "--point", "3:analytic:1e308", *CLS], IDENTITY_DOC, "weights must sum to 1 within 1e-12, got inf"),
+        (["witness", "--x", "2=nanj", *CLS], IDENTITY_DOC, "weight moduli must sum to 1 within 1e-12, got nan"),
+        (["verify", "--in", "{series}", *CLS, "--csv", "{csv}"], OVF, "the worst sense_preserving margin is not finite, got nan"),
+    ],
+    ids=["check-functional", "combine-weights", "witness-nan-weight", "verify-margin"],
+)
+def test_a_value_beyond_the_float_range_is_one_error_line_and_exit_2(tmp_path, capsys, argv, doc, message):
+    # the run writes nothing: no result on stdout and no --csv table
+    series = write_json(tmp_path / "s.json", doc)
+    csv = tmp_path / "n.csv"
+    assert run([a.format(series=series, csv=csv) for a in argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not csv.exists()
 
 
 def test_an_overflowing_input_above_the_cut_exits_2_and_writes_no_table(tmp_path, capsys):

@@ -54,6 +54,7 @@ from qharm import (
     coeff_functional,
     counterexample_scan,
     eval_power,
+    extreme_point,
     growth_bound_check,
     growth_bounds,
     injectivity_sample_check,
@@ -64,6 +65,7 @@ from qharm import (
     re_condition_margin,
     salagean_harmonic,
     sense_preserving_margin,
+    sharpness_witness,
     write_margin_csv,
 )
 from qharm import series, verify
@@ -330,6 +332,20 @@ FOLDING_PHASED = harmonic([1.0, *(0.3j**u / u**2 for u in range(2, 25))], [0.2 *
 DEGREE_12 = harmonic([1.0, *(-0.02 / u for u in range(2, 13))], [0.01 / u for u in range(1, 13)], 12)
 NEGATIVE_ZEROS = harmonic([1.0, *(complex(-0.02 / u, -0.0) for u in range(2, 11))], [complex(0.01, -0.0)] * 10, 10)
 B1_MINUS_ONE = harmonic([1.0, -0.25, 0.05, 0.02, 0.01, 0.01], [-1.0, 0.125, 0.01, 0.01, 0.005, 0.002], 6)
+# Inputs built as qharm extremal, witness and random_t_form build them.  At (2, 0, 0.5):
+# the + co-analytic extreme point at u = 2 and a witness with complex h, both below the
+# cut.  At P1 = (3, 0.25, 0.9), above it: the + co-analytic extreme point at u = 1334,
+# which folds at M = 256; a trunc-64 real member; and trunc-64 witnesses with complex h
+# and real g, and with real h and complex g.
+P2_2 = ClassParams(m=2, alpha=0.0, q=QParam(0.5))
+P1 = ClassParams(m=3, alpha=0.25, q=QParam(0.9))
+EXTREME_2 = extreme_point(2, "coanalytic", P2_2, coanalytic_sign=1)
+WITNESS_3 = sharpness_witness([0.3 + 0.4j], [0j, 0j, 0.5], P2_2)
+EXTREME_1334 = extreme_point(1334, "coanalytic", P1, coanalytic_sign=1)
+MEMBER_64 = random_t_form(P1, 0.9, np.random.default_rng(7), trunc=64)
+WITNESS_64 = sharpness_witness([0j] * 62 + [0.3 + 0.4j], [0j] * 39 + [0.5], P1)
+WITNESS_64G = sharpness_witness([0j] * 62 + [0.5], [0j] * 39 + [0.3 + 0.4j], P1)
+SEVEN_OFF_AXIS = DiskGrid(angular_count=7, include_positive_axis=False)
 
 
 @settings(max_examples=150, deadline=None)
@@ -369,6 +385,18 @@ B1_MINUS_ONE = harmonic([1.0, -0.25, 0.05, 0.02, 0.01, 0.01], [-1.0, 0.125, 0.01
 @example(f=DEGREE_12, p=P0, grid=DiskGrid(radii=(0.3, 0.99), angular_count=13, include_positive_axis=False), pair_budget=40, seed=11)
 @example(f=NEGATIVE_ZEROS, p=ClassParams(m=1, alpha=0.25, q=QParam(0.9)), grid=DiskGrid(radii=(0.5, 0.9), angular_count=8), pair_budget=40, seed=12)
 @example(f=B1_MINUS_ONE, p=ClassParams(m=0, alpha=0.25, q=QParam(0.5)), grid=DiskGrid(radii=(0.5, 0.9), angular_count=8), pair_budget=40, seed=13)
+# the CLI-built inputs, on the default grid and on 7 angles off the axis
+@example(f=EXTREME_2, p=P2_2, grid=DiskGrid(), pair_budget=256, seed=0)
+@example(f=EXTREME_2, p=P2_2, grid=DiskGrid(radii=(0.3, 0.9), angular_count=7, include_positive_axis=False), pair_budget=256, seed=0)
+@example(f=WITNESS_3, p=P2_2, grid=DiskGrid(), pair_budget=256, seed=0)
+@example(f=EXTREME_1334, p=P1, grid=DiskGrid(), pair_budget=256, seed=0)
+@example(f=EXTREME_1334, p=P1, grid=SEVEN_OFF_AXIS, pair_budget=256, seed=0)
+@example(f=MEMBER_64, p=P1, grid=DiskGrid(), pair_budget=256, seed=0)
+@example(f=MEMBER_64, p=P1, grid=SEVEN_OFF_AXIS, pair_budget=256, seed=0)
+@example(f=WITNESS_64, p=P1, grid=DiskGrid(), pair_budget=256, seed=0)
+@example(f=WITNESS_64, p=P1, grid=SEVEN_OFF_AXIS, pair_budget=256, seed=0)
+@example(f=WITNESS_64G, p=P1, grid=DiskGrid(), pair_budget=256, seed=0)
+@example(f=WITNESS_64G, p=P1, grid=SEVEN_OFF_AXIS, pair_budget=256, seed=0)
 def test_engine_matches_reference_bitwise(f, p, grid, pair_budget, seed):
     # Polynomials of degree <= floor(log2 M) take Horner and give the
     # reference's bits; the others take one FFT per ring, whose margins lie
@@ -412,18 +440,33 @@ def test_engine_matches_reference_bitwise(f, p, grid, pair_budget, seed):
     assert_same([r.to_dict() for r in checks], [r.to_dict() for r in reports])
 
 
+def test_the_cli_built_inputs_take_the_engines_they_stand_for():
+    # T, h', g' and f of each: Horner below the cut, else the real or complex transform
+    def engines(f, p):
+        grid = DiskGrid()
+        polynomials = (class_transform(f, p.operator_params()), classical_derivative(f.h), classical_derivative(f.g), f)
+        return [name for name, _, _ in transforms(lambda: [verify._grid_values(s, grid) for s in polynomials])]
+
+    assert engines(EXTREME_2, P2_2) == engines(WITNESS_3, P2_2) == []
+    assert any(c.imag for c in WITNESS_3.h.coeffs)
+    assert engines(EXTREME_1334, P1) == ["rfft"] * 3  # h' = 1 stays on Horner
+    assert engines(MEMBER_64, P1) == ["rfft"] * 4
+    assert engines(WITNESS_64, P1) == ["ifft", "ifft", "rfft", "ifft"]
+    assert engines(WITNESS_64G, P1) == ["ifft", "rfft", "ifft", "ifft"]
+
+
 def test_margin_csv_spanning_two_blocks_matches_reference():
     # 8,192 rows: the writer formats the table in blocks of at most 4,096 rows.
-    # M = 4096, so trunc 8 stays below the cut (and gives the reference's bytes) and trunc 16 and 64 are above it.
-    p = ClassParams(m=3, alpha=0.25, q=QParam(0.9))
+    # M = 4096, so the trunc-8 member and the u = 2 extreme point stay below the cut
+    # (and give the reference's bytes) and the trunc-16 and trunc-64 members are above it.
     grid = DiskGrid(radii=(0.5, 0.9), angular_count=4096)
     assert grid.size > verify._CSV_BLOCK_ROWS
-    for trunc in (8, 16, 64):
-        f = random_t_form(p, 0.9, np.random.default_rng(7), trunc=trunc)
+    members = [(P1, random_t_form(P1, 0.9, np.random.default_rng(7), trunc=trunc)) for trunc in (8, 16, 64)]
+    for p, f in [*members, (P2_2, EXTREME_2)]:
         buf = io.StringIO()
         write_margin_csv(buf, f, p, grid)
         assert buf.getvalue() == csv_text(*margin_rows(f, p, grid))
-        if trunc == 8:
+        if harmonic_bound(f, grid) is None:
             assert buf.getvalue() == ref_csv(f, p, grid)
 
 
