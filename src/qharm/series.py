@@ -236,14 +236,17 @@ def eval_power(s: PowerSeries | AnalyticSeries, z):
     an array of the same shape; numpy's complex multiply may round
     differently from Python's, so it need not equal the scalar values bit
     for bit).  The run of highest-power +0+0j coefficients is skipped
-    (_evaluated_length).  On 2 or more points
-    the steps after the first update one new array in place, bitwise like
-    ``acc = acc * z + c``; a 1-element array in place would not be.
+    (_evaluated_length), and _horner evaluates the rest.
     """
     coeffs = s.coeffs
-    n = _evaluated_length(coeffs)
-    acc = 0j * z + coeffs[n - 1]  # a new object, never z itself
-    rest = reversed(coeffs[: n - 1])
+    return _horner(coeffs[: _evaluated_length(coeffs)], z)
+
+
+def _horner(coeffs: tuple[complex, ...], z):
+    """Horner's scheme over every coefficient given (from z**0; the caller trims).  From
+    2 points up it updates one new array in place, bitwise ``acc = acc * z + c`` there."""
+    acc = 0j * z + coeffs[-1]  # a new object, never z itself
+    rest = reversed(coeffs[:-1])
     if getattr(acc, "size", 1) > 1:  # an array of 2 or more points
         for c in rest:
             acc *= z
@@ -256,7 +259,12 @@ def eval_power(s: PowerSeries | AnalyticSeries, z):
 
 def eval_harmonic(f: HarmonicFunction, z):
     """f(z) = h(z) + conj(g(z)), for a complex z or a numpy array."""
-    return eval_analytic(f.h, z) + eval_analytic(f.g, z).conjugate()
+    return _horner_harmonic(*(c[: _evaluated_length(c)] for c in (f.h.coeffs, f.g.coeffs)), z)
+
+
+def _horner_harmonic(h: tuple[complex, ...], g: tuple[complex, ...], z):
+    """h(z) + conj(g(z)) by _horner over every coefficient given (from z**1)."""
+    return _horner(h, z) * z + (_horner(g, z) * z).conjugate()
 
 
 def hadamard(s1: AnalyticSeries, s2: AnalyticSeries) -> AnalyticSeries:

@@ -14,15 +14,15 @@ checks take one absolute tolerance on their sampled margins
 formula and the injectivity report get the values of a polynomial of f
 (T, h', g' or f = h + conj(g) itself) from one evaluator, _grid_values,
 which picks the method from that polynomial and the grid alone:
-- A polynomial of degree d, counted after eval_power's trim of trailing
-  +0+0j coefficients (T, h' and g' from z**0, h and g from z**1), is
-  evaluated by Horner (eval_power) at the stored points asked for if
-  d <= floor(log2 M), and otherwise by one FFT per ring at the exact ring
-  angles of the whole grid, M being the ring transform length: K on the
-  axis grid, 2K off it.  Per point Horner costs d steps and the FFT about
-  log2 M.  The FFT's error stays within 4 log2(M) 2**-53 sum |c_u| r**u at
-  radius r (against mpmath; Horner's is of the same order), so FFT margins
-  differ from Horner's at the ulp level.
+- A polynomial of degree d, counted after one trim of the trailing +0+0j
+  coefficients of each part (T, h' and g' from z**0, h and g from z**1),
+  is evaluated by Horner on the trimmed parts at the stored points asked
+  for if d <= floor(log2 M), and otherwise by one FFT per ring at the exact
+  ring angles of the whole grid, M being the ring transform length: K on
+  the axis grid, 2K off it.  Per point Horner costs d steps and the FFT
+  about log2 M.  The FFT's error stays within 4 log2(M) 2**-53 sum |c_u|
+  r**u at radius r (against mpmath; Horner's is of the same order), so FFT
+  margins differ from Horner's at the ulp level.
 - A polynomial whose coefficients all have zero imaginary part (either
   sign of zero) takes the real transform: its rfft gives the angles
   j <= mirror(j) of each ring (DiskGrid), and each other angle takes the
@@ -33,9 +33,9 @@ injectivity reads the growth check's grid values of f if there are some,
 and otherwise asks _grid_values for f at both ends of its pairs.
 The margin table is one map from column name to array in CSV order (re,
 im, the margins): the reports read their columns by name, the header is
-its names.  The CSV writer formats each distinct float of a block of it
-once (repr depends only on a float's bits, so the bytes are those of a
-repr per cell), and holds one block of strings at a time.
+its names.  The CSV writer calls repr once per distinct magnitude of a
+block of it (the bytes are those of a repr per cell, see _write_csv), and
+holds one block of strings at a time.
 """
 
 from __future__ import annotations
@@ -50,8 +50,8 @@ from .qcore import DEFAULT_TOLERANCE, MAX_JSON_TRUNC, DomainError, in_interval, 
 from .classes import ClassParams, _from_shares, coeff_functional, growth_bounds, member_t_iff, proof_step_violations
 from .classes import DEFAULT_PROBE_RADII, ProbeReport, necessity_probe  # noqa: F401 (re-exported)
 from .salagean import class_transform
-from .series import DEFAULT_TRUNC, HarmonicFunction, PowerSeries, _evaluated_length, classical_derivative
-from .series import eval_harmonic, eval_power
+from .series import DEFAULT_TRUNC, HarmonicFunction, PowerSeries, _evaluated_length, _horner, _horner_harmonic
+from .series import classical_derivative
 
 DEFAULT_RADII = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99, 0.999)
 DEFAULT_ANGULAR_COUNT = 256
@@ -177,23 +177,23 @@ class VerificationReport:
 
 def _grid_values(s: PowerSeries | HarmonicFunction, grid: DiskGrid, at: np.ndarray | None = None) -> np.ndarray:
     """s (T, h', g' or f = h + conj(g)) at every point of grid, or at the
-    points grid.points()[at] for an index array at.  Of degree d above
-    floor(log2 M), counted as in the module docstring, by _ring_values on
-    the whole grid, then gathered; else by Horner at those points only.
-    Stored lengths at or below the cut decide without the trim."""
+    points grid.points()[at] for an index array at.  Each part is trimmed
+    once, as in the module docstring.  Of degree d above floor(log2 M), by
+    _ring_values on the whole grid, then gathered; else by Horner on the
+    trimmed parts at those points only."""
     harmonic = isinstance(s, HarmonicFunction)
-    parts = (s.h.coeffs, s.g.coeffs) if harmonic else (s.coeffs,)
+    parts = [c[: _evaluated_length(c)] for c in ((s.h.coeffs, s.g.coeffs) if harmonic else (s.coeffs,))]
     # the most coefficients of a part that Horner takes: cut + 1 from z**0, cut from z**1
     most = (grid.angular_count * (1 if grid.include_positive_axis else 2)).bit_length() - harmonic
-    if max(map(len, parts)) > most and max(n := list(map(_evaluated_length, parts))) > most:
+    if max(map(len, parts)) > most:
         if harmonic:  # f = h + conj(g) is one sum, with conj(b_u) at exponent -u
-            g = parts[1][: n[1]]
-            values = _ring_values([*(b.conjugate() for b in reversed(g)), 0j, *parts[0][: n[0]]], -len(g), grid)
+            h, g = parts
+            values = _ring_values([*(b.conjugate() for b in reversed(g)), 0j, *h], -len(g), grid)
         else:
-            values = _ring_values(parts[0][: n[0]], 0, grid)
+            values = _ring_values(parts[0], 0, grid)
         return values if at is None else values[at]
     z = grid.points() if at is None else grid.points()[at]
-    return eval_harmonic(s, z) if harmonic else eval_power(s, z)
+    return _horner_harmonic(*parts, z) if harmonic else _horner(parts[0], z)
 
 
 def _ring_values(coeffs: list[complex], low: int, grid: DiskGrid) -> np.ndarray:
@@ -552,16 +552,20 @@ def write_margin_csv(stream, f: HarmonicFunction, p: ClassParams, grid: DiskGrid
 
 def _write_csv(stream, columns: dict[str, np.ndarray]) -> None:
     """Write the column names, then each row of the stacked columns as the
-    reprs of its floats.  Each block of rows formats each distinct bit
-    pattern once: keyed on bits, not on float equality, 0.0 and -0.0 stay apart."""
+    reprs of its floats, one write per block of rows.  A block calls repr once
+    per distinct magnitude, keyed on the bits of its absolute values."""
     stream.write(",".join(columns) + "\n")
     table = np.column_stack([*columns.values()])
     width = table.shape[1]
     for start in range(0, len(table), _CSV_BLOCK_ROWS):
-        bits, inverse = np.unique(table[start : start + _CSV_BLOCK_ROWS].view(np.uint64), return_inverse=True)
-        text = list(map(repr, bits.view(np.float64).tolist()))
-        cells = iter([text[i] for i in inverse.ravel().tolist()])
-        stream.write("".join([",".join(row) + "\n" for row in zip(*[cells] * width)]))
+        block = table[start : start + _CSV_BLOCK_ROWS]
+        magnitudes, inverse = np.unique(np.abs(block).view(np.uint64), return_inverse=True)
+        cells = np.array(list(map(repr, magnitudes.view(np.float64).tolist())), object)[inverse.reshape(block.shape)]
+        # repr(-x) is "-" + repr(x) for every float x but a NaN, which prints nan whatever its sign
+        negative = np.signbit(block) & ~np.isnan(block)
+        cells[negative] = "-" + cells[negative]
+        rows = zip(*[iter(cells.ravel().tolist())] * width)
+        stream.write("\n".join(map(",".join, rows)) + "\n")
 
 
 # --- the verify run ------------------------------------------------------------

@@ -180,11 +180,11 @@ def test_verify_no_axis_writes_the_table_of_the_offset_grid(tmp_path, capsys):
     assert expected != table(verify.DiskGrid())
 
 
-def run_counting_eval_power(argv):
-    """Exit status of qharm argv, and the eval_power calls the run made."""
-    # eval_harmonic reaches eval_power through qharm.series
-    with mock.patch.object(series, "eval_power", wraps=series.eval_power) as in_series, \
-            mock.patch.object(verify, "eval_power", wraps=verify.eval_power) as in_verify:
+def run_counting_horner(argv):
+    """Exit status of qharm argv, and the Horner evaluations the run made."""
+    # the harmonic Horner reaches _horner through qharm.series
+    with mock.patch.object(series, "_horner", wraps=series._horner) as in_series, \
+            mock.patch.object(verify, "_horner", wraps=verify._horner) as in_verify:
         status = run(argv)
     return status, in_series.call_count + in_verify.call_count
 
@@ -195,7 +195,7 @@ def test_verify_csv_reuses_the_grid_evaluations_of_the_checks(tmp_path, capsys):
     argv = ["verify", "--in", path, "--m", "0", "--alpha", "0.25", "--q", "0.5"]
     calls = []
     for csv in ([], ["--csv", str(tmp_path / "grid.csv")]):
-        status, count = run_counting_eval_power([*argv, *csv])
+        status, count = run_counting_horner([*argv, *csv])
         assert status == 0
         reports = json.loads(capsys.readouterr().out)
         assert [r["check"] for r in reports][-1] == "growth_bounds"
@@ -215,7 +215,7 @@ def test_verify_evaluates_each_polynomial_once(tmp_path, capsys, f, checks):
     # T, h' and g' on the grid, then h and g once: on the grid for the
     # growth margins, which injectivity reads, or else at the pair ends
     path = write_json(tmp_path / "f.json", harmonic_to_json(f))
-    status, count = run_counting_eval_power(["verify", "--in", path, "--m", "0", "--alpha", "0.25", "--q", "0.5"])
+    status, count = run_counting_horner(["verify", "--in", path, "--m", "0", "--alpha", "0.25", "--q", "0.5"])
     assert status in (0, 1)
     assert len(json.loads(capsys.readouterr().out)) == checks
     assert count == 5

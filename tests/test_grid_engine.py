@@ -4,17 +4,18 @@ The reference below is the plain engine: a fresh point array per call, built
 point by point from the first octant of each ring, a zero-seeded Horner
 loop over every stored coefficient, the whole grid evaluated for the
 injectivity pairs, and margin_rows with its own margin formulas.  The
-library builds each ring with array operations, skips high-order +0+0j
-coefficients, caches the grid points, and gets every value through one
-evaluator, which is given an index array for the injectivity pairs unless
-f's grid values are at hand; at those indices its values must be the grid
-values bit for bit.  A polynomial of degree above floor(log2 M) it
-evaluates by one FFT per ring at the exact ring angles: a margin that reads
-such a polynomial must lie within the FFT's error bound plus Horner's of
-the reference margin, and every other report and margin must equal the
-reference bit for bit, zero signs included.  The CSV text must hold the
-reprs of margin_rows, whose writer formats each distinct float of a block
-once, and disc_checks, which shares each margin array between the reports
+library builds each ring with array operations, trims the high-order +0+0j
+coefficients of each part once, caches the grid points, and gets every
+value through one evaluator, which is given an index array for the
+injectivity pairs unless f's grid values are at hand; at those indices its
+values must be the grid values bit for bit.  A polynomial of degree above
+floor(log2 M) it evaluates by one FFT per ring at the exact ring angles: a
+margin that reads such a polynomial must lie within the FFT's error bound
+plus Horner's of the reference margin, and every other report and margin
+must equal the reference bit for bit, zero signs included.  The CSV text must hold the
+reprs of margin_rows, whose writer calls repr once per distinct magnitude
+of a block and puts "-" before the text of a negative cell that is not a
+NaN, and disc_checks, which shares each margin array between the reports
 and the table, must equal the single checks bit for bit.  The transform
 itself is checked against mpmath at the exact ring points.  A polynomial
 whose coefficients are all real, whatever the rest of f, takes an rfft that
@@ -540,15 +541,16 @@ def test_real_coefficient_margins_repeat_bitwise_at_mirrored_points():
 
 
 def evaluated_sizes(run):
-    """run() and the size of every point array that eval_power received."""
+    """run() and the size of every point array that the Horner core received."""
     sizes = []
+    horner = series._horner
 
-    def recording(s, z):
+    def recording(coeffs, z):
         sizes.append(np.size(z))
-        return eval_power(s, z)
+        return horner(coeffs, z)
 
-    # eval_harmonic reaches eval_power through qharm.series
-    with mock.patch.object(series, "eval_power", recording), mock.patch.object(verify, "eval_power", recording):
+    # the harmonic Horner reaches _horner through qharm.series
+    with mock.patch.object(series, "_horner", recording), mock.patch.object(verify, "_horner", recording):
         run()
     return sizes
 
@@ -602,7 +604,7 @@ def test_each_polynomial_is_evaluated_once_on_the_whole_grid():
     phased_sizes = evaluated_sizes(checks(phased(low)))
     assert len(phased_sizes) == 11 and set(phased_sizes) == {2816, 2 * 256}
     # trunc 64: every polynomial takes one real FFT of the 11 rings, f (h + conj(g)) included,
-    # and nothing reaches eval_power
+    # and nothing reaches Horner
     member = random_t_form(p, 0.9, np.random.default_rng(7), trunc=64)
     assert member.t_form and member_t_iff(member, p)
     assert evaluated_sizes(checks(member)) == []
@@ -629,24 +631,32 @@ def test_no_scan_candidate_reaches_the_ring_transform():
         assert not ring.called and len(sizes) > 200
 
 
-def test_stored_lengths_at_or_below_the_cut_decide_without_the_trim():
-    # the scan's candidates are stored at most 7 long, so the dispatch never trims;
-    # a longer series is trimmed first, and its +0+0j tail keeps it on Horner
+def test_each_part_is_trimmed_once_and_horner_takes_the_trimmed_parts():
+    # the dispatch trims each part once; Horner neither trims again nor sees the +0+0j tail,
+    # which keeps a long series on Horner, while a -0j tail is kept and takes the FFT
     grid = DiskGrid()
-    trim = mock.patch.object(verify, "_evaluated_length", side_effect=AssertionError("trimmed"))
+    trims = mock.patch.object(verify, "_evaluated_length", wraps=verify._evaluated_length)
+    retrim = mock.patch.object(series, "_evaluated_length", side_effect=AssertionError("trimmed again"))
     ring = mock.patch.object(verify, "_ring_values", return_value=np.zeros(grid.size, complex))
-    with trim, ring as fft:
+    horner = mock.patch.object(verify, "_horner", wraps=verify._horner)
+    with retrim:
         counterexample_scan(ClassParams(m=3, alpha=0.25, q=QParam(0.9)), 50, 7)
-        verify._grid_values(PowerSeries([0.5] * 9), grid)
-        verify._grid_values(harmonic([1.0, *[0.5] * 7], [0.5] * 8, 8), grid)  # h and g from z**1
-        assert not fft.called
-    with trim, pytest.raises(AssertionError, match="trimmed"):
-        verify._grid_values(PowerSeries([0.5] * 10), grid)
-    with trim, pytest.raises(AssertionError, match="trimmed"):
-        verify._grid_values(harmonic([1.0, *[0.5] * 8], [0.5], 9), grid)
-    with ring as fft:
+    for s, parts in [
+        (PowerSeries([0.5] * 9), 1),
+        (harmonic([1.0, *[0.5] * 7], [0.5] * 8, 8), 2),  # h and g from z**1
+        (PowerSeries([0.5] * 9 + [0j] * 100), 1),
+    ]:
+        with retrim, trims as trim, ring as fft:
+            verify._grid_values(s, grid)
+        assert trim.call_count == parts and not fft.called
+    with retrim, horner as core:
         verify._grid_values(PowerSeries([0.5] * 9 + [0j] * 100), grid)
-        assert not fft.called
+        (coeffs, _), _ = core.call_args
+        assert coeffs == (0.5 + 0j,) * 9
+    with retrim, ring as fft:
+        verify._grid_values(PowerSeries([0.5] * 10), grid)
+        verify._grid_values(harmonic([1.0, *[0.5] * 8], [0.5], 9), grid)
+        assert fft.call_count == 2
         verify._grid_values(PowerSeries([0.5] * 9 + [-0j] * 100), grid)
         (coeffs, low, _), _ = fft.call_args
         assert len(coeffs) == 109 and low == 0

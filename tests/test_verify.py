@@ -574,27 +574,57 @@ def test_margin_csv_skips_growth_for_non_member():
     assert len(rows) == 4
 
 
-def test_csv_writer_equals_repr_per_cell():
-    # The writer formats each distinct bit pattern of a block once.  Both
-    # zeros, NaNs of either sign, infinities, subnormals and runs of one
-    # value must each come out as their own repr, across block boundaries.
-    specials = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072e-308, 1e-310, 0.1, -0.1]
-    rng = np.random.default_rng(17)
-    rows = 2 * verify._CSV_BLOCK_ROWS + 7
-    pool = np.concatenate([specials, rng.standard_normal(64), rng.standard_normal(8) * 1e300])
-    table = pool[rng.integers(0, pool.size, size=(rows, 6))]
-    table[100:900, 2] = -0.0  # a run within one block
-    table[verify._CSV_BLOCK_ROWS - 50 : verify._CSV_BLOCK_ROWS + 50, 3] = 0.0  # a run across a boundary
-    table[::7, 4] = np.where(np.arange(table[::7].shape[0]) % 2, 0.0, -0.0)
-    header = ["re", "im", "a", "b", "c", "d"]
+def csv_text(table, header):
+    """_write_csv's text of the columns of table, named by header."""
     buf = io.StringIO()
     verify._write_csv(buf, dict(zip(header, table.T)))
-    lines = buf.getvalue().split("\n")
-    assert lines[0] == ",".join(header) and lines[-1] == ""
-    expected = [",".join(map(repr, row)) for row in table.tolist()]
-    assert len(lines) == rows + 2
-    for got, want in zip(lines[1:-1], expected):
-        assert got == want
+    return buf.getvalue()
+
+
+def test_csv_writer_equals_repr_per_cell():
+    # The writer calls repr once per distinct magnitude of a block and puts "-"
+    # before the text of a cell whose sign bit is set, unless it is a NaN.  Both
+    # zeros, NaNs of either sign and any payload, infinities, subnormals of
+    # either sign, one magnitude with both signs and runs of one value must each
+    # come out as their own repr, across block boundaries and in a block of one row.
+    signed_nan = float(np.uint64(0xFFF8000000000001).view(np.float64))
+    specials = [0.0, -0.0, np.nan, -np.nan, signed_nan, np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072e-308]
+    specials += [-2.2250738585072e-308, 1e-310, -1e-310, 0.1, -0.1]
+    assert repr(signed_nan) == "nan" and np.array(signed_nan).view(np.uint64) == 0xFFF8000000000001
+    rng = np.random.default_rng(17)
+    header = ["re", "im", "a", "b", "c", "d"]
+    pool = np.concatenate([specials, rng.standard_normal(64), rng.standard_normal(8) * 1e300])
+    for rows in (2 * verify._CSV_BLOCK_ROWS + 7, verify._CSV_BLOCK_ROWS + 1, 1):
+        table = pool[rng.integers(0, pool.size, size=(rows, 6))]
+        if rows > 1:
+            table[100:900, 2] = -0.0  # a run within one block
+            table[verify._CSV_BLOCK_ROWS - 50 : verify._CSV_BLOCK_ROWS + 50, 3] = 0.0  # a run across a boundary
+            table[::7, 4] = np.where(np.arange(table[::7].shape[0]) % 2, 0.0, -0.0)
+            table[:200, 5] = np.where(np.arange(200) % 3, 2.5, -2.5)  # one magnitude, both signs
+            table[200:260, 5] = [signed_nan, 1e-310, -1e-310, -5e-324] * 15
+        lines = csv_text(table, header).split("\n")
+        assert lines[0] == ",".join(header) and lines[-1] == ""
+        expected = [",".join(map(repr, row)) for row in table.tolist()]
+        assert len(lines) == rows + 2
+        for got, want in zip(lines[1:-1], expected):
+            assert got == want
+
+
+def test_csv_writer_calls_repr_once_per_distinct_magnitude_per_block(monkeypatch):
+    texts = []
+
+    def counting(x):
+        texts.append(repr(x))
+        return texts[-1]
+
+    monkeypatch.setattr(verify, "repr", counting, raising=False)
+    nan = np.nan
+    first = [[1.5, -1.5], [0.0, -0.0], [nan, -nan], [2.5, 1.5]]  # magnitudes 0, 1.5, 2.5 and the NaN
+    table = np.array(first * (verify._CSV_BLOCK_ROWS // 4) + [[-1.5, 3.5], [-3.5, 1.5], [-0.0, -3.5]])
+    text = csv_text(table, ["re", "im"])
+    assert sorted(texts) == sorted(["0.0", "1.5", "2.5", "nan"] + ["0.0", "1.5", "3.5"])
+    monkeypatch.undo()
+    assert text.split("\n")[1:-1] == [",".join(map(repr, row)) for row in table.tolist()]
 
 
 def test_removed_tolerance_and_generator_keywords_are_type_errors():
