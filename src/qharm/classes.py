@@ -81,10 +81,15 @@ def _fsum(terms: Iterable[float]) -> float:
 
 
 def coeff_functional(f: HarmonicFunction, p: ClassParams) -> float:
-    """The normalized coefficient sum; membership threshold is 1."""
+    """The normalized coefficient sum; membership threshold is 1.  Kept on f
+    as ``f._functional = (p, value)`` and returned while p equals the stored
+    ClassParams; an overflowing sum raises DomainError and is never stored."""
+    if (memo := f._functional) is not None and memo[0] == p:
+        return memo[1]
     _, w, moduli = _functional_terms(f, p)
     total = _fsum(map(mul, map(truediv, w, repeat(1.0 - p.alpha)), moduli))
-    return in_interval(total, 0, math.inf, "the coefficient functional")
+    object.__setattr__(f, "_functional", (p, in_interval(total, 0, math.inf, "the coefficient functional")))
+    return total
 
 
 def satisfies_sufficient(f: HarmonicFunction, p: ClassParams) -> bool:
@@ -162,16 +167,15 @@ def necessity_probe(
     exponents, w, moduli = _functional_terms(f, p)
     wm = list(map(mul, w, moduli))
 
-    def margin_at(r: float) -> float:
-        axis_sum = _fsum(map(mul, wm, map(pow, repeat(r), exponents)))
+    def margin(axis_sum: float) -> float:
         return 1.0 - in_interval(axis_sum, 0, math.inf, "the axis sum") - p.alpha
 
-    entries = tuple((r, margin_at(r)) for r in rs)
+    entries = tuple((r, margin(_fsum(map(mul, wm, map(pow, repeat(r), exponents))))) for r in rs)
     first_failure = next((r for r, m in entries if m < -MEMBERSHIP_TOL), None)
     return ProbeReport(
         entries=entries,
         first_failure=first_failure,
-        limit_margin=margin_at(1.0),
+        limit_margin=margin(_fsum(wm)),  # at r = 1 each power is 1.0, so each product is exact
         passed=satisfies_sufficient(f, p),
         tolerance=MEMBERSHIP_TOL,
     )

@@ -14,6 +14,7 @@ operator, without routing q = 1 through QParam.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, mul, neg
 
 from .qcore import MAX_JSON_TRUNC, QParam, in_range, weights
 from .series import AnalyticSeries, HarmonicFunction, PowerSeries
@@ -56,7 +57,7 @@ def _weighted(coeffs: tuple[complex, ...], p: OperatorParams) -> tuple[complex, 
     while n and not coeffs[n - 1]:
         n -= 1
     w = (weights(n, p.q, p.m, p.classical_mode) if n else ()) + (1.0,) * (len(coeffs) - n)
-    return tuple(wu * c for wu, c in zip(w, coeffs))
+    return tuple(map(mul, w, coeffs))
 
 
 def salagean(s: AnalyticSeries, p: OperatorParams) -> AnalyticSeries:
@@ -80,7 +81,7 @@ def salagean_harmonic(f: HarmonicFunction, p: OperatorParams) -> HarmonicFunctio
     h2 = salagean(f.h, p)
     g2 = salagean(f.g, p)
     if p.m % 2:
-        g2 = AnalyticSeries(tuple(-c for c in g2.coeffs), trunc=g2.trunc_degree)
+        g2 = AnalyticSeries(tuple(map(neg, g2.coeffs)), trunc=g2.trunc_degree)
     return HarmonicFunction(h2, g2)
 
 
@@ -93,5 +94,5 @@ def class_transform(f: HarmonicFunction, p: OperatorParams) -> PowerSeries:
     the family.  Conjugating and signing the g part instead gives
     eval_harmonic(salagean_harmonic(f, p), z) / z.
     """
-    return PowerSeries(_weighted(tuple(a + b for a, b in zip(f.h.coeffs, f.g.coeffs)), p))
+    return PowerSeries(_weighted(tuple(map(add, f.h.coeffs, f.g.coeffs)), p))
 

@@ -13,7 +13,10 @@ unrestricted.  The three types are frozen dataclasses without
 ``__slots__``: a frozen class with hand-written slots cannot be unpickled
 or copied, since both restore its state through the refused ``__setattr__``.
 A ``HarmonicFunction`` keeps the moduli of its coefficient functional
-once computed; eq, hash, repr, pickle and copy ignore them.
+once computed, and the functional for the last family asked (keyed on an
+equal ClassParams); eq, hash, repr, pickle and copy ignore both.  Each is
+stored by one attribute assignment of a finished value, so concurrent use
+stays unrestricted: at worst two threads compute the same value twice.
 """
 
 from __future__ import annotations
@@ -133,7 +136,8 @@ class HarmonicFunction:
     read from the coefficients: True iff every h coefficient beyond the
     first is real and <= 0 and every g coefficient real and >= 0, the sign
     normalization under which the coefficient criterion is an equivalence
-    rather than only a sufficient condition.
+    rather than only a sufficient condition.  ``_moduli`` and ``_functional``
+    are per-instance memos outside the fields (see the module docstring).
     """
 
     h: AnalyticSeries
@@ -160,6 +164,7 @@ class HarmonicFunction:
         return self.h.trunc_degree
 
     _moduli = None  # set once by _functional_moduli
+    _functional = None  # (ClassParams, value) of the last classes.coeff_functional
 
     def _functional_moduli(self) -> tuple[tuple[int, ...], tuple[float, ...]]:
         """(u - 1 for each power u, |c_u| for each) over the nonzero
@@ -178,10 +183,8 @@ class HarmonicFunction:
         return self._moduli
 
     def __getstate__(self) -> dict:
-        # the fields only, as without the cache: equal values pickle to equal bytes
-        state = dict(self.__dict__)
-        state.pop("_moduli", None)
-        return state
+        # the fields only, so setting a memo never changes a value's pickle
+        return {k: v for k, v in self.__dict__.items() if k not in ("_moduli", "_functional")}
 
     @classmethod
     def from_t_magnitudes(
@@ -278,7 +281,7 @@ def hadamard(s1: AnalyticSeries, s2: AnalyticSeries) -> AnalyticSeries:
 
 def classical_derivative(s: AnalyticSeries) -> PowerSeries:
     """Ordinary derivative: u * c_u becomes the coefficient of z**(u-1)."""
-    return PowerSeries(tuple(u * c for u, c in enumerate(s.coeffs, start=1)))
+    return PowerSeries(tuple(map(operator.mul, range(1, len(s.coeffs) + 1), s.coeffs)))
 
 
 # --- JSON wire format -------------------------------------------------------

@@ -1,3 +1,4 @@
+import json
 import math
 import operator
 import re
@@ -24,12 +25,13 @@ from qharm import (
     growth_bounds,
     growth_witness_lower,
     growth_witness_upper,
+    harmonic_to_json,
     member_t_iff,
     q_integer_pow,
     satisfies_sufficient,
     sharpness_witness,
 )
-from qharm import classes, verify
+from qharm import classes, cli, verify
 from qharm.qcore import in_range, weights
 from qharm.series import MAX_JSON_TRUNC, SchemaError, harmonic_from_json
 
@@ -861,6 +863,7 @@ def generator_functional_and_probe(f, p, rs):
     def margin_at(r):
         return 1.0 - math.fsum(w * mag * r ** (u - 1) for u, w, mag in triples) - p.alpha
 
+    # the limit with every power 1.0 ** (u - 1) written out, which the probe leaves out
     return functional, tuple((r, margin_at(r)) for r in rs), margin_at(1.0)
 
 
@@ -904,3 +907,58 @@ def test_the_probe_passes_exactly_the_members(p, target, trunc, seed):
     f = verify.random_t_form(p, target, np.random.default_rng(seed), trunc=trunc)
     assert f.t_form
     assert classes.necessity_probe(f, p).passed == member_t_iff(f, p)
+
+
+# --- the functional memo --------------------------------------------------------
+
+
+def counted_functional_terms(monkeypatch):
+    calls = []
+    build = classes._functional_terms
+    monkeypatch.setattr(classes, "_functional_terms", lambda f, p: calls.append(p) or build(f, p))
+    return calls
+
+
+def fresh_functional(f, p):
+    return coeff_functional(harmonic_from_json(harmonic_to_json(f)), p)
+
+
+def test_the_functional_memo_follows_the_family(monkeypatch):
+    f = verify.random_t_form(params(3, 0.25, 0.9), 0.9, np.random.default_rng(7), trunc=64)
+    p1, p2 = params(3, 0.25, 0.9), params(6, 0.1, 0.7)
+    expected = {p1: fresh_functional(f, p1), p2: fresh_functional(f, p2)}
+    assert expected[p1] != expected[p2]
+    calls = counted_functional_terms(monkeypatch)
+    for p in (p1, p2, p2, p1, p2):
+        assert coeff_functional(f, p).hex() == expected[p].hex()
+    assert calls == [p1, p2, p1, p2]  # a repeated family is read, another recomputed
+    # an equal but distinct ClassParams reuses the stored value
+    twin = params(6, 0.1, 0.7)
+    assert twin is not p2 and twin == p2
+    assert coeff_functional(f, twin).hex() == expected[p2].hex() and len(calls) == 4
+    assert f._functional[0] is p2
+
+
+def test_an_overflowing_functional_is_never_stored(monkeypatch):
+    f = pair([HUGE, HUGE], [])
+    calls = counted_functional_terms(monkeypatch)
+    for _ in range(3):
+        with pytest.raises(DomainError, match=r"^the coefficient functional must lie in \[0, inf\), got inf$"):
+            satisfies_sufficient(f, params())
+    assert len(calls) == 3 and f._functional is None
+
+
+def test_one_t_form_decision_builds_the_sum_twice(monkeypatch, tmp_path, capsys):
+    p = params(3, 0.25, 0.9)
+    f = verify.random_t_form(p, 0.9, np.random.default_rng(7), trunc=128)
+    calls = counted_functional_terms(monkeypatch)
+    coeff_functional(f, p)
+    satisfies_sufficient(f, p)
+    member_t_iff(f, p)
+    classes.necessity_probe(f, p)
+    assert len(calls) == 2  # the functional once, the probe's axis terms once
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(harmonic_to_json(f)))
+    calls.clear()
+    assert cli.run(["check", "--in", str(path), "--m", "3", "--alpha", "0.25", "--q", "0.9"]) == 0
+    assert json.loads(capsys.readouterr().out)["t_member"] is True and len(calls) == 1

@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qharm import (
     AnalyticSeries,
@@ -12,6 +12,7 @@ from qharm import (
     OperatorParams,
     QParam,
     class_transform,
+    classical_derivative,
     eval_analytic,
     eval_harmonic,
     eval_power,
@@ -299,6 +300,43 @@ def test_zero_tail_needs_no_weight():
     assert bits(out.coeffs[2:]) == bits([1.0 * complex(-0.0)] + [1.0 * 0j] * 37)
     with pytest.raises(DomainError, match="overflows"):
         salagean(AnalyticSeries([1.0] * 40, trunc=40), OperatorParams(400, QParam(0.5), classical_mode=True))
+
+
+def comprehension_weighted(coeffs, p):
+    # _weighted with its product written as a comprehension
+    n = len(coeffs)
+    while n and not coeffs[n - 1]:
+        n -= 1
+    w = (weights(n, p.q, p.m, p.classical_mode) if n else ()) + (1.0,) * (len(coeffs) - n)
+    return tuple(wu * c for wu, c in zip(w, coeffs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    h_tail=coeffs_with_zero_tail(),
+    g=coeffs_with_zero_tail(),
+    q=st.floats(0.01, 0.999),
+    m=st.integers(0, 8),
+    classical=st.booleans(),
+)
+@example(h_tail=[complex(-0.0, 0.5)], g=[complex(0.25, -0.0), -0j], q=0.5, m=1, classical=False)
+@example(h_tail=[complex(-0.0, 0.5)], g=[complex(0.25, -0.0), -0j], q=0.5, m=2, classical=False)
+def test_the_coefficientwise_maps_equal_their_comprehensions_bitwise(h_tail, g, q, m, classical):
+    # bits() keeps the sign of every zero part, so 0.0 - c in place of -c would fail here
+    trunc = max(1 + len(h_tail), len(g), 1)
+    if g and abs(g[0]) > 1.0:
+        g = [g[0] / 2, *g[1:]]
+    f = HarmonicFunction(AnalyticSeries([1.0, *h_tail], trunc=trunc), AnalyticSeries(g, trunc=trunc))
+    p = OperatorParams(m, QParam(q), classical_mode=classical)
+    h, g = f.h.coeffs, f.g.coeffs
+    assert bits(salagean_module._weighted(g, p)) == bits(comprehension_weighted(g, p))
+    transform = comprehension_weighted(tuple(a + b for a, b in zip(h, g)), p)
+    assert bits(class_transform(f, p).coeffs) == bits(transform)
+    image_g = comprehension_weighted(g, p) if m else g
+    image = salagean_harmonic(f, p)
+    assert bits(image.h.coeffs) == bits(comprehension_weighted(h, p) if m else h)
+    assert bits(image.g.coeffs) == bits(tuple(-c for c in image_g) if m % 2 else image_g)
+    assert bits(classical_derivative(f.g).coeffs) == bits(tuple(u * c for u, c in enumerate(g, start=1)))
 
 
 @pytest.mark.parametrize("n", [MAX_JSON_TRUNC + 1, 10**12])

@@ -18,6 +18,7 @@ from qharm import (
     QParam,
     SchemaError,
     classical_derivative,
+    coeff_functional,
     convex_combination,
     eval_analytic,
     eval_harmonic,
@@ -130,8 +131,18 @@ def test_power_series_accessors_start_at_zero():
 def test_values_pickle_copy_and_refuse_assignment(value, names):
     # A frozen class with hand-written __slots__ fails the round trips:
     # unpickling and copying restore slot state through the refused __setattr__.
+    unset = pickle.dumps(value)
+    fresh = copy.deepcopy(value)
+    if isinstance(value, HarmonicFunction):
+        # the memos of the moduli and the functional are set, and nothing that compares values sees them
+        fresh = harmonic_from_json(harmonic_to_json(value))
+        coeff_functional(value, ClassParams(3, 0.25, QParam(0.9)))
+        assert value._moduli is not None and value._functional is not None and fresh._functional is None
+    assert pickle.dumps(value) == unset
+    assert value == fresh and hash(value) == hash(fresh) and repr(value) == repr(fresh)
     for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
         assert type(twin) is type(value) and twin == value and repr(twin) == repr(value)
+        assert pickle.dumps(twin) == unset and hash(twin) == hash(fresh)
     for name in names:
         with pytest.raises(AttributeError):
             setattr(value, name, getattr(value, name))
