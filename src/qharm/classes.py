@@ -301,14 +301,24 @@ def sharpness_witness(
 
     with x[i] the weight of power i+2, y[i] of power i+1, and
     sum |x_u| + sum |y_u| = 1 within 1e-12.  The result's coefficient
-    functional is 1 to rounding, whatever the weight phases.
+    functional is 1 to rounding, whatever the weight phases.  The series
+    length is max(trunc, len(x) + 1, len(y)).  A +0+0j weight would place
+    the padding's own +0+0j, so, like a zero share, it is left out and does
+    not size the weight table: an overflowing [u]_q**m is refused only at a
+    power whose weight is not +0+0j (a zero with a -0.0 part is placed).
     """
-    xs = [complex(v) for v in x]
-    ys = [complex(v) for v in y]
-    _check_unit_sum([_modulus(v) for v in xs + ys], "weight moduli")
-    terms = [("analytic", u, 1.0, v) for u, v in enumerate(xs, start=2)]
-    terms += [("coanalytic", u, 1.0, v) for u, v in enumerate(ys, start=1)]
-    return _from_shares(p, trunc, terms)
+    xs = list(map(complex, x))
+    ys = list(map(complex, y))
+    terms = _weight_terms("analytic", 2, xs) + _weight_terms("coanalytic", 1, ys)
+    _check_unit_sum([_modulus(v) for _, _, _, v in terms], "weight moduli")  # a +0+0j weight adds 0.0
+    return _from_shares(p, max(trunc, len(xs) + 1, len(ys)), terms)
+
+
+def _weight_terms(kind: str, start: int, vs: list[complex]) -> list[tuple[str, int, float, complex]]:
+    """A (kind, u, 1.0, v) share term for each weight v at power u = start,
+    start + 1, ..., except the weights that are +0+0j."""
+    sign = math.copysign
+    return [(kind, u, 1.0, v) for u, v in enumerate(vs, start) if v or sign(1.0, v.real) + sign(1.0, v.imag) != 2.0]
 
 
 def _r2_coefficient(b1: float, p: ClassParams) -> float:

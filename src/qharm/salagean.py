@@ -13,11 +13,12 @@ operator, without routing q = 1 through QParam.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from operator import add, mul, neg
 
 from .qcore import MAX_JSON_TRUNC, QParam, in_range, weights
-from .series import AnalyticSeries, HarmonicFunction, PowerSeries
+from .series import AnalyticSeries, HarmonicFunction, PowerSeries, _not_finite
 
 
 @dataclass(frozen=True)
@@ -79,10 +80,12 @@ def salagean_harmonic(f: HarmonicFunction, p: OperatorParams) -> HarmonicFunctio
     whether the result is t_form.
     """
     h2 = salagean(f.h, p)
-    g2 = salagean(f.g, p)
-    if p.m % 2:
-        g2 = AnalyticSeries(tuple(map(neg, g2.coeffs)), trunc=g2.trunc_degree)
-    return HarmonicFunction(h2, g2)
+    if not p.m % 2:
+        return HarmonicFunction(h2, salagean(f.g, p))
+    products = _weighted(f.g.coeffs, p)
+    if not all(map(cmath.isfinite, products)):
+        raise _not_finite(products, 1)  # checked before the sign flip, so it reads as in salagean(f.g, p)
+    return HarmonicFunction(h2, AnalyticSeries(map(neg, products), trunc=f.g.trunc_degree))
 
 
 def class_transform(f: HarmonicFunction, p: OperatorParams) -> PowerSeries:

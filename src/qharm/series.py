@@ -42,6 +42,13 @@ def _modulus(c: complex) -> float:
         return math.inf
 
 
+def _not_finite(vals: list[complex] | tuple[complex, ...], start: int) -> ValueError:
+    """The error naming the first value that is not finite by its power
+    (vals[0] is the coefficient of z**start); for the caller to raise."""
+    u, c = next((u, c) for u, c in enumerate(vals, start=start) if not cmath.isfinite(c))
+    return ValueError(f"coefficient at power {u} is not finite: {c!r}")
+
+
 class SchemaError(ValueError):
     """A series JSON document violates the schema; ``field`` names the
     offending entry."""
@@ -63,8 +70,7 @@ class _Series:
         ``length`` (None: as given, but at least one)."""
         vals = list(map(complex, coeffs))
         if not all(map(cmath.isfinite, vals)):
-            u, c = next((u, c) for u, c in enumerate(vals, start=self._start) if not cmath.isfinite(c))
-            raise ValueError(f"coefficient at power {u} is not finite: {c!r}")
+            raise _not_finite(vals, self._start)
         n = max(len(vals), 1) if length is None else length
         object.__setattr__(self, "coeffs", tuple(vals[:n]) + (0j,) * (n - len(vals)))
 
@@ -287,21 +293,26 @@ def classical_derivative(s: AnalyticSeries) -> PowerSeries:
 # --- JSON wire format -------------------------------------------------------
 #
 # {"trunc": N, "h": [[re, im], ...], "g": [[re, im], ...]} with index 0 of
-# each array holding the coefficient of z**1; h[0] must be [1, 0].  A
-# PowerSeries is written, not read, as {"start_power": 0, "coeffs": [...]}
-# with index 0 holding the constant term.
+# each array holding the coefficient of z**1; h[0] must be [1, 0].  Each
+# array may stop before trunc, and the reader pads it with +0+0j; the writer
+# stops each part after its last coefficient that is not +0+0j
+# (_evaluated_length), so a zero with a -0.0 part is written and every
+# written series re-parses bitwise equal.  A PowerSeries is written, not
+# read, as {"start_power": 0, "coeffs": [...]} with index 0 holding the
+# constant term and every stored coefficient written.
 
 
-def _pairs(s: _Series) -> list[list[float]]:
-    return [[c.real, c.imag] for c in s.coeffs]
+def _pairs(coeffs: tuple[complex, ...]) -> list[list[float]]:
+    return [[c.real, c.imag] for c in coeffs]
 
 
 def harmonic_to_json(f: HarmonicFunction) -> dict:
-    return {"trunc": f.trunc_degree, "h": _pairs(f.h), "g": _pairs(f.g)}
+    h, g = f.h.coeffs, f.g.coeffs
+    return {"trunc": f.trunc_degree, "h": _pairs(h[: _evaluated_length(h)]), "g": _pairs(g[: _evaluated_length(g)])}
 
 
 def power_series_to_json(s: PowerSeries) -> dict:
-    return {"start_power": 0, "coeffs": _pairs(s)}
+    return {"start_power": 0, "coeffs": _pairs(s.coeffs)}
 
 
 def _parse_pairs(obj: object, field: str, trunc: int) -> tuple[complex, ...]:

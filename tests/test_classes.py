@@ -265,6 +265,23 @@ def test_witness_refuses_non_finite_weight_moduli(weight):
         sharpness_witness([weight], [], params())
 
 
+def test_witness_weights_of_plus_zero_do_not_size_the_weight_table():
+    # [3]_q**m overflows a float here and [2]_q**m does not.  A +0+0j weight
+    # at power 3 places nothing and needs no weight; a nonzero weight there
+    # refuses, and so does a zero with a -0.0 part, which is placed.
+    p = params(1000, 0.0, 0.9)
+    overflow = "^the weight of u = 3 overflows a float at m = 1000"
+    f = sharpness_witness([1.0, 0j], [0j, 0j, 0j], p, trunc=2)
+    assert f.trunc_degree == 3 and f.h.coeffs[1] == 1.0 / weights(2, p.q, p.m)[1]
+    assert coeff_bits(f.h.coeffs[2:], f.g.coeffs) == coeff_bits([0j], [0j] * 3)
+    for xs, ys in (([0.5, 0.5], []), ([1.0], [0j, 0j, complex(-0.0, 0.0)]), ([1.0, complex(0.0, -0.0)], [])):
+        with pytest.raises(DomainError, match=overflow):
+            sharpness_witness(xs, ys, p)
+    # zero weights still count toward the series length
+    with pytest.raises(DomainError, match="exceeds the limit"):
+        sharpness_witness([1.0], [0j] * (MAX_JSON_TRUNC + 1), p)
+
+
 # --- real parameters and overflowing sums ---------------------------------------------
 
 INF = math.inf
@@ -807,6 +824,8 @@ CASES = st.one_of(
     alpha=st.sampled_from([0.0, 0.25, 0.75]) | st.floats(0.0, 0.99),
     q=st.floats(0.01, 0.99),
 )
+# +0+0j weights place nothing, yet they still set the series length
+@example(case=("witness", [0j, 0j], [1j], 1), m=0, alpha=0.0, q=0.5)
 def test_constructions_match_their_parent_bodies_bit_for_bit(case, m, alpha, q):
     name, *args = case
     p = params(m, alpha, q)

@@ -79,10 +79,14 @@ def test_trailing_zeros_do_not_decide_the_domain(tmp_path, capsys, command):
     assert run(["extremal", "--u", "3", "--kind", "analytic", *cls, "--out", out]) == 0
     assert run([command, "--in", out, "--m", "400", "--q", "0.5", "--classical"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    coeffs = doc["h"] if command == "salagean" else doc["coeffs"]
+    if command == "salagean":  # series JSON stops at the last coefficient that is not +0+0j
+        assert doc["trunc"] == 32
+        coeffs = harmonic_from_json(doc).h.coeffs
+    else:
+        coeffs = [complex(re, im) for re, im in doc["coeffs"]]
     assert len(coeffs) == 32
-    assert coeffs[2] == [-float(3**400), 0.0]
-    assert all(c == [0.0, 0.0] for c in coeffs[3:])
+    assert coeffs[2] == -float(3**400)
+    assert all(c == 0 for c in coeffs[3:])
 
 
 def test_verify_accepts_b1_one_extreme_point(tmp_path, capsys):
@@ -105,6 +109,14 @@ def test_extremal_emits_expected_series(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["h"][0] == [1.0, 0.0]
     assert doc["h"][1][0] == pytest.approx(-1.0 / 1.5, abs=1e-15)
+
+
+def test_extremal_writes_no_padding(capsys):
+    # z - (1/[2]_q) z**2 at trunc 32: the +0+0j padding is left to the reader
+    assert run(["extremal", "--u", "2", "--kind", "analytic", "--m", "1", "--alpha", "0", "--q", "0.5"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc == {"trunc": 32, "h": [[1.0, 0.0], [-1.0 / 1.5, 0.0]], "g": [[0.0, 0.0]]}
+    assert harmonic_from_json(doc) == extreme_point(2, "analytic", ClassParams(m=1, alpha=0.0, q=QParam(0.5)))
 
 
 def test_extremal_round_trip_bitwise(tmp_path, capsys):

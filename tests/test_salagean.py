@@ -339,6 +339,19 @@ def test_the_coefficientwise_maps_equal_their_comprehensions_bitwise(h_tail, g, 
     assert bits(classical_derivative(f.g).coeffs) == bits(tuple(u * c for u, c in enumerate(g, start=1)))
 
 
+def test_an_overflowing_image_coefficient_is_named_before_the_sign_flip():
+    # [2]_q = 1.5 and [3]_q = 1.75 at q = 0.5, so both products below overflow
+    p = OperatorParams(1, QParam(0.5))
+    g = AnalyticSeries([0.5, 1.5e308], trunc=3)
+    with pytest.raises(ValueError, match=r"^coefficient at power 2 is not finite: \(inf\+0j\)$"):
+        salagean(g, p)
+    with pytest.raises(ValueError, match=r"^coefficient at power 2 is not finite: \(inf\+0j\)$"):
+        salagean_harmonic(HarmonicFunction(AnalyticSeries.identity(3), g), p)
+    # h is mapped first, so its overflow is the one named
+    with pytest.raises(ValueError, match=r"^coefficient at power 3 is not finite: \(-inf\+0j\)$"):
+        salagean_harmonic(HarmonicFunction(AnalyticSeries([1.0, 0.0, -1.5e308], trunc=3), g), p)
+
+
 @pytest.mark.parametrize("n", [MAX_JSON_TRUNC + 1, 10**12])
 def test_kernel_refuses_lengths_past_the_limit_before_weighting(n):
     p = OperatorParams(1, QParam(0.5))

@@ -6,7 +6,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from qharm import (
     AnalyticSeries,
@@ -413,6 +413,52 @@ def test_json_round_trip_preserves_equality_and_t_form(f):
     signs = signs and all(c.imag == 0.0 and c.real >= 0.0 for c in f.g.coeffs)
     assert f2.t_form == f.t_form == signs
     assert repr(f2) == repr(f)
+
+
+PLUS_ZERO = ((0.0).hex(), (0.0).hex())
+
+
+def hex_parts(coeffs):
+    return [(c.real.hex(), c.imag.hex()) for c in coeffs]
+
+
+@st.composite
+def sparse(draw):
+    """A few drawn coefficients, signed zeros among them, at drawn powers of
+    a series up to MAX_JSON_TRUNC long; every other coefficient is the
+    +0+0j padding."""
+    trunc = draw(st.integers(1, 48) | st.integers(1, MAX_JSON_TRUNC))
+    h, g = [1.0] + [0j] * (trunc - 1), [0j] * trunc
+    for part, low in ((h, 1), (g, 0)):
+        if low < trunc:
+            for i, c in draw(st.lists(st.tuples(st.integers(low, trunc - 1), coefficient), max_size=6)):
+                part[i] = c
+    return HarmonicFunction(AnalyticSeries(h, trunc=trunc), AnalyticSeries(g, trunc=trunc))
+
+
+@settings(max_examples=300, deadline=None)
+@given(f=sparse() | constructed())
+@example(f=HarmonicFunction(AnalyticSeries.identity(MAX_JSON_TRUNC)))  # an all-zero g
+@example(f=HarmonicFunction(AnalyticSeries([1.0, 0.5, 0j, 0j], trunc=6), AnalyticSeries([0.25, -0j], trunc=6)))
+@example(
+    f=HarmonicFunction(
+        AnalyticSeries([1.0] + [0j] * (MAX_JSON_TRUNC - 2) + [complex(-0.0, 0.0)], trunc=MAX_JSON_TRUNC),
+        AnalyticSeries([0j] * (MAX_JSON_TRUNC - 1) + [complex(0.0, -0.0)], trunc=MAX_JSON_TRUNC),
+    )
+)
+def test_series_json_stops_at_the_last_coefficient_that_is_not_plus_zero(f):
+    doc = harmonic_to_json(f)
+    assert doc["trunc"] == f.trunc_degree
+    for key, part in (("h", f.h.coeffs), ("g", f.g.coeffs)):
+        n = len(doc[key])
+        assert n == series._evaluated_length(part)
+        # only +0+0j is dropped, and never the first coefficient
+        assert hex_parts(part[n:]) == [PLUS_ZERO] * (len(part) - n)
+        assert n == 1 or hex_parts(part[n - 1 : n]) != [PLUS_ZERO]
+    back = harmonic_from_json(json.loads(json.dumps(doc)))
+    assert back.trunc_degree == f.trunc_degree
+    assert hex_parts(back.h.coeffs) == hex_parts(f.h.coeffs)
+    assert hex_parts(back.g.coeffs) == hex_parts(f.g.coeffs)
 
 
 def bits(z):
