@@ -189,11 +189,20 @@ def proof_step_violations(p: ClassParams, *, max_u: int = DEFAULT_TRUNC) -> tupl
     ([u]_q**m / (1 - alpha)) |c_u| is invalid, so the standard chain from
     the coefficient condition to univalence and sense-preservation does
     not go through pointwise; the sufficient condition itself is then an
-    empirical matter, which verify.counterexample_scan probes.
+    empirical matter, which verify.counterexample_scan probes.  Weights
+    grow with u, so from the first power whose weight overflows a float on,
+    each exceeds u (1 - alpha): the comparison stops below it.
     """
     max_u = in_range(max_u, 0, MAX_PROOF_STEP_U, "max_u")
-    w = weights(max(max_u, 1), p.q, p.m)
-    return tuple(u for u in range(2, max_u + 1) if u * (1.0 - p.alpha) > w[u - 1])
+    violations = []
+    # [u]_q**m as weights builds it, from the table of [u]_q, which never overflows
+    for u, q_int in enumerate(weights(max(max_u, 1), p.q, 1)[1:], 2):
+        try:
+            if u * (1.0 - p.alpha) > q_int**p.m:
+                violations.append(u)
+        except OverflowError:
+            break
+    return tuple(violations)
 
 
 _UNPLACED = 0j  # fill of a slot no term reached; each computed coefficient is a new object
@@ -212,13 +221,15 @@ def _from_shares(p: ClassParams, trunc: int, terms: Sequence[tuple[str, int, flo
     """
     n = in_range(max([trunc, *(u for _, u, _, _ in terms)]), 1, MAX_JSON_TRUNC, "series length")
     in_range(min((u for _, u, _, _ in terms), default=1), 1, None, "u")
-    top = max([1, *(u for _, u, share, _ in terms if share != 0)])
-    w = weights(top, p.q, p.m)
+    # Each part runs to its own highest placed power, so that its last value is
+    # the one placed there; AnalyticSeries pads both to n.
+    h_top = max([1, *(u for kind, u, share, _ in terms if share != 0 and kind == "analytic")])
+    g_top = max([0, *(u for kind, u, share, _ in terms if share != 0 and kind == "coanalytic")])
+    w = weights(max(h_top, g_top), p.q, p.m)
     one_minus = 1.0 - p.alpha
-    # Both parts run to the highest placed power; AnalyticSeries pads them to n.
-    h = [_UNPLACED] * top
+    h = [_UNPLACED] * h_top
     h[0] = 1.0
-    g = [_UNPLACED] * top
+    g = [_UNPLACED] * g_top
     for kind, u, share, phase in terms:
         if kind not in ("analytic", "coanalytic"):
             raise DomainError(f"kind must be 'analytic' or 'coanalytic', got {kind!r}")

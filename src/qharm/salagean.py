@@ -5,7 +5,10 @@ All operators act coefficientwise: the q-derivative multiplies c_u by
 c_u by [u]_q**m in place.  The difference-quotient definition
 (s(z) - s(qz)) / ((1 - q) z) is deliberately not used for computation;
 it is the independent oracle against which the coefficientwise form is
-tested.
+tested.  Each operator computes only the stored coefficients of its input
+(up to the series' ``_end``) and the constructor pads the rest: every
+operator maps the +0+0j padding to +0+0j, except the sign flip of
+salagean_harmonic at odd m, whose -0-0j image of the padding is kept.
 
 ``classical_mode`` swaps the weights [u]_q**m for u**m, the undeformed
 operator, without routing q = 1 through QParam.
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from itertools import repeat
 from operator import add, mul, neg
 
 from .qcore import MAX_JSON_TRUNC, QParam, in_range, weights
@@ -39,7 +43,7 @@ def q_derivative(s: AnalyticSeries, q: QParam) -> PowerSeries:
     Equals (s(z) - s(qz)) / ((1 - q) z) pointwise; the quotient form is
     reserved for test oracles.
     """
-    return PowerSeries(tuple(w * c for w, c in zip(weights(len(s.coeffs), q, 1), s.coeffs)))
+    return PowerSeries._padded(tuple(w * c for w, c in zip(weights(s._end, q, 1), s.coeffs)), len(s.coeffs))
 
 
 def salagean_kernel(trunc: int, p: OperatorParams) -> AnalyticSeries:
@@ -69,7 +73,7 @@ def salagean(s: AnalyticSeries, p: OperatorParams) -> AnalyticSeries:
     """
     if p.m == 0:
         return s
-    return AnalyticSeries(_weighted(s.coeffs, p), trunc=s.trunc_degree)
+    return AnalyticSeries(_weighted(s.coeffs[: s._end], p), trunc=s.trunc_degree)
 
 
 def salagean_harmonic(f: HarmonicFunction, p: OperatorParams) -> HarmonicFunction:
@@ -77,15 +81,17 @@ def salagean_harmonic(f: HarmonicFunction, p: OperatorParams) -> HarmonicFunctio
     transformed directly and the co-analytic part picks up the factor
     (-1)**m, so that evaluating the result as h(z) + conj(g(z)) gives the
     operator value on f.  Odd orders flip the signs of g, and with them
-    whether the result is t_form.
+    whether the result is t_form; the flip maps g's +0+0j padding to -0-0j.
     """
     h2 = salagean(f.h, p)
     if not p.m % 2:
         return HarmonicFunction(h2, salagean(f.g, p))
-    products = _weighted(f.g.coeffs, p)
+    g = f.g
+    products = _weighted(g.coeffs[: g._end], p)
     if not all(map(cmath.isfinite, products)):
         raise _not_finite(products, 1)  # checked before the sign flip, so it reads as in salagean(f.g, p)
-    return HarmonicFunction(h2, AnalyticSeries(map(neg, products), trunc=f.g.trunc_degree))
+    flipped = (*map(neg, products), *repeat(-0j, g.trunc_degree - len(products)))
+    return HarmonicFunction(h2, AnalyticSeries(flipped, trunc=g.trunc_degree))
 
 
 def class_transform(f: HarmonicFunction, p: OperatorParams) -> PowerSeries:
@@ -97,5 +103,7 @@ def class_transform(f: HarmonicFunction, p: OperatorParams) -> PowerSeries:
     the family.  Conjugating and signing the g part instead gives
     eval_harmonic(salagean_harmonic(f, p), z) / z.
     """
-    return PowerSeries(_weighted(tuple(map(add, f.h.coeffs, f.g.coeffs)), p))
+    h, g = f.h, f.g
+    k = max(h._end, g._end)  # past it both parts are +0+0j, and so is their image
+    return PowerSeries._padded(_weighted(tuple(map(add, h.coeffs[:k], g.coeffs)), p), len(h.coeffs))
 

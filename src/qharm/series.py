@@ -7,11 +7,17 @@ Derivative-like maps produce a ``PowerSeries``, which carries a constant
 term (coefficients from z**0).
 
 Series arithmetic is exact for the stored coefficient range and silently
-truncates beyond the truncation degree.  All types are immutable and all
-operations are pure, so concurrent use and transfer between threads are
-unrestricted.  The three types are frozen dataclasses without
-``__slots__``: a frozen class with hand-written slots cannot be unpickled
-or copied, since both restore its state through the refused ``__setattr__``.
+truncates beyond the truncation degree.  A series is padded with +0+0j to
+its length.  Its constructor records once, as ``_end``, where the stored
+coefficients end (the trim rule, _stored_length: all but the run of
+highest-power +0+0j values, and at least one), and every per-coefficient
+pass stops there: the evaluators, the JSON writer, the operators, and the
+t_form and functional scans.  ``_end`` is not a field, and unpickling and
+copying rebuild it.  All types are immutable and all operations are pure,
+so concurrent use and transfer between threads are unrestricted.  The
+three types are frozen dataclasses without ``__slots__``: a frozen class
+with hand-written slots cannot be unpickled or copied, since both restore
+its state through the refused ``__setattr__``.
 A ``HarmonicFunction`` keeps the moduli of its coefficient functional
 once computed, and the functional for the last family asked (keyed on an
 equal ClassParams); eq, hash, repr, pickle and copy ignore both.  Each is
@@ -67,12 +73,22 @@ class _Series:
 
     def __init__(self, coeffs: Iterable[complex], length: int | None):
         """Store ``coeffs`` as finite complex values, zero-padded and cut to
-        ``length`` (None: as given, but at least one)."""
+        ``length`` (None: as given, but at least one), and their ``_end``."""
         vals = list(map(complex, coeffs))
         if not all(map(cmath.isfinite, vals)):
             raise _not_finite(vals, self._start)
         n = max(len(vals), 1) if length is None else length
-        object.__setattr__(self, "coeffs", tuple(vals[:n]) + (0j,) * (n - len(vals)))
+        del vals[n:]
+        object.__setattr__(self, "coeffs", tuple(vals) + (0j,) * (n - len(vals)))
+        # O(1) when the last value is not zero, as for every series built at its exact length
+        object.__setattr__(self, "_end", len(vals) if vals and vals[-1] else _stored_length(vals))
+
+    def __getstate__(self) -> dict:
+        return {"coeffs": self.coeffs}
+
+    def __setstate__(self, state: dict) -> None:
+        object.__setattr__(self, "coeffs", state["coeffs"])
+        object.__setattr__(self, "_end", _stored_length(self.coeffs))
 
     def coeff(self, u: int) -> complex:
         """Coefficient of z**u for u >= _start; zero beyond the stored range."""
@@ -122,13 +138,37 @@ class PowerSeries(_Series):
     def __init__(self, coeffs: Iterable[complex] = (0j,)):
         super().__init__(coeffs, None)
 
+    @classmethod
+    def _padded(cls, coeffs: Iterable[complex], n: int) -> "PowerSeries":
+        """``coeffs`` zero-padded to n coefficients, for the operators."""
+        s = cls.__new__(cls)
+        _Series.__init__(s, coeffs, n)
+        return s
+
+
+def _stored_length(vals: list[complex] | tuple[complex, ...]) -> int:
+    """The trim rule: how many leading values a series stores, all but the
+    run of highest-power +0+0j ones, and at least one.  Each pass over a
+    series stops there, with the same bits as over the whole: from the zero
+    seed each skipped Horner step gives exactly +0+0j again for finite z,
+    the reader pads with +0+0j, and an operator maps +0+0j to +0+0j.  A zero
+    with a -0.0 part is kept, since adding it can flip the sign of a zero."""
+    n = len(vals)
+    while n > 1:
+        c = vals[n - 1]
+        if c or math.copysign(1.0, c.real) + math.copysign(1.0, c.imag) != 2.0:
+            break
+        n -= 1
+    return max(n, 1)
+
 
 def _t_structure(h: AnalyticSeries, g: AnalyticSeries) -> bool:
     # Exact and tolerance-free on finite coefficients: T-form functions are constructed, not measured.
-    tail = h.coeffs[1:]
-    if any(map(_imag, tail)) or any(map(_imag, g.coeffs)):
+    # The +0+0j padding passes every test, so the stored coefficients decide.
+    tail, g = h.coeffs[1 : h._end], g.coeffs[: g._end]
+    if any(map(_imag, tail)) or any(map(_imag, g)):
         return False
-    return max(map(_real, tail), default=0.0) <= 0.0 and min(map(_real, g.coeffs)) >= 0.0
+    return max(map(_real, tail), default=0.0) <= 0.0 and min(map(_real, g)) >= 0.0
 
 
 @dataclass(frozen=True, init=False)
@@ -155,9 +195,9 @@ class HarmonicFunction:
             g = AnalyticSeries.zero(trunc=h.trunc_degree)
         trunc = max(h.trunc_degree, g.trunc_degree)
         if h.trunc_degree < trunc:
-            h = AnalyticSeries(h.coeffs, trunc=trunc)
+            h = AnalyticSeries(h.coeffs[: h._end], trunc=trunc)
         if g.trunc_degree < trunc:
-            g = AnalyticSeries(g.coeffs, trunc=trunc)
+            g = AnalyticSeries(g.coeffs[: g._end], trunc=trunc)
         if h.coeffs[0] != 1:
             raise ValueError(f"h must be normalized with coefficient 1 at z, got {h.coeffs[0]!r}")
         in_interval(_modulus(g.coeffs[0]), 0, 1, "|b_1|")
@@ -182,7 +222,8 @@ class HarmonicFunction:
         instance's inline attribute values into a dict on CPython 3.11 and
         so slows every later read of ``f.h`` and ``f.g``."""
         if self._moduli is None:
-            tail, g = self.h.coeffs[1:], self.g.coeffs
+            h, g = self.h, self.g
+            tail, g = h.coeffs[1 : h._end], g.coeffs[: g._end]
             exponents = (*compress(range(1, len(tail) + 1), tail), *compress(range(len(g)), g))
             coeffs = (*filter(None, tail), *filter(None, g))
             object.__setattr__(self, "_moduli", (exponents, tuple(map(_modulus, coeffs))))
@@ -205,8 +246,9 @@ class HarmonicFunction:
         a = [(in_range(u, 2, None, "analytic power"), mag) for u, mag in a_mags.items()]
         b = [(in_range(u, 1, None, "co-analytic power"), mag) for u, mag in b_mags.items()]
         trunc = in_range(max([operator.index(trunc), *(u for u, _ in a + b)]), 1, MAX_JSON_TRUNC, "series length")
-        h = [0.0] * trunc
-        g = [0.0] * trunc
+        # each part runs to its own highest key; AnalyticSeries pads both to trunc
+        h = [0.0] * max([1, *(u for u, _ in a)])
+        g = [0.0] * max([0, *(u for u, _ in b)])
         h[0] = 1.0
         for part, sign, terms in ((h, -1.0, a), (g, 1.0, b)):
             for u, mag in terms:
@@ -223,37 +265,21 @@ def eval_analytic(s: AnalyticSeries, z):
     return eval_power(s, z) * z
 
 
-def _evaluated_length(coeffs: tuple[complex, ...]) -> int:
-    """How many leading coefficients eval_power evaluates: all but the run of
-    highest-power +0+0j ones, and at least the first.  From the zero seed each
-    skipped step gives exactly +0+0j again for finite z, so the result is
-    bitwise that of the full loop.  A zero with a -0.0 part is kept, since
-    adding it can flip the sign of a zero."""
-    n = len(coeffs)
-    while n > 1:
-        c = coeffs[n - 1]
-        if c != 0 or math.copysign(1.0, c.real) + math.copysign(1.0, c.imag) != 2.0:
-            break
-        n -= 1
-    return n
-
-
 def eval_power(s: PowerSeries | AnalyticSeries, z):
     """Evaluate sum c_u z**u (from u = 0) by Horner's scheme; s(z)/z for an AnalyticSeries.
 
     ``z`` is a complex number or a numpy array of them (the result is then
     an array of the same shape; numpy's complex multiply may round
     differently from Python's, so it need not equal the scalar values bit
-    for bit).  The run of highest-power +0+0j coefficients is skipped
-    (_evaluated_length), and _horner evaluates the rest.
+    for bit).  _horner evaluates the stored coefficients, up to ``s._end``.
     """
-    coeffs = s.coeffs
-    return _horner(coeffs[: _evaluated_length(coeffs)], z)
+    return _horner(s.coeffs[: s._end], z)
 
 
 def _horner(coeffs: tuple[complex, ...], z):
-    """Horner's scheme over every coefficient given (from z**0; the caller trims).  From
-    2 points up it updates one new array in place, bitwise ``acc = acc * z + c`` there."""
+    """Horner's scheme over every coefficient given (from z**0; the caller
+    passes a series' stored coefficients).  From 2 points up it updates one
+    new array in place, bitwise ``acc = acc * z + c`` there."""
     acc = 0j * z + coeffs[-1]  # a new object, never z itself
     rest = reversed(coeffs[:-1])
     if getattr(acc, "size", 1) > 1:  # an array of 2 or more points
@@ -268,7 +294,8 @@ def _horner(coeffs: tuple[complex, ...], z):
 
 def eval_harmonic(f: HarmonicFunction, z):
     """f(z) = h(z) + conj(g(z)), for a complex z or a numpy array."""
-    return _horner_harmonic(*(c[: _evaluated_length(c)] for c in (f.h.coeffs, f.g.coeffs)), z)
+    h, g = f.h, f.g
+    return _horner_harmonic(h.coeffs[: h._end], g.coeffs[: g._end], z)
 
 
 def _horner_harmonic(h: tuple[complex, ...], g: tuple[complex, ...], z):
@@ -280,14 +307,15 @@ def hadamard(s1: AnalyticSeries, s2: AnalyticSeries) -> AnalyticSeries:
     """Coefficientwise (Hadamard) product; the shorter series is
     zero-padded to the longer truncation."""
     n = max(s1.trunc_degree, s2.trunc_degree)
-    a = s1.coeffs + (0j,) * (n - s1.trunc_degree)
-    b = s2.coeffs + (0j,) * (n - s2.trunc_degree)
+    # past both stored ranges each product is (+0+0j)(+0+0j) = +0+0j, the padding
+    k = max(s1._end, s2._end)
+    a, b = (s.coeffs[:k] + (0j,) * (k - s.trunc_degree) for s in (s1, s2))
     return AnalyticSeries(tuple(x * y for x, y in zip(a, b)), trunc=n)
 
 
 def classical_derivative(s: AnalyticSeries) -> PowerSeries:
     """Ordinary derivative: u * c_u becomes the coefficient of z**(u-1)."""
-    return PowerSeries(tuple(map(operator.mul, range(1, len(s.coeffs) + 1), s.coeffs)))
+    return PowerSeries._padded(tuple(map(operator.mul, range(1, s._end + 1), s.coeffs)), len(s.coeffs))
 
 
 # --- JSON wire format -------------------------------------------------------
@@ -295,11 +323,11 @@ def classical_derivative(s: AnalyticSeries) -> PowerSeries:
 # {"trunc": N, "h": [[re, im], ...], "g": [[re, im], ...]} with index 0 of
 # each array holding the coefficient of z**1; h[0] must be [1, 0].  Each
 # array may stop before trunc, and the reader pads it with +0+0j; the writer
-# stops each part after its last coefficient that is not +0+0j
-# (_evaluated_length), so a zero with a -0.0 part is written and every
-# written series re-parses bitwise equal.  A PowerSeries is written, not
-# read, as {"start_power": 0, "coeffs": [...]} with index 0 holding the
-# constant term and every stored coefficient written.
+# writes each part's stored coefficients, up to its ``_end``, so a zero with
+# a -0.0 part is written and every written series re-parses bitwise equal.
+# A PowerSeries is written, not read, as {"start_power": 0, "coeffs": [...]}
+# with index 0 holding the constant term and every coefficient written,
+# padding included.
 
 
 def _pairs(coeffs: tuple[complex, ...]) -> list[list[float]]:
@@ -307,8 +335,8 @@ def _pairs(coeffs: tuple[complex, ...]) -> list[list[float]]:
 
 
 def harmonic_to_json(f: HarmonicFunction) -> dict:
-    h, g = f.h.coeffs, f.g.coeffs
-    return {"trunc": f.trunc_degree, "h": _pairs(h[: _evaluated_length(h)]), "g": _pairs(g[: _evaluated_length(g)])}
+    h, g = f.h, f.g
+    return {"trunc": f.trunc_degree, "h": _pairs(h.coeffs[: h._end]), "g": _pairs(g.coeffs[: g._end])}
 
 
 def power_series_to_json(s: PowerSeries) -> dict:

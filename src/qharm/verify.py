@@ -14,10 +14,11 @@ checks take one absolute tolerance on their sampled margins
 formula and the injectivity report get the values of a polynomial of f
 (T, h', g' or f = h + conj(g) itself) from one evaluator, _grid_values,
 which picks the method from that polynomial and the grid alone:
-- A polynomial of degree d, counted after one trim of the trailing +0+0j
-  coefficients of each part (T, h' and g' from z**0, h and g from z**1),
-  is evaluated by Horner on the trimmed parts at the stored points asked
-  for if d <= floor(log2 M), and otherwise by one FFT per ring at the exact
+- A polynomial of degree d, counted over the stored coefficients of each
+  part (T, h' and g' from z**0, h and g from z**1; each series records
+  where they end when it is built, so no evaluation trims), is evaluated by
+  Horner on those coefficients at the stored points asked for if
+  d <= floor(log2 M), and otherwise by one FFT per ring at the exact
   ring angles of the whole grid, M being the ring transform length: K on
   the axis grid, 2K off it.  Per point Horner costs d steps and the FFT
   about log2 M.  The FFT's error stays within 4 log2(M) 2**-53 sum |c_u|
@@ -50,7 +51,7 @@ from .qcore import DEFAULT_TOLERANCE, MAX_JSON_TRUNC, DomainError, in_interval, 
 from .classes import ClassParams, _from_shares, coeff_functional, growth_bounds, member_t_iff, proof_step_violations
 from .classes import DEFAULT_PROBE_RADII, ProbeReport, necessity_probe  # noqa: F401 (re-exported)
 from .salagean import class_transform
-from .series import DEFAULT_TRUNC, HarmonicFunction, PowerSeries, _evaluated_length, _horner, _horner_harmonic
+from .series import DEFAULT_TRUNC, HarmonicFunction, PowerSeries, _horner, _horner_harmonic
 from .series import classical_derivative
 
 DEFAULT_RADII = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99, 0.999)
@@ -177,12 +178,12 @@ class VerificationReport:
 
 def _grid_values(s: PowerSeries | HarmonicFunction, grid: DiskGrid, at: np.ndarray | None = None) -> np.ndarray:
     """s (T, h', g' or f = h + conj(g)) at every point of grid, or at the
-    points grid.points()[at] for an index array at.  Each part is trimmed
-    once, as in the module docstring.  Of degree d above floor(log2 M), by
-    _ring_values on the whole grid, then gathered; else by Horner on the
-    trimmed parts at those points only."""
+    points grid.points()[at] for an index array at.  Each part is read up
+    to its stored length, as in the module docstring.  Of degree d above
+    floor(log2 M), by _ring_values on the whole grid, then gathered; else by
+    Horner on the stored coefficients at those points only."""
     harmonic = isinstance(s, HarmonicFunction)
-    parts = [c[: _evaluated_length(c)] for c in ((s.h.coeffs, s.g.coeffs) if harmonic else (s.coeffs,))]
+    parts = [c.coeffs[: c._end] for c in ((s.h, s.g) if harmonic else (s,))]
     # the most coefficients of a part that Horner takes: cut + 1 from z**0, cut from z**1
     most = (grid.angular_count * (1 if grid.include_positive_axis else 2)).bit_length() - harmonic
     if max(map(len, parts)) > most:

@@ -432,6 +432,14 @@ def test_scan_command_deterministic(capsys):
     assert capsys.readouterr().out == first
 
 
+def test_scan_answers_where_a_weight_past_its_candidates_overflows(capsys):
+    # the candidates reach u = 7, whose weight [7]_0.99**250 (about 1.05e208) fits; the
+    # step map's weights overflow from u = 19 and are no violations
+    assert run(["scan", "--m", "250", "--alpha", "0", "--q", "0.99", "--trials", "5", "--seed", "1"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["trials"] == 5 and doc["step_violations"] == []
+
+
 def test_scan_requires_seed(capsys):
     assert run(["scan", "--m", "0", "--alpha", "0", "--q", "0.5", "--trials", "8"]) == 2
 

@@ -632,32 +632,40 @@ def test_no_scan_candidate_reaches_the_ring_transform():
 
 
 def test_each_part_is_trimmed_once_and_horner_takes_the_trimmed_parts():
-    # the dispatch trims each part once; Horner neither trims again nor sees the +0+0j tail,
-    # which keeps a long series on Horner, while a -0j tail is kept and takes the FFT
+    # each part is trimmed once, when it is built, and the dispatch walks nothing; Horner never
+    # sees the +0+0j tail, which keeps a long series on Horner, while a -0j tail is kept and takes the FFT
     grid = DiskGrid()
-    trims = mock.patch.object(verify, "_evaluated_length", wraps=verify._evaluated_length)
-    retrim = mock.patch.object(series, "_evaluated_length", side_effect=AssertionError("trimmed again"))
+    walk = mock.patch.object(series, "_stored_length", side_effect=AssertionError("walked"))
     ring = mock.patch.object(verify, "_ring_values", return_value=np.zeros(grid.size, complex))
     horner = mock.patch.object(verify, "_horner", wraps=verify._horner)
-    with retrim:
+    grid_values = verify._grid_values
+
+    def without_walking(*args, **kwargs):
+        with walk:
+            return grid_values(*args, **kwargs)
+
+    # the scan's evaluations walk nothing either, and Horner gets no +0+0j tail
+    with mock.patch.object(verify, "_grid_values", side_effect=without_walking) as dispatch, horner as core:
         counterexample_scan(ClassParams(m=3, alpha=0.25, q=QParam(0.9)), 50, 7)
-    for s, parts in [
-        (PowerSeries([0.5] * 9), 1),
-        (harmonic([1.0, *[0.5] * 7], [0.5] * 8, 8), 2),  # h and g from z**1
-        (PowerSeries([0.5] * 9 + [0j] * 100), 1),
-    ]:
-        with retrim, trims as trim, ring as fft:
+    assert dispatch.call_count > 0 and core.call_count > 0
+    for (coeffs, _), _ in core.call_args_list:
+        assert top_power(coeffs, 0) == len(coeffs) - 1
+    zero_tail, signed_tail = PowerSeries([0.5] * 9 + [0j] * 100), PowerSeries([0.5] * 9 + [-0j] * 100)
+    assert (zero_tail._end, signed_tail._end) == (9, 109)
+    for s in [PowerSeries([0.5] * 9), harmonic([1.0, *[0.5] * 7], [0.5] * 8, 8), zero_tail]:
+        with walk, ring as fft:
             verify._grid_values(s, grid)
-        assert trim.call_count == parts and not fft.called
-    with retrim, horner as core:
-        verify._grid_values(PowerSeries([0.5] * 9 + [0j] * 100), grid)
+        assert not fft.called
+    with walk, horner as core:
+        verify._grid_values(zero_tail, grid)
         (coeffs, _), _ = core.call_args
         assert coeffs == (0.5 + 0j,) * 9
-    with retrim, ring as fft:
-        verify._grid_values(PowerSeries([0.5] * 10), grid)
-        verify._grid_values(harmonic([1.0, *[0.5] * 8], [0.5], 9), grid)
+    above = [PowerSeries([0.5] * 10), harmonic([1.0, *[0.5] * 8], [0.5], 9)]
+    with walk, ring as fft:
+        for s in above:
+            verify._grid_values(s, grid)
         assert fft.call_count == 2
-        verify._grid_values(PowerSeries([0.5] * 9 + [-0j] * 100), grid)
+        verify._grid_values(signed_tail, grid)
         (coeffs, low, _), _ = fft.call_args
         assert len(coeffs) == 109 and low == 0
 

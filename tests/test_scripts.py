@@ -79,6 +79,20 @@ def test_proof_step_map_runs(tmp_path):
     assert csv_header(out) == ["m", "q=0.333333", "q=0.666667"]
 
 
+def test_proof_step_map_draws_past_an_overflowing_weight(tmp_path):
+    # [64]_0.9**m overflows a float from m = 309 on; those rows read 0, the rows below are
+    # those of a map that stops before the overflow
+    out, below = tmp_path / "map.csv", tmp_path / "below.csv"
+    proc = run_script("proof_step_map.py", "--u-max", "64", "--m-max", "400", "--q-steps", "9", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert_csv_written(proc, out)
+    proc = run_script("proof_step_map.py", "--u-max", "64", "--m-max", "308", "--q-steps", "9", "--out", str(below))
+    assert proc.returncode == 0, proc.stderr
+    rows = out.read_bytes().splitlines()
+    assert len(rows) == 402 and rows[:310] == below.read_bytes().splitlines()
+    assert rows[-1] == b"400" + b",0" * 9
+
+
 @pytest.mark.parametrize("u_max", [MAX_PROOF_STEP_U + 1, 10**12])
 def test_proof_step_map_refuses_u_max_above_the_limit(tmp_path, u_max):
     out = tmp_path / "map.csv"

@@ -17,6 +17,7 @@ from qharm import (
     PowerSeries,
     QParam,
     SchemaError,
+    class_transform,
     classical_derivative,
     coeff_functional,
     convex_combination,
@@ -28,11 +29,14 @@ from qharm import (
     hadamard,
     harmonic_from_json,
     harmonic_to_json,
+    q_derivative,
     random_t_form,
+    salagean,
     salagean_harmonic,
     sharpness_witness,
 )
-from qharm import series
+from qharm import series, verify
+from qharm.qcore import weights
 from qharm.series import MAX_JSON_TRUNC
 
 finite_coeffs = st.lists(
@@ -140,9 +144,12 @@ def test_values_pickle_copy_and_refuse_assignment(value, names):
         assert value._moduli is not None and value._functional is not None and fresh._functional is None
     assert pickle.dumps(value) == unset
     assert value == fresh and hash(value) == hash(fresh) and repr(value) == repr(fresh)
+    assert b"_end" not in unset  # each series' stored length is rebuilt, never pickled
     for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
         assert type(twin) is type(value) and twin == value and repr(twin) == repr(value)
         assert pickle.dumps(twin) == unset and hash(twin) == hash(fresh)
+        pairs = ((twin.h, value.h), (twin.g, value.g)) if isinstance(value, HarmonicFunction) else ((twin, value),)
+        assert all(a._end == b._end for a, b in pairs)
     for name in names:
         with pytest.raises(AttributeError):
             setattr(value, name, getattr(value, name))
@@ -418,6 +425,19 @@ def test_json_round_trip_preserves_equality_and_t_form(f):
 PLUS_ZERO = ((0.0).hex(), (0.0).hex())
 
 
+def evaluated_length(coeffs):
+    """The trim rule as the evaluators and the writer applied it to a whole
+    stored tuple before each series recorded its stored length: all but the
+    run of highest-power +0+0j coefficients, and at least the first."""
+    n = len(coeffs)
+    while n > 1:
+        c = coeffs[n - 1]
+        if c != 0 or math.copysign(1.0, c.real) + math.copysign(1.0, c.imag) != 2.0:
+            break
+        n -= 1
+    return n
+
+
 def hex_parts(coeffs):
     return [(c.real.hex(), c.imag.hex()) for c in coeffs]
 
@@ -451,7 +471,7 @@ def test_series_json_stops_at_the_last_coefficient_that_is_not_plus_zero(f):
     assert doc["trunc"] == f.trunc_degree
     for key, part in (("h", f.h.coeffs), ("g", f.g.coeffs)):
         n = len(doc[key])
-        assert n == series._evaluated_length(part)
+        assert n == evaluated_length(part)
         # only +0+0j is dropped, and never the first coefficient
         assert hex_parts(part[n:]) == [PLUS_ZERO] * (len(part) - n)
         assert n == 1 or hex_parts(part[n - 1 : n]) != [PLUS_ZERO]
@@ -459,6 +479,165 @@ def test_series_json_stops_at_the_last_coefficient_that_is_not_plus_zero(f):
     assert back.trunc_degree == f.trunc_degree
     assert hex_parts(back.h.coeffs) == hex_parts(f.h.coeffs)
     assert hex_parts(back.g.coeffs) == hex_parts(f.g.coeffs)
+
+
+# --- the stored length: recorded once, when a series is built ---------------
+
+
+def assert_stored(s, expected):
+    """s stores exactly the coefficients expected (compared under float.hex,
+    so the sign of every zero counts) and records the trim rule's length of them."""
+    assert hex_parts(s.coeffs) == hex_parts(expected)
+    assert s._end == evaluated_length(s.coeffs)
+
+
+def full_weighted(coeffs, p):
+    """salagean._weighted over a whole padded tuple, as the operators ran before they stopped at _end."""
+    n = len(coeffs)
+    while n and not coeffs[n - 1]:
+        n -= 1
+    w = (weights(n, p.q, p.m, p.classical_mode) if n else ()) + (1.0,) * (len(coeffs) - n)
+    return tuple(wu * c for wu, c in zip(w, coeffs))
+
+
+@st.composite
+def unequal_pairs(draw):
+    """(h, g, h_trunc, g_trunc): sparse drawn coefficients, signed zeros among
+    them, given up to a drawn length and padded to a drawn trunc of up to
+    MAX_JSON_TRUNC, one part shorter than the other when drawn; g may be all
+    zero, and b_u = -a_u cancels at the highest power both parts give."""
+    trunc = draw(st.integers(1, 40) | st.integers(1, MAX_JSON_TRUNC))
+    h_trunc, g_trunc = trunc, trunc
+    if draw(st.booleans()):
+        shorter = draw(st.integers(1, trunc))
+        h_trunc, g_trunc = (shorter, trunc) if draw(st.booleans()) else (trunc, shorter)
+    h = [1.0 + 0j] + [0j] * (draw(st.integers(1, h_trunc)) - 1)
+    g = [0j] * draw(st.integers(0, g_trunc))
+    for part, low in ((h, 1), (g, 0)):
+        if low < len(part):
+            for i, c in draw(st.lists(st.tuples(st.integers(low, len(part) - 1), coefficient), max_size=5)):
+                part[i] = c
+    top = min(len(h), len(g)) - 1
+    if top >= 1 and draw(st.booleans()):
+        a = draw(coefficient)
+        h[top], g[top] = a, -a
+    return h, g, h_trunc, g_trunc
+
+
+cancelling = ([1.0 + 0j, 0.5 + 0j, -0.25 + 0j], [0j, 0j, 0.25 + 0j], 6, 6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    pair=unequal_pairs(),
+    m=st.integers(0, 5),
+    q=st.sampled_from([0.5, 0.9]),
+    classical=st.booleans(),
+)
+@example(pair=cancelling, m=1, q=0.5, classical=False)  # T = 1 + 0.75 z, a +0+0j at z**2
+@example(pair=([1.0 + 0j, 0.5 + 0j], [0.25 + 0j], 6, 6), m=1, q=0.5, classical=False)  # odd m: -0-0j padding
+@example(pair=([1.0 + 0j], [], MAX_JSON_TRUNC, 3), m=2, q=0.9, classical=False)  # all-zero g, re-padded
+def test_operators_and_readers_record_the_stored_length_of_the_whole_tuple(pair, m, q, classical):
+    h_given, g_given, h_trunc, g_trunc = pair
+    trunc = max(h_trunc, g_trunc)
+    h_part, g_part = AnalyticSeries(h_given, trunc=h_trunc), AnalyticSeries(g_given, trunc=g_trunc)
+    assert_stored(h_part, (*h_given, *[0j] * (h_trunc - len(h_given))))
+    assert_stored(g_part, (*g_given, *[0j] * (g_trunc - len(g_given))))
+    f = HarmonicFunction(h_part, g_part)  # re-pads the shorter part
+    h, g = (*h_given, *[0j] * (trunc - len(h_given))), (*g_given, *[0j] * (trunc - len(g_given)))
+    assert_stored(f.h, h)
+    assert_stored(f.g, g)
+    assert f.t_form == (all(c.imag == 0.0 and c.real <= 0.0 for c in h[1:]) and all(c.imag == 0.0 and c.real >= 0.0 for c in g))
+    doc = {"trunc": trunc, "h": [[c.real, c.imag] for c in h_given], "g": [[c.real, c.imag] for c in g_given]}
+    read = harmonic_from_json(json.loads(json.dumps(doc)))
+    assert_stored(read.h, h)
+    assert_stored(read.g, g)
+
+    p = OperatorParams(m, QParam(q), classical_mode=classical)
+    image_h, image_g = (full_weighted(h, p), full_weighted(g, p)) if m else (h, g)
+    assert_stored(salagean(f.h, p), image_h)
+    image = salagean_harmonic(f, p)
+    assert_stored(image.h, image_h)
+    assert_stored(image.g, tuple(-c for c in image_g) if m % 2 else image_g)
+    if m % 2:  # neg(+0+0j) is -0-0j, so the image of g's padding is data
+        assert image.g._end == trunc
+    assert_stored(class_transform(f, p), full_weighted(tuple(a + b for a, b in zip(h, g)), p))
+    for part, full in ((f.h, h), (f.g, g)):
+        assert_stored(classical_derivative(part), tuple(u * c for u, c in enumerate(full, start=1)))
+        assert_stored(q_derivative(part, QParam(q)), tuple(w * c for w, c in zip(weights(len(full), QParam(q), 1), full)))
+    n = trunc
+    a = h_part.coeffs + (0j,) * (n - h_trunc)
+    b = g_part.coeffs + (0j,) * (n - g_trunc)
+    assert_stored(hadamard(h_part, g_part), tuple(x * y for x, y in zip(a, b)))
+
+
+def test_cancellation_shortens_the_transform_and_odd_orders_keep_the_signed_padding():
+    f = HarmonicFunction(*(AnalyticSeries(c, trunc=6) for c in cancelling[:2]))
+    p = OperatorParams(1, QParam(0.5))
+    assert (f.h._end, f.g._end, class_transform(f, p)._end) == (3, 3, 2)
+    image = salagean_harmonic(f, p)
+    assert image.g._end == 6 and hex_parts(image.g.coeffs[3:]) == [((-0.0).hex(), (-0.0).hex())] * 3
+    assert salagean_harmonic(f, OperatorParams(2, QParam(0.5))).g._end == 3
+
+
+@st.composite
+def magnitude_maps(draw):
+    """from_t_magnitudes arguments: a few powers up to MAX_JSON_TRUNC, zero magnitudes among them."""
+    trunc = draw(st.integers(1, 40) | st.integers(1, MAX_JSON_TRUNC))
+    top = MAX_JSON_TRUNC if draw(st.booleans()) else max(trunc, 2)
+    mag = st.sampled_from([0.0, 0.25]) | st.floats(0.0, 0.5)
+    a = draw(st.dictionaries(st.integers(2, top), mag, max_size=4))
+    b = draw(st.dictionaries(st.integers(1, top), mag, max_size=4))
+    if 1 in b:
+        b[1] = min(b[1], 1.0)
+    return a, b, trunc
+
+
+@settings(max_examples=100, deadline=None)
+@given(maps=magnitude_maps())
+@example(maps=({2: 0.0}, {}, 3))  # -0.0 at z**2 is data
+@example(maps=({}, {3: 0.0}, 5))  # +0.0 at z**3 is padding
+def test_t_magnitudes_record_the_stored_length_of_the_whole_tuple(maps):
+    a_mags, b_mags, trunc = maps
+    f = HarmonicFunction.from_t_magnitudes(a_mags, b_mags, trunc=trunc)
+    n = max([trunc, *a_mags, *b_mags])
+    h, g = [0.0] * n, [0.0] * n
+    h[0] = 1.0
+    for part, sign, mags in ((h, -1.0, a_mags), (g, 1.0, b_mags)):
+        for u, mag in mags.items():
+            part[u - 1] = sign * mag
+    assert_stored(f.h, tuple(map(complex, h)))
+    assert_stored(f.g, tuple(map(complex, g)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    p=class_params,
+    trunc=st.integers(1, 40) | st.integers(1, MAX_JSON_TRUNC),
+    u=st.integers(1, 12),
+    w=st.floats(0.0, 1.0),
+    xs=st.lists(coefficient, max_size=6),
+    ys=st.lists(coefficient, max_size=6),
+    seed=st.integers(0, 2**16),
+)
+def test_constructions_record_the_stored_length_of_the_whole_tuple(p, trunc, u, w, xs, ys, seed):
+    # every construction builds its parts through classes._from_shares, which gives each
+    # part only up to its highest placed power; the constructor pads and records the rest
+    built = [
+        extreme_point(u, "analytic", p, trunc=trunc),
+        extreme_point(u, "coanalytic", p, coanalytic_sign=1, trunc=trunc),
+        convex_combination([(u, "coanalytic", w), (u, "analytic", 1.0 - w)], p, trunc=trunc),
+        verify._random_gap_candidate(p, np.random.default_rng(seed)),
+    ]
+    if trunc >= 2:
+        built.append(random_t_form(p, 0.9, np.random.default_rng(seed), trunc=min(trunc, 48)))
+    total = math.fsum(map(abs, xs + ys))
+    if total > 0.0:
+        built.append(sharpness_witness([x / total for x in xs], [y / total for y in ys], p, trunc=trunc))
+    for f in built:
+        for part in (f.h, f.g):
+            assert part._end == evaluated_length(part.coeffs)
+            assert hex_parts(part.coeffs[part._end :]) == [PLUS_ZERO] * (len(part.coeffs) - part._end)
 
 
 def bits(z):

@@ -1,4 +1,5 @@
 import io
+import math
 import re
 import warnings
 from unittest import mock
@@ -35,7 +36,7 @@ from qharm import (
 )
 from qharm import classes, verify
 from qharm.classes import MAX_PROOF_STEP_U
-from qharm.qcore import MAX_JSON_TRUNC
+from qharm.qcore import MAX_JSON_TRUNC, weights
 from qharm.verify import MAX_ANGULAR_COUNT, MAX_GRID_POINTS, MAX_PAIR_BUDGET, MAX_TRIALS
 
 
@@ -472,6 +473,36 @@ def test_step_violation_boundary_case():
     assert 2 in proof_step_violations(params(1, 0.0, 0.5))
     # but with alpha = 0.5: 2 * 0.5 = 1.0 <= 1.5 -> valid
     assert 2 not in proof_step_violations(params(1, 0.5, 0.5))
+
+
+def table_step_violations(p, max_u):
+    """The comparison over the whole weight table, which refuses where a weight overflows."""
+    w = weights(max(max_u, 1), p.q, p.m)
+    return tuple(u for u in range(2, max_u + 1) if u * (1.0 - p.alpha) > w[u - 1])
+
+
+def test_step_violations_equal_the_table_comparison_where_no_weight_overflows():
+    # the benchmark's P1-P4 (P1 fails from u = 1334, P4 from 1525) and a small lattice
+    for m, alpha, q, max_u in [(3, 0.25, 0.9, 2000), (0, 0.0, 0.5, 64), (1, 0.5, 0.99, 2000), (6, 0.1, 0.7, 2000)]:
+        p = params(m, alpha, q)
+        assert proof_step_violations(p, max_u=max_u) == table_step_violations(p, max_u)
+    for m in range(7):
+        for alpha in (0.0, 0.25, 0.5):
+            for q in (0.1, 0.5, 0.9):
+                assert proof_step_violations(params(m, alpha, q), max_u=64) == table_step_violations(params(m, alpha, q), 64)
+
+
+def test_step_violations_stop_below_the_first_overflowing_weight():
+    # [u]_0.99**250 first overflows a float at u = 19, and every later weight overflows too,
+    # so exceeds u (1 - alpha): no violation there.  weights itself still refuses the table.
+    p = params(250, 0.0, 0.99)
+    assert weights(18, p.q, p.m)[-1] < math.inf
+    for n in (19, 32):
+        with pytest.raises(DomainError, match=f"^the weight of u = {n} overflows a float at m = 250"):
+            weights(n, p.q, p.m)
+    expected = table_step_violations(p, 18)
+    assert proof_step_violations(p) == proof_step_violations(p, max_u=19) == expected
+    assert proof_step_violations(p, max_u=MAX_JSON_TRUNC) == expected
 
 
 def test_step_violations_without_powers_to_check():
