@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 from .qcore import DEFAULT_TOLERANCE, MEMBERSHIP_TOL, DomainError, QParam, weights  # noqa: F401 (re-exported)
 from .qcore import MAX_JSON_TRUNC, MAX_PROOF_STEP_U, in_interval, in_range, radius_sequence
 from .salagean import OperatorParams
-from .series import DEFAULT_TRUNC, AnalyticSeries, HarmonicFunction, _modulus
+from .series import DEFAULT_TRUNC, AnalyticSeries, HarmonicFunction, _is_padding, _modulus
 
 
 @dataclass(frozen=True)
@@ -328,8 +328,7 @@ def sharpness_witness(
 def _weight_terms(kind: str, start: int, vs: list[complex]) -> list[tuple[str, int, float, complex]]:
     """A (kind, u, 1.0, v) share term for each weight v at power u = start,
     start + 1, ..., except the weights that are +0+0j."""
-    sign = math.copysign
-    return [(kind, u, 1.0, v) for u, v in enumerate(vs, start) if v or sign(1.0, v.real) + sign(1.0, v.imag) != 2.0]
+    return [(kind, u, 1.0, v) for u, v in enumerate(vs, start) if not _is_padding(v)]
 
 
 def _r2_coefficient(b1: float, p: ClassParams) -> float:

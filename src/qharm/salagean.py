@@ -6,9 +6,9 @@ c_u by [u]_q**m in place.  The difference-quotient definition
 (s(z) - s(qz)) / ((1 - q) z) is deliberately not used for computation;
 it is the independent oracle against which the coefficientwise form is
 tested.  Each operator computes only the stored coefficients of its input
-(up to the series' ``_end``) and the constructor pads the rest: every
-operator maps the +0+0j padding to +0+0j, except the sign flip of
-salagean_harmonic at odd m, whose -0-0j image of the padding is kept.
+and gives the result's length, which the padding fills: every operator
+maps the +0+0j padding to +0+0j, except the sign flip of salagean_harmonic
+at odd m, whose -0-0j image of the padding is written out.
 
 ``classical_mode`` swaps the weights [u]_q**m for u**m, the undeformed
 operator, without routing q = 1 through QParam.
@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import repeat, starmap
 from operator import add, mul, neg
 
 from .qcore import MAX_JSON_TRUNC, QParam, in_range, weights
-from .series import AnalyticSeries, HarmonicFunction, PowerSeries, _not_finite
+from .series import AnalyticSeries, HarmonicFunction, PowerSeries, _aligned, _not_finite
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,7 @@ def q_derivative(s: AnalyticSeries, q: QParam) -> PowerSeries:
     Equals (s(z) - s(qz)) / ((1 - q) z) pointwise; the quotient form is
     reserved for test oracles.
     """
-    return PowerSeries._padded(tuple(w * c for w, c in zip(weights(s._end, q, 1), s.coeffs)), len(s.coeffs))
+    return PowerSeries._padded(tuple(map(mul, weights(len(s.stored), q, 1), s.stored)), s.length)
 
 
 def salagean_kernel(trunc: int, p: OperatorParams) -> AnalyticSeries:
@@ -73,7 +73,7 @@ def salagean(s: AnalyticSeries, p: OperatorParams) -> AnalyticSeries:
     """
     if p.m == 0:
         return s
-    return AnalyticSeries(_weighted(s.coeffs[: s._end], p), trunc=s.trunc_degree)
+    return AnalyticSeries(_weighted(s.stored, p), trunc=s.length)
 
 
 def salagean_harmonic(f: HarmonicFunction, p: OperatorParams) -> HarmonicFunction:
@@ -86,12 +86,11 @@ def salagean_harmonic(f: HarmonicFunction, p: OperatorParams) -> HarmonicFunctio
     h2 = salagean(f.h, p)
     if not p.m % 2:
         return HarmonicFunction(h2, salagean(f.g, p))
-    g = f.g
-    products = _weighted(g.coeffs[: g._end], p)
+    products = _weighted(f.g.stored, p)
     if not all(map(cmath.isfinite, products)):
         raise _not_finite(products, 1)  # checked before the sign flip, so it reads as in salagean(f.g, p)
-    flipped = (*map(neg, products), *repeat(-0j, g.trunc_degree - len(products)))
-    return HarmonicFunction(h2, AnalyticSeries(flipped, trunc=g.trunc_degree))
+    n = f.g.length
+    return HarmonicFunction(h2, AnalyticSeries((*map(neg, products), *repeat(-0j, n - len(products))), trunc=n))
 
 
 def class_transform(f: HarmonicFunction, p: OperatorParams) -> PowerSeries:
@@ -103,7 +102,6 @@ def class_transform(f: HarmonicFunction, p: OperatorParams) -> PowerSeries:
     the family.  Conjugating and signing the g part instead gives
     eval_harmonic(salagean_harmonic(f, p), z) / z.
     """
-    h, g = f.h, f.g
-    k = max(h._end, g._end)  # past it both parts are +0+0j, and so is their image
-    return PowerSeries._padded(_weighted(tuple(map(add, h.coeffs[:k], g.coeffs)), p), len(h.coeffs))
+    # past the longer stored part both are +0+0j, and so is their image
+    return PowerSeries._padded(_weighted(tuple(starmap(add, zip(*_aligned(f.h, f.g)))), p), f.h.length)
 

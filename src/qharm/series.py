@@ -7,13 +7,13 @@ Derivative-like maps produce a ``PowerSeries``, which carries a constant
 term (coefficients from z**0).
 
 Series arithmetic is exact for the stored coefficient range and silently
-truncates beyond the truncation degree.  A series is padded with +0+0j to
-its length.  Its constructor records once, as ``_end``, where the stored
-coefficients end (the trim rule, _stored_length: all but the run of
-highest-power +0+0j values, and at least one), and every per-coefficient
-pass stops there: the evaluators, the JSON writer, the operators, and the
-t_form and functional scans.  ``_end`` is not a field, and unpickling and
-copying rebuild it.  All types are immutable and all operations are pure,
+truncates beyond the truncation degree.  A series stores two fields: its
+length and ``stored``, the given values cut by the trim rule
+(_stored_length: all but the run of highest-power +0+0j values, and at
+least one).  ``coeffs`` is the public view, ``stored`` padded with +0+0j
+to the length; every per-coefficient pass reads ``stored`` instead: the
+evaluators, the JSON writer, the operators, and the t_form and functional
+scans.  All types are immutable and all operations are pure,
 so concurrent use and transfer between threads are unrestricted.  The
 three types are frozen dataclasses without ``__slots__``: a frozen class
 with hand-written slots cannot be unpickled or copied, since both restore
@@ -32,7 +32,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from itertools import chain, compress, starmap
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .qcore import MAX_JSON_TRUNC, in_interval, in_range
 
@@ -66,36 +66,35 @@ class SchemaError(ValueError):
 
 @dataclass(frozen=True, init=False, repr=False)
 class _Series:
-    """Storage and accessors shared by the two series types; coeffs[0] is the coefficient of z**_start."""
+    """Storage and accessors shared by the two series types; stored[0] is the coefficient of z**_start."""
 
-    coeffs: tuple[complex, ...]
+    stored: tuple[complex, ...]
+    length: int
     _start = 1
 
     def __init__(self, coeffs: Iterable[complex], length: int | None):
-        """Store ``coeffs`` as finite complex values, zero-padded and cut to
-        ``length`` (None: as given, but at least one), and their ``_end``."""
+        """Store ``coeffs`` as finite complex values, cut to ``length``
+        (None: as given, but at least one) and then by the trim rule."""
         vals = list(map(complex, coeffs))
         if not all(map(cmath.isfinite, vals)):
             raise _not_finite(vals, self._start)
         n = max(len(vals), 1) if length is None else length
         del vals[n:]
-        object.__setattr__(self, "coeffs", tuple(vals) + (0j,) * (n - len(vals)))
         # O(1) when the last value is not zero, as for every series built at its exact length
-        object.__setattr__(self, "_end", len(vals) if vals and vals[-1] else _stored_length(vals))
+        if not (vals and vals[-1]):
+            del vals[_stored_length(vals) :]
+        object.__setattr__(self, "stored", tuple(vals) or (0j,))
+        object.__setattr__(self, "length", n)
 
-    def __getstate__(self) -> dict:
-        return {"coeffs": self.coeffs}
-
-    def __setstate__(self, state: dict) -> None:
-        object.__setattr__(self, "coeffs", state["coeffs"])
-        object.__setattr__(self, "_end", _stored_length(self.coeffs))
+    @property
+    def coeffs(self) -> tuple[complex, ...]:
+        """All ``length`` coefficients: ``stored``, padded with +0+0j."""
+        return self.stored + (0j,) * (self.length - len(self.stored))
 
     def coeff(self, u: int) -> complex:
         """Coefficient of z**u for u >= _start; zero beyond the stored range."""
-        u = in_range(u, self._start, None, "power index")
-        if u - self._start >= len(self.coeffs):
-            return 0j
-        return self.coeffs[u - self._start]
+        i = in_range(u, self._start, None, "power index") - self._start
+        return self.stored[i] if i < len(self.stored) else 0j
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({list(self.coeffs)!r})"
@@ -105,7 +104,7 @@ class _Series:
 class AnalyticSeries(_Series):
     """Coefficients c_1..c_N of a series with no constant term.
 
-    ``coeffs`` are stored as a tuple of complex values, index 0 holding the
+    ``coeffs`` is a tuple of complex values, index 0 holding the
     coefficient of z**1.  Shorter input is zero-padded to the truncation
     degree, which lies in 1..MAX_JSON_TRUNC; longer input is silently
     truncated.
@@ -116,16 +115,12 @@ class AnalyticSeries(_Series):
 
     @property
     def trunc_degree(self) -> int:
-        return len(self.coeffs)
+        return self.length
 
     @classmethod
     def identity(cls, trunc: int = DEFAULT_TRUNC) -> "AnalyticSeries":
         """The series z."""
         return cls((1.0,), trunc=trunc)
-
-    @classmethod
-    def zero(cls, trunc: int = DEFAULT_TRUNC) -> "AnalyticSeries":
-        return cls((), trunc=trunc)
 
 
 @dataclass(frozen=True, init=False, repr=False)
@@ -146,18 +141,20 @@ class PowerSeries(_Series):
         return s
 
 
+def _is_padding(c: complex) -> bool:
+    """Whether c is +0+0j, the padding.  A zero with a -0.0 part is data,
+    since adding it can flip the sign of a zero."""
+    return not c and math.copysign(1.0, c.real) + math.copysign(1.0, c.imag) == 2.0
+
+
 def _stored_length(vals: list[complex] | tuple[complex, ...]) -> int:
     """The trim rule: how many leading values a series stores, all but the
-    run of highest-power +0+0j ones, and at least one.  Each pass over a
-    series stops there, with the same bits as over the whole: from the zero
-    seed each skipped Horner step gives exactly +0+0j again for finite z,
-    the reader pads with +0+0j, and an operator maps +0+0j to +0+0j.  A zero
-    with a -0.0 part is kept, since adding it can flip the sign of a zero."""
+    run of highest-power +0+0j ones, and at least one.  A pass over the
+    stored values gives the same bits as over the padded whole: from the
+    zero seed each padding Horner step gives exactly +0+0j again for finite
+    z, the reader pads with +0+0j, and an operator maps +0+0j to +0+0j."""
     n = len(vals)
-    while n > 1:
-        c = vals[n - 1]
-        if c or math.copysign(1.0, c.real) + math.copysign(1.0, c.imag) != 2.0:
-            break
+    while n > 1 and _is_padding(vals[n - 1]):
         n -= 1
     return max(n, 1)
 
@@ -165,7 +162,7 @@ def _stored_length(vals: list[complex] | tuple[complex, ...]) -> int:
 def _t_structure(h: AnalyticSeries, g: AnalyticSeries) -> bool:
     # Exact and tolerance-free on finite coefficients: T-form functions are constructed, not measured.
     # The +0+0j padding passes every test, so the stored coefficients decide.
-    tail, g = h.coeffs[1 : h._end], g.coeffs[: g._end]
+    tail, g = h.stored[1:], g.stored
     if any(map(_imag, tail)) or any(map(_imag, g)):
         return False
     return max(map(_real, tail), default=0.0) <= 0.0 and min(map(_real, g)) >= 0.0
@@ -192,15 +189,15 @@ class HarmonicFunction:
 
     def __init__(self, h: AnalyticSeries, g: AnalyticSeries | None = None):
         if g is None:
-            g = AnalyticSeries.zero(trunc=h.trunc_degree)
-        trunc = max(h.trunc_degree, g.trunc_degree)
-        if h.trunc_degree < trunc:
-            h = AnalyticSeries(h.coeffs[: h._end], trunc=trunc)
-        if g.trunc_degree < trunc:
-            g = AnalyticSeries(g.coeffs[: g._end], trunc=trunc)
-        if h.coeffs[0] != 1:
-            raise ValueError(f"h must be normalized with coefficient 1 at z, got {h.coeffs[0]!r}")
-        in_interval(_modulus(g.coeffs[0]), 0, 1, "|b_1|")
+            g = AnalyticSeries((), trunc=h.length)
+        trunc = max(h.length, g.length)
+        if h.length < trunc:
+            h = AnalyticSeries(h.stored, trunc=trunc)
+        if g.length < trunc:
+            g = AnalyticSeries(g.stored, trunc=trunc)
+        if h.stored[0] != 1:
+            raise ValueError(f"h must be normalized with coefficient 1 at z, got {h.stored[0]!r}")
+        in_interval(_modulus(g.stored[0]), 0, 1, "|b_1|")
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "t_form", _t_structure(h, g))
@@ -222,8 +219,7 @@ class HarmonicFunction:
         instance's inline attribute values into a dict on CPython 3.11 and
         so slows every later read of ``f.h`` and ``f.g``."""
         if self._moduli is None:
-            h, g = self.h, self.g
-            tail, g = h.coeffs[1 : h._end], g.coeffs[: g._end]
+            tail, g = self.h.stored[1:], self.g.stored
             exponents = (*compress(range(1, len(tail) + 1), tail), *compress(range(len(g)), g))
             coeffs = (*filter(None, tail), *filter(None, g))
             object.__setattr__(self, "_moduli", (exponents, tuple(map(_modulus, coeffs))))
@@ -232,28 +228,6 @@ class HarmonicFunction:
     def __getstate__(self) -> dict:
         # the fields only, so setting a memo never changes a value's pickle
         return {k: v for k, v in self.__dict__.items() if k not in ("_moduli", "_functional")}
-
-    @classmethod
-    def from_t_magnitudes(
-        cls,
-        a_mags: Mapping[int, float],
-        b_mags: Mapping[int, float],
-        trunc: int = DEFAULT_TRUNC,
-    ) -> "HarmonicFunction":
-        """Build h(z) = z - sum |a_u| z**u, g(z) = sum |b_u| z**u from
-        magnitude maps (a keys are powers >= 2, b keys powers >= 1), padded
-        to the larger of trunc and the highest key."""
-        a = [(in_range(u, 2, None, "analytic power"), mag) for u, mag in a_mags.items()]
-        b = [(in_range(u, 1, None, "co-analytic power"), mag) for u, mag in b_mags.items()]
-        trunc = in_range(max([operator.index(trunc), *(u for u, _ in a + b)]), 1, MAX_JSON_TRUNC, "series length")
-        # each part runs to its own highest key; AnalyticSeries pads both to trunc
-        h = [0.0] * max([1, *(u for u, _ in a)])
-        g = [0.0] * max([0, *(u for u, _ in b)])
-        h[0] = 1.0
-        for part, sign, terms in ((h, -1.0, a), (g, 1.0, b)):
-            for u, mag in terms:
-                part[u - 1] = sign * in_interval(mag, 0, math.inf, f"magnitude for power {u}")
-        return cls(AnalyticSeries(h, trunc=trunc), AnalyticSeries(g, trunc=trunc))
 
 
 def eval_analytic(s: AnalyticSeries, z):
@@ -271,9 +245,9 @@ def eval_power(s: PowerSeries | AnalyticSeries, z):
     ``z`` is a complex number or a numpy array of them (the result is then
     an array of the same shape; numpy's complex multiply may round
     differently from Python's, so it need not equal the scalar values bit
-    for bit).  _horner evaluates the stored coefficients, up to ``s._end``.
+    for bit).  _horner evaluates the stored coefficients only.
     """
-    return _horner(s.coeffs[: s._end], z)
+    return _horner(s.stored, z)
 
 
 def _horner(coeffs: tuple[complex, ...], z):
@@ -294,8 +268,7 @@ def _horner(coeffs: tuple[complex, ...], z):
 
 def eval_harmonic(f: HarmonicFunction, z):
     """f(z) = h(z) + conj(g(z)), for a complex z or a numpy array."""
-    h, g = f.h, f.g
-    return _horner_harmonic(h.coeffs[: h._end], g.coeffs[: g._end], z)
+    return _horner_harmonic(f.h.stored, f.g.stored, z)
 
 
 def _horner_harmonic(h: tuple[complex, ...], g: tuple[complex, ...], z):
@@ -303,19 +276,23 @@ def _horner_harmonic(h: tuple[complex, ...], g: tuple[complex, ...], z):
     return _horner(h, z) * z + (_horner(g, z) * z).conjugate()
 
 
+def _aligned(s1: _Series, s2: _Series) -> tuple[tuple[complex, ...], tuple[complex, ...]]:
+    """The stored coefficients of s1 and s2, the shorter padded with +0+0j
+    to the longer; past them both series are padding."""
+    k = max(len(s1.stored), len(s2.stored))
+    return s1.stored + (0j,) * (k - len(s1.stored)), s2.stored + (0j,) * (k - len(s2.stored))
+
+
 def hadamard(s1: AnalyticSeries, s2: AnalyticSeries) -> AnalyticSeries:
     """Coefficientwise (Hadamard) product; the shorter series is
     zero-padded to the longer truncation."""
-    n = max(s1.trunc_degree, s2.trunc_degree)
     # past both stored ranges each product is (+0+0j)(+0+0j) = +0+0j, the padding
-    k = max(s1._end, s2._end)
-    a, b = (s.coeffs[:k] + (0j,) * (k - s.trunc_degree) for s in (s1, s2))
-    return AnalyticSeries(tuple(x * y for x, y in zip(a, b)), trunc=n)
+    return AnalyticSeries(tuple(starmap(operator.mul, zip(*_aligned(s1, s2)))), trunc=max(s1.length, s2.length))
 
 
 def classical_derivative(s: AnalyticSeries) -> PowerSeries:
     """Ordinary derivative: u * c_u becomes the coefficient of z**(u-1)."""
-    return PowerSeries._padded(tuple(map(operator.mul, range(1, s._end + 1), s.coeffs)), len(s.coeffs))
+    return PowerSeries._padded(tuple(map(operator.mul, range(1, s.length + 1), s.stored)), s.length)
 
 
 # --- JSON wire format -------------------------------------------------------
@@ -323,8 +300,8 @@ def classical_derivative(s: AnalyticSeries) -> PowerSeries:
 # {"trunc": N, "h": [[re, im], ...], "g": [[re, im], ...]} with index 0 of
 # each array holding the coefficient of z**1; h[0] must be [1, 0].  Each
 # array may stop before trunc, and the reader pads it with +0+0j; the writer
-# writes each part's stored coefficients, up to its ``_end``, so a zero with
-# a -0.0 part is written and every written series re-parses bitwise equal.
+# writes each part's stored coefficients, so a zero with a -0.0 part is
+# written and every written series re-parses bitwise equal.
 # A PowerSeries is written, not read, as {"start_power": 0, "coeffs": [...]}
 # with index 0 holding the constant term and every coefficient written,
 # padding included.
@@ -335,8 +312,7 @@ def _pairs(coeffs: tuple[complex, ...]) -> list[list[float]]:
 
 
 def harmonic_to_json(f: HarmonicFunction) -> dict:
-    h, g = f.h, f.g
-    return {"trunc": f.trunc_degree, "h": _pairs(h.coeffs[: h._end]), "g": _pairs(g.coeffs[: g._end])}
+    return {"trunc": f.trunc_degree, "h": _pairs(f.h.stored), "g": _pairs(f.g.stored)}
 
 
 def power_series_to_json(s: PowerSeries) -> dict:

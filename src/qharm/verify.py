@@ -15,8 +15,8 @@ formula and the injectivity report get the values of a polynomial of f
 (T, h', g' or f = h + conj(g) itself) from one evaluator, _grid_values,
 which picks the method from that polynomial and the grid alone:
 - A polynomial of degree d, counted over the stored coefficients of each
-  part (T, h' and g' from z**0, h and g from z**1; each series records
-  where they end when it is built, so no evaluation trims), is evaluated by
+  part (T, h' and g' from z**0, h and g from z**1; a series stores no
+  +0+0j padding past them, so no evaluation trims), is evaluated by
   Horner on those coefficients at the stored points asked for if
   d <= floor(log2 M), and otherwise by one FFT per ring at the exact
   ring angles of the whole grid, M being the ring transform length: K on
@@ -178,12 +178,12 @@ class VerificationReport:
 
 def _grid_values(s: PowerSeries | HarmonicFunction, grid: DiskGrid, at: np.ndarray | None = None) -> np.ndarray:
     """s (T, h', g' or f = h + conj(g)) at every point of grid, or at the
-    points grid.points()[at] for an index array at.  Each part is read up
-    to its stored length, as in the module docstring.  Of degree d above
+    points grid.points()[at] for an index array at.  Each part is read
+    from its stored coefficients, as in the module docstring.  Of degree d above
     floor(log2 M), by _ring_values on the whole grid, then gathered; else by
     Horner on the stored coefficients at those points only."""
     harmonic = isinstance(s, HarmonicFunction)
-    parts = [c.coeffs[: c._end] for c in ((s.h, s.g) if harmonic else (s,))]
+    parts = [c.stored for c in ((s.h, s.g) if harmonic else (s,))]
     # the most coefficients of a part that Horner takes: cut + 1 from z**0, cut from z**1
     most = (grid.angular_count * (1 if grid.include_positive_axis else 2)).bit_length() - harmonic
     if max(map(len, parts)) > most:
@@ -257,7 +257,7 @@ def _sense_preserving_margins(f: HarmonicFunction, grid: DiskGrid) -> np.ndarray
 def _growth_margins(f: HarmonicFunction, p: ClassParams, grid: DiskGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """|f| - lower(r), upper(r) - |f| (bounds once per radius, broadcast
     over each ring) and f on the grid."""
-    b1 = abs(f.g.coeffs[0])
+    b1 = abs(f.g.stored[0])
     bounds = [growth_bounds(b1, r, p) for r in grid.radii]
     lowers, uppers = np.array([(b.lower, b.upper) for b in bounds]).T[..., None]
     fz = _grid_values(f, grid)

@@ -47,6 +47,17 @@ def pair(h_tail, g_coeffs, trunc=8):
     )
 
 
+def t_magnitudes(a_mags, b_mags, trunc):
+    """h(z) = z - sum a_mags[u] z**u, g(z) = sum b_mags[u] z**u, of length
+    max(trunc, highest power); a zero magnitude puts -0.0 in h."""
+    n = max([trunc, *a_mags, *b_mags])
+    h, g = [1.0] + [0.0] * (n - 1), [0.0] * n
+    for part, sign, mags in ((h, -1.0, a_mags), (g, 1.0, b_mags)):
+        for u, mag in mags.items():
+            part[u - 1] = sign * mag
+    return HarmonicFunction(AnalyticSeries(h, trunc=n), AnalyticSeries(g, trunc=n))
+
+
 def test_class_params_validation():
     with pytest.raises(DomainError):
         ClassParams(m=-1, alpha=0.0, q=QParam(0.5))
@@ -106,7 +117,7 @@ def test_member_t_iff_near_boundary_b1():
 
 
 def test_member_t_iff_rejects_violator():
-    f = HarmonicFunction.from_t_magnitudes({2: 0.8}, {}, trunc=4)
+    f = pair([-0.8], [], trunc=4)
     assert not member_t_iff(f, params(0, 0.5, 0.5))
 
 
@@ -323,8 +334,6 @@ def test_magnitudes_and_b1_refuse_what_they_refused(x):
     # the parent refused an infinite magnitude later, as a coefficient that is not finite
     h = AnalyticSeries.identity(4)
     for build, accepted in (
-        (lambda: HarmonicFunction.from_t_magnitudes({2: x}, {}, trunc=4), x >= 0.0 and x != INF),
-        (lambda: HarmonicFunction.from_t_magnitudes({}, {3: x}, trunc=4), x >= 0.0 and x != INF),
         (lambda: HarmonicFunction(h, AnalyticSeries([x], trunc=4)), abs(x) <= 1.0),
     ):
         try:
@@ -346,8 +355,6 @@ def test_magnitudes_and_b1_refuse_what_they_refused(x):
         (lambda: growth_witness_lower(-0.1, params()), "growth witness |b_1| must lie in [0, 1], got -0.1"),
         (lambda: convex_combination([(2, "analytic", -0.5), (3, "analytic", 1.5)], params()), "weight must lie in [0, inf), got -0.5"),
         (lambda: HarmonicFunction(AnalyticSeries.identity(4), AnalyticSeries([1.5])), "|b_1| must lie in [0, 1], got 1.5"),
-        (lambda: HarmonicFunction.from_t_magnitudes({2: -0.1}, {}), "magnitude for power 2 must lie in [0, inf), got -0.1"),
-        (lambda: HarmonicFunction.from_t_magnitudes({}, {3: INF}), "magnitude for power 3 must lie in [0, inf), got inf"),
     ],
 )
 def test_real_parameters_share_one_message(build, message):
@@ -441,7 +448,7 @@ def test_growth_bounds_accept_b1_one():
 def test_growth_bounds_b1_within_membership_tolerance():
     p = params(1, 0.5, 0.5)
     b1 = 0.5 * (1.0 + 5e-13)
-    f = HarmonicFunction.from_t_magnitudes({}, {1: b1}, trunc=4)
+    f = pair([], [b1], trunc=4)
     assert member_t_iff(f, p)
     b = growth_bounds(b1, 0.5, p)  # the excess over 1 - alpha counts as zero
     assert (b.lower, b.upper) == ((1.0 - b1) * 0.5, (1.0 + b1) * 0.5)
@@ -525,7 +532,7 @@ def test_functional_against_mpmath(inputs, q, m, alpha):
     # 1 - alpha, the division, the product and the final fsum.
     mpmath = pytest.importorskip("mpmath")
     trunc, a, b = inputs
-    f = HarmonicFunction.from_t_magnitudes(a, b, trunc=trunc)
+    f = t_magnitudes(a, b, trunc)
     got = coeff_functional(f, params(m, alpha, q))
     with mpmath.workdps(50):
         mq = mpmath.mpf(q)
@@ -614,7 +621,7 @@ def parent_extreme_point(u, kind, p, *, coanalytic_sign=-1, trunc=DEFAULT_TRUNC)
         h[0] = 1.0
         if u >= 2:
             h[u - 1] = -mag
-        return HarmonicFunction(AnalyticSeries(h, trunc=n), AnalyticSeries.zero(n))
+        return HarmonicFunction(AnalyticSeries(h, trunc=n), AnalyticSeries((), trunc=n))
     g = [0j] * n
     g[u - 1] = coanalytic_sign * mag
     return HarmonicFunction(AnalyticSeries.identity(n), AnalyticSeries(g, trunc=n))
@@ -703,7 +710,7 @@ def parent_random_t_form(p, target_functional, rng, *, trunc=DEFAULT_TRUNC):
             a_mags[u] = mag
         else:
             b_mags[u] = mag
-    return HarmonicFunction.from_t_magnitudes(a_mags, b_mags, trunc=trunc)
+    return t_magnitudes(a_mags, b_mags, trunc)
 
 
 def parent_random_gap_candidate(p, rng):
@@ -901,7 +908,7 @@ def t_form_inputs(draw):
     mags = st.floats(0.0, 0.5, allow_subnormal=True)
     a = draw(st.dictionaries(st.integers(2, trunc), mags, max_size=12)) if trunc > 1 else {}
     b = draw(st.dictionaries(st.integers(1, trunc), mags, max_size=12))
-    return p, HarmonicFunction.from_t_magnitudes(a, b, trunc=trunc)
+    return p, t_magnitudes(a, b, trunc)
 
 
 @settings(max_examples=150, deadline=None)

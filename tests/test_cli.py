@@ -36,6 +36,7 @@ from qharm import cli, series, verify
 from qharm.cli import build_parser, run
 
 IDENTITY_DOC = {"trunc": 4, "h": [[1, 0]], "g": []}
+T_MEMBER = HarmonicFunction(AnalyticSeries([1.0, -0.25], trunc=4), AnalyticSeries([0.25], trunc=4))  # functional 0.5
 
 
 def write_json(path, doc):
@@ -174,7 +175,7 @@ def test_verify_empty_csv_path_writes_no_table(tmp_path, monkeypatch, capsys):
 
 
 def test_verify_no_axis_writes_the_table_of_the_offset_grid(tmp_path, capsys):
-    f = HarmonicFunction.from_t_magnitudes({2: 0.25}, {1: 0.25}, trunc=4)
+    f = T_MEMBER
     p = ClassParams(m=0, alpha=0.25, q=QParam(0.5))
     path = write_json(tmp_path / "f.json", harmonic_to_json(f))
     csv_path = tmp_path / "grid.csv"
@@ -202,7 +203,7 @@ def run_counting_horner(argv):
 
 
 def test_verify_csv_reuses_the_grid_evaluations_of_the_checks(tmp_path, capsys):
-    f = HarmonicFunction.from_t_magnitudes({2: 0.25}, {1: 0.25}, trunc=4)
+    f = T_MEMBER
     path = write_json(tmp_path / "f.json", harmonic_to_json(f))
     argv = ["verify", "--in", path, "--m", "0", "--alpha", "0.25", "--q", "0.5"]
     calls = []
@@ -218,8 +219,8 @@ def test_verify_csv_reuses_the_grid_evaluations_of_the_checks(tmp_path, capsys):
 @pytest.mark.parametrize(
     "f,checks",
     [
-        (HarmonicFunction.from_t_magnitudes({2: 0.25}, {1: 0.25}, trunc=4), 4),  # t_form member
-        (HarmonicFunction.from_t_magnitudes({2: 0.6}, {1: 0.25}, trunc=4), 3),  # t_form, functional > 1
+        (T_MEMBER, 4),  # t_form member
+        (HarmonicFunction(AnalyticSeries([1.0, -0.6], trunc=4), AnalyticSeries([0.25], trunc=4)), 3),  # t_form, functional > 1
         (HarmonicFunction(AnalyticSeries([1, 0.1j], trunc=4)), 3),  # not t_form
     ],
 )

@@ -51,7 +51,7 @@ def pair(h_tail, g_coeffs, trunc=8):
     )
 
 
-IDENTITY = HarmonicFunction.from_t_magnitudes({}, {}, trunc=8)
+IDENTITY = pair([], [])
 
 
 # --- grid ------------------------------------------------------------------------
@@ -205,7 +205,7 @@ def test_re_condition_boundary_point_min_on_axis():
 
 def test_re_condition_fails_for_violator():
     # functional 1.5 with all mass on the analytic power 2
-    f = HarmonicFunction.from_t_magnitudes({2: 1.5}, {}, trunc=4)
+    f = pair([-1.5], [], trunc=4)
     p = params(0, 0.0, 0.5)
     rep = re_condition_margin(f, p, DiskGrid())
     assert not rep.passed
@@ -288,7 +288,7 @@ def test_growth_check_upper_witness_has_zero_margin():
 
 def test_growth_check_requires_t_member():
     p = params(0, 0.5, 0.5)
-    violator = HarmonicFunction.from_t_magnitudes({2: 1.5}, {}, trunc=4)
+    violator = pair([-1.5], [], trunc=4)
     with pytest.raises(DomainError):
         growth_bound_check(violator, p, DiskGrid())
     non_t = pair([0.1], [])
@@ -298,7 +298,7 @@ def test_growth_check_requires_t_member():
 
 def test_growth_check_b1_within_membership_tolerance():
     p = params(1, 0.5, 0.5)
-    f = HarmonicFunction.from_t_magnitudes({}, {1: 0.5 * (1.0 + 5e-13)}, trunc=4)
+    f = pair([], [0.5 * (1.0 + 5e-13)], trunc=4)
     assert growth_bound_check(f, p, DiskGrid()).passed
 
 
@@ -312,7 +312,7 @@ def test_probe_requires_t_form():
 
 def test_probe_boundary_function_margin_to_zero():
     p = params(0, 0.25, 0.5)
-    f = HarmonicFunction.from_t_magnitudes({2: 1.0 - p.alpha}, {}, trunc=4)
+    f = pair([-(1.0 - p.alpha)], [], trunc=4)
     rep = necessity_probe(f, p)
     assert rep.passed
     assert rep.limit_margin == pytest.approx(0.0, abs=1e-12)
@@ -333,7 +333,7 @@ def test_probe_small_functional_bounded_away():
 
 def test_probe_violator_fails_where_bisection_says():
     p = params(0, 0.0, 0.5)
-    f = HarmonicFunction.from_t_magnitudes({2: 0.9, 3: 0.3}, {}, trunc=4)
+    f = pair([-0.9, -0.3], [], trunc=4)
     assert coeff_functional(f, p) == pytest.approx(1.2, abs=1e-12)
 
     def axis_margin(r):
@@ -360,7 +360,7 @@ def test_probe_violator_fails_where_bisection_says():
 
 
 def test_probe_rejects_bad_radius_sequence():
-    f = HarmonicFunction.from_t_magnitudes({2: 0.1}, {}, trunc=4)
+    f = pair([-0.1], [], trunc=4)
     p = params()
     with pytest.raises(DomainError):
         necessity_probe(f, p, [0.5, 0.4])
@@ -372,7 +372,7 @@ def test_probe_rejects_bad_radius_sequence():
 
 RADIUS_CALLERS = {
     "radii": lambda rs: DiskGrid(radii=rs),
-    "probe radii": lambda rs: necessity_probe(HarmonicFunction.from_t_magnitudes({2: 0.1}, {}, trunc=4), params(), rs),
+    "probe radii": lambda rs: necessity_probe(pair([-0.1], [], trunc=4), params(), rs),
 }
 
 
@@ -581,7 +581,7 @@ def test_report_json_shape():
 
 def test_margin_csv_layout():
     p = params(0, 0.25, 0.5)
-    f = HarmonicFunction.from_t_magnitudes({2: 0.25}, {1: 0.25}, trunc=4)
+    f = pair([-0.25], [0.25], trunc=4)
     grid = DiskGrid(radii=(0.5,), angular_count=4)
     buf = io.StringIO()
     write_margin_csv(buf, f, p, grid)
@@ -662,7 +662,7 @@ def test_removed_tolerance_and_generator_keywords_are_type_errors():
     # MEMBERSHIP_TOL, the scan's DiskGrid and the generator's envelope are
     # fixed
     p = params(1, 0.0, 0.5)
-    f = HarmonicFunction.from_t_magnitudes({2: 0.1}, {1: 0.1}, trunc=4)
+    f = pair([-0.1], [0.1], trunc=4)
     rng = np.random.default_rng(0)
     calls = [
         lambda: satisfies_sufficient(f, p, tol=0.1),
