@@ -217,14 +217,23 @@ def _from_shares(p: ClassParams, trunc: int, terms: Sequence[tuple[str, int, flo
     ("coanalytic"), where it holds share * |phase| of the coefficient
     functional.  Later terms at a power are added to the first.  Analytic
     mass at power 1 stays on the identity, whose coefficient is exactly 1.
-    Zero shares place nothing and do not size the weight table.
+    Zero shares place nothing and do not size the weight table.  One pass
+    over the terms finds the series length, the lowest u and the highest
+    placed power of each part, before anything is refused or placed.
     """
-    n = in_range(max([trunc, *(u for _, u, _, _ in terms)]), 1, MAX_JSON_TRUNC, "series length")
-    in_range(min((u for _, u, _, _ in terms), default=1), 1, None, "u")
     # Each part runs to its own highest placed power, so that its last value is
-    # the one placed there; AnalyticSeries pads both to n.
-    h_top = max([1, *(u for kind, u, share, _ in terms if share != 0 and kind == "analytic")])
-    g_top = max([0, *(u for kind, u, share, _ in terms if share != 0 and kind == "coanalytic")])
+    # the one placed there; AnalyticSeries pads both to n.  The running extremes
+    # compare as max and min do, keeping the first of equal terms.
+    top, low, h_top, g_top = trunc, None, 1, 0
+    for kind, u, share, _ in terms:
+        top = u if u > top else top
+        low = u if low is None or u < low else low
+        if share != 0 and kind == "analytic" and u > h_top:
+            h_top = u
+        elif share != 0 and kind == "coanalytic" and u > g_top:
+            g_top = u
+    n = in_range(top, 1, MAX_JSON_TRUNC, "series length")
+    in_range(1 if low is None else low, 1, None, "u")
     w = weights(max(h_top, g_top), p.q, p.m)
     one_minus = 1.0 - p.alpha
     h = [_UNPLACED] * h_top

@@ -50,7 +50,7 @@ import numpy as np
 from .qcore import DEFAULT_TOLERANCE, MAX_JSON_TRUNC, DomainError, in_interval, in_range, radius_sequence
 from .classes import ClassParams, _from_shares, coeff_functional, growth_bounds, member_t_iff, proof_step_violations
 from .classes import DEFAULT_PROBE_RADII, ProbeReport, necessity_probe  # noqa: F401 (re-exported)
-from .salagean import class_transform
+from .salagean import OperatorParams, class_transform
 from .series import DEFAULT_TRUNC, HarmonicFunction, PowerSeries, _horner, _horner_harmonic
 from .series import classical_derivative
 
@@ -244,9 +244,8 @@ def _ring_values(coeffs: list[complex], low: int, grid: DiskGrid) -> np.ndarray:
     return values.ravel()
 
 
-def _re_condition_margins(f: HarmonicFunction, p: ClassParams, grid: DiskGrid) -> np.ndarray:
-    t = class_transform(f, p.operator_params())
-    return np.real(_grid_values(t, grid)) - p.alpha
+def _re_condition_margins(f: HarmonicFunction, op: OperatorParams, alpha: float, grid: DiskGrid) -> np.ndarray:
+    return _grid_values(class_transform(f, op), grid).real - alpha
 
 
 def _sense_preserving_margins(f: HarmonicFunction, grid: DiskGrid) -> np.ndarray:
@@ -265,6 +264,26 @@ def _growth_margins(f: HarmonicFunction, p: ClassParams, grid: DiskGrid) -> tupl
     return (mod - lowers).ravel(), (uppers - mod).ravel(), fz
 
 
+def _tolerance(tolerance: float) -> float:
+    """The absolute tolerance of the grid checks, checked."""
+    return in_interval(tolerance, 0, math.inf, "tolerance")
+
+
+def _pair_draw(pair_budget: int, seed: int) -> tuple[int, int]:
+    """The pair budget and seed of an injectivity draw, checked."""
+    return in_range(pair_budget, 1, MAX_PAIR_BUDGET, "pair_budget"), in_range(seed, 0, None, "seed")
+
+
+def _worst(name: str, margins: np.ndarray) -> tuple[int, float]:
+    """The index and value of the first smallest margin (the lexicographic
+    tie-break); DomainError if that value is not finite."""
+    i = int(margins.argmin())
+    worst = float(margins[i])
+    if not math.isfinite(worst):  # argmin finds a NaN first
+        raise DomainError(f"the worst {name} margin is not finite, got {worst!r}")
+    return i, worst
+
+
 def _min_report(
     name: str,
     margins: np.ndarray,
@@ -273,11 +292,9 @@ def _min_report(
     *,
     strict: bool = False,
 ) -> VerificationReport:
-    tolerance = in_interval(tolerance, 0, math.inf, "tolerance")
-    i = int(np.argmin(margins))  # first minimum = lexicographic tie-break
-    worst = float(margins[i])
-    if not math.isfinite(worst):  # argmin finds a NaN first
-        raise DomainError(f"the worst {name} margin is not finite, got {worst!r}")
+    """The report of a check from its margins at the points where, at a
+    tolerance its caller has checked."""
+    i, worst = _worst(name, margins)
     passed = worst > tolerance if strict else worst >= -tolerance
     return VerificationReport(name, worst, complex(where[i]), passed, int(margins.size), tolerance)
 
@@ -291,7 +308,8 @@ def re_condition_margin(
 ) -> VerificationReport:
     """Margin of the defining condition: Re{transform(z)} - alpha at each
     grid point."""
-    return _min_report("re_condition", _re_condition_margins(f, p, grid), grid.points(), tolerance)
+    margins = _re_condition_margins(f, p.operator_params(), p.alpha, grid)
+    return _min_report("re_condition", margins, grid.points(), _tolerance(tolerance))
 
 
 def sense_preserving_margin(
@@ -301,7 +319,7 @@ def sense_preserving_margin(
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> VerificationReport:
     """|h'(z)| - |g'(z)| at each grid point (ordinary derivatives)."""
-    return _min_report("sense_preserving", _sense_preserving_margins(f, grid), grid.points(), tolerance)
+    return _min_report("sense_preserving", _sense_preserving_margins(f, grid), grid.points(), _tolerance(tolerance))
 
 
 def injectivity_sample_check(
@@ -320,19 +338,19 @@ def injectivity_sample_check(
     |z1 - z2| > MIN_PAIR_GAP * max(|z1|, |z2|), and samples counts the pairs
     used; if none is, DomainError.
     """
-    return _injectivity_report(f, grid, pair_budget, seed, tolerance)
+    return _injectivity_report(f, grid, *_pair_draw(pair_budget, seed), _tolerance(tolerance))
 
 
 def _injectivity_report(
     f: HarmonicFunction, grid: DiskGrid, pair_budget: int, seed: int, tolerance: float, fz: np.ndarray | None = None
 ) -> VerificationReport:
-    """Injectivity report on the grid.  The pair ends read fz, f on the grid,
-    if given, else _grid_values of f at both ends of the pairs used, which
-    are its grid values there bit for bit."""
-    pair_budget = in_range(pair_budget, 1, MAX_PAIR_BUDGET, "pair_budget")
+    """Injectivity report on the grid, from a pair budget, seed and tolerance
+    its caller has checked.  The pair ends read fz, f on the grid, if given,
+    else _grid_values of f at both ends of the pairs used, which are its
+    grid values there bit for bit."""
     z = grid.points()
     n = z.size
-    rng = np.random.default_rng(in_range(seed, 0, None, "seed"))
+    rng = np.random.default_rng(seed)
     i = rng.integers(0, n, size=pair_budget)
     j = rng.integers(0, n, size=pair_budget)
     j = np.where(i == j, (j + 1) % n, j)
@@ -362,7 +380,7 @@ def growth_bound_check(
     """
     if not member_t_iff(f, p):
         raise DomainError("growth bounds hold for t_form members; the functional exceeds 1")
-    return _growth_report(*_growth_margins(f, p, grid)[:2], grid.points(), tolerance)
+    return _growth_report(*_growth_margins(f, p, grid)[:2], grid.points(), _tolerance(tolerance))
 
 
 def _growth_report(lower_m: np.ndarray, upper_m: np.ndarray, z: np.ndarray, tolerance: float) -> VerificationReport:
@@ -486,28 +504,34 @@ def counterexample_scan(
     given seed: trial t uses the generator seeded with (seed, t) and its
     injectivity pairs the generator seeded with t, so a skipped check
     changes no later draw.
+
+    The verdicts and margins are those of the single checks, which each
+    trial does not call: the arguments, the grid and the operator
+    parameters are checked or built once per call, the Re and sense checks
+    are decided from their margin arrays, and only an injectivity check
+    that runs builds a report.
     """
     trials = in_range(trials, 1, MAX_TRIALS, "trials")
-    pair_budget = in_range(pair_budget, 1, MAX_PAIR_BUDGET, "pair_budget")
-    seed = in_range(seed, 0, None, "seed")
-    tolerance = in_interval(tolerance, 0, math.inf, "tolerance")
+    pair_budget, seed = _pair_draw(pair_budget, seed)
+    tolerance = _tolerance(tolerance)
     grid = DiskGrid()
+    op = p.operator_params()
     flagged = []
     for trial in range(trials):
-        rng = np.random.default_rng([seed, trial])
-        f = _random_gap_candidate(p, rng)
+        f = _random_gap_candidate(p, np.random.default_rng([seed, trial]))
         functional = coeff_functional(f, p)
         if functional <= 1.0:
             continue
-        re_rep = re_condition_margin(f, p, grid, tolerance=tolerance)
-        if not re_rep.passed:
+        # a worst margin below -tolerance fails, as in _min_report
+        _, re_worst = _worst("re_condition", _re_condition_margins(f, op, p.alpha, grid))
+        if re_worst < -tolerance:
             continue
-        sp_rep = sense_preserving_margin(f, grid, tolerance=tolerance)
-        if not sp_rep.passed:
+        _, sp_worst = _worst("sense_preserving", _sense_preserving_margins(f, grid))
+        if sp_worst < -tolerance:
             continue
-        inj_rep = injectivity_sample_check(f, grid, pair_budget, seed=trial, tolerance=tolerance)
-        if inj_rep.passed:
-            flagged.append(GapExample(trial, functional, re_rep.min_margin, sp_rep.min_margin, inj_rep.min_margin))
+        inj = _injectivity_report(f, grid, pair_budget, trial, tolerance)
+        if inj.passed:
+            flagged.append(GapExample(trial, functional, re_worst, sp_worst, inj.min_margin))
     return ScanReport(trials, seed, proof_step_violations(p), tuple(flagged))
 
 
@@ -537,7 +561,7 @@ def _margin_columns(
     columns = {
         "re": np.real(z),
         "im": np.imag(z),
-        "re_condition_margin": _re_condition_margins(f, p, grid),
+        "re_condition_margin": _re_condition_margins(f, p.operator_params(), p.alpha, grid),
         "sense_preserving_margin": _sense_preserving_margins(f, grid),
     }
     if not (f.t_form and member_t_iff(f, p)):
@@ -593,6 +617,8 @@ def disc_checks(
     z = grid.points()
     with np.errstate(all="ignore"):
         columns, fz = _margin_columns(f, p, grid)
+        tolerance = _tolerance(tolerance)
+        pair_budget, seed = _pair_draw(pair_budget, seed)
         reports = [
             _min_report("re_condition", columns["re_condition_margin"], z, tolerance),
             _min_report("sense_preserving", columns["sense_preserving_margin"], z, tolerance),

@@ -874,6 +874,72 @@ def test_zero_shares_and_underflow_take_the_extreme_point_bits():
     assert math.copysign(1.0, point.h.coeffs[1].real) == -1.0 and point.h.coeffs[1] == 0
 
 
+def four_pass_from_shares(p, trunc, terms):
+    """classes._from_shares with the sizes found by four passes over the
+    terms, one per size, as it was before it found them in one."""
+    n = in_range(max([trunc, *(u for _, u, _, _ in terms)]), 1, MAX_JSON_TRUNC, "series length")
+    in_range(min((u for _, u, _, _ in terms), default=1), 1, None, "u")
+    h_top = max([1, *(u for kind, u, share, _ in terms if share != 0 and kind == "analytic")])
+    g_top = max([0, *(u for kind, u, share, _ in terms if share != 0 and kind == "coanalytic")])
+    w = weights(max(h_top, g_top), p.q, p.m)
+    one_minus = 1.0 - p.alpha
+    h = [classes._UNPLACED] * h_top
+    h[0] = 1.0
+    g = [classes._UNPLACED] * g_top
+    for kind, u, share, phase in terms:
+        if kind not in ("analytic", "coanalytic"):
+            raise DomainError(f"kind must be 'analytic' or 'coanalytic', got {kind!r}")
+        if share == 0 or (u == 1 and kind == "analytic"):
+            continue
+        part = h if kind == "analytic" else g
+        c = share * one_minus / w[u - 1] * phase
+        old = part[u - 1]
+        part[u - 1] = c if old is classes._UNPLACED else old + c
+    return HarmonicFunction(AnalyticSeries(h, trunc=n), AnalyticSeries(g, trunc=n))
+
+
+def share_map_outcome(build, p, trunc, terms):
+    """The refusal's type and message, or the series length, each part's
+    stored length and the coefficient bits."""
+    try:
+        f = build(p, trunc, terms)
+    except Exception as e:
+        return type(e), str(e)
+    return f.h.length, len(f.h.stored), len(f.g.stored), coeff_bits(f.h.coeffs, f.g.coeffs)
+
+
+# [u]_0.99**250 first overflows a float at u = 19
+OVERFLOWING_ORDER = params(250, 0.0, 0.99)
+share_terms = st.lists(
+    st.tuples(
+        st.sampled_from(["analytic", "coanalytic", "meromorphic"]),
+        st.integers(-1, 8) | st.sampled_from([18, 19, 40, MAX_JSON_TRUNC, MAX_JSON_TRUNC + 1]),
+        ZEROS | st.floats(0.01, 1.0),
+        st.sampled_from([1.0, -1.0, 1j, 0.6 - 0.8j]),
+    ),
+    max_size=5,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    p=st.sampled_from([params(), params(3, 0.25, 0.9), OVERFLOWING_ORDER]),
+    trunc=st.integers(0, 8) | st.sampled_from([MAX_JSON_TRUNC, MAX_JSON_TRUNC + 1]),
+    terms=share_terms,
+)
+@example(p=params(), trunc=1, terms=[("analytic", 2, 1.0, -1.0), ("analytic", MAX_JSON_TRUNC + 1, 1.0, -1.0)])
+@example(p=params(), trunc=1, terms=[("analytic", 2, 1.0, -1.0), ("coanalytic", 0, 1.0, 1.0)])
+@example(p=params(), trunc=4, terms=[("coanalytic", 2, 1.0, 1.0), ("meromorphic", 3, 1.0, 1.0)])
+@example(p=OVERFLOWING_ORDER, trunc=4, terms=[("analytic", 40, 0.0, -1.0), ("coanalytic", 2, 1.0, 1.0)])
+@example(p=OVERFLOWING_ORDER, trunc=4, terms=[("meromorphic", 2, 1.0, 1.0), ("analytic", 19, 1.0, -1.0)])
+def test_the_one_pass_sizes_equal_the_four_passes(p, trunc, terms):
+    # each refusal (a length over MAX_JSON_TRUNC, u < 1, an unknown kind, an
+    # overflowing weight at a placed power next to an unknown kind) keeps its
+    # type, message and order, and a zero share still sizes no weight table
+    got = share_map_outcome(classes._from_shares, p, trunc, terms)
+    assert got == share_map_outcome(four_pass_from_shares, p, trunc, terms)
+
+
 # --- the functional and the probe over the cached moduli ------------------------
 
 

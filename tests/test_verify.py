@@ -521,7 +521,8 @@ def test_scan_reproducible():
 
 def test_scan_stops_each_trial_at_its_first_failed_check():
     # criterion 10's pinned call: Re-condition first, sense-preservation
-    # only after it passed, injectivity only after both passed
+    # only after it passed, injectivity only after both passed.  The scan
+    # decides each check from the margin functions the single checks use.
     p = params(0, 0.0, 0.5)
     grid = DiskGrid()
     expected = []
@@ -529,15 +530,15 @@ def test_scan_stops_each_trial_at_its_first_failed_check():
         f = verify._random_gap_candidate(p, np.random.default_rng([20250810, trial]))
         if coeff_functional(f, p) <= 1.0:
             continue
-        expected.append(("re_condition_margin", f))
+        expected.append(("_re_condition_margins", f))
         if re_condition_margin(f, p, grid).passed:
-            expected.append(("sense_preserving_margin", f))
+            expected.append(("_sense_preserving_margins", f))
             if sense_preserving_margin(f, grid).passed:
-                expected.append(("injectivity_sample_check", f))
+                expected.append(("_injectivity_report", f))
     names = [name for name, _ in expected]
     # both early exits are taken at this seed
-    assert 0 < names.count("sense_preserving_margin") < names.count("re_condition_margin")
-    assert 0 < names.count("injectivity_sample_check") < names.count("sense_preserving_margin")
+    assert 0 < names.count("_sense_preserving_margins") < names.count("_re_condition_margins")
+    assert 0 < names.count("_injectivity_report") < names.count("_sense_preserving_margins")
 
     calls = []
 
@@ -550,10 +551,25 @@ def test_scan_stops_each_trial_at_its_first_failed_check():
 
         return mock.patch.object(verify, name, wrapper)
 
-    with spy("re_condition_margin"), spy("sense_preserving_margin"), spy("injectivity_sample_check"):
+    with spy("_re_condition_margins"), spy("_sense_preserving_margins"), spy("_injectivity_report"):
         rep = counterexample_scan(p, 40, 20250810)
     assert calls == expected
     assert [g.trial for g in rep.gap_examples] == [18]
+
+
+def test_scan_builds_its_per_call_objects_once():
+    # P2, as in criterion 10: one OperatorParams and one tolerance check per
+    # call, and a report only for each injectivity check that runs
+    p = params(0, 0.0, 0.5)
+    with mock.patch.object(classes, "OperatorParams", wraps=classes.OperatorParams) as operator_params, \
+            mock.patch.object(verify, "in_interval", wraps=verify.in_interval) as interval, \
+            mock.patch.object(verify, "VerificationReport", wraps=verify.VerificationReport) as report, \
+            mock.patch.object(verify, "_injectivity_report", wraps=verify._injectivity_report) as injectivity:
+        counterexample_scan(p, 40, 20250810)
+    assert operator_params.call_count == 1
+    assert [c.args[3] for c in interval.call_args_list].count("tolerance") == 1
+    assert injectivity.call_count > 0
+    assert report.call_count == injectivity.call_count
 
 
 def test_scan_rejects_bad_trials():
